@@ -185,7 +185,8 @@ def _cell_entry_plan(pivots, k, n, free_index):
 def plucker_matrix(gf, k, n):
     """Matrix whose column j is the Plucker vector of the j-th enumerated
     point of G(k, n) (rows in lexicographic multi-index order), or None when
-    the field has no vectorized backend or the matrix would be too large."""
+    the field has no vectorized backend or the matrix would be too large.
+    The cached array is read-only."""
     ops = vector_ops(gf)
     if ops is None:
         return None
@@ -215,7 +216,9 @@ def plucker_matrix(gf, k, n):
             d = det_any(ops, mat)
             block[row_pos] = d  # scalar broadcasts
         blocks.append(block)
-    return np.concatenate(blocks, axis=1)
+    out = np.concatenate(blocks, axis=1)
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
 
 
 def form_values(gf, coeffs, mat):

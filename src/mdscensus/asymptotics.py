@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .budget import effective_budget
 from .census import count_mds_matrix_scan, gamma_closed_form
-from .errors import ExactnessViolation, OutOfRange
+from .errors import DivisibilityViolation, ExactnessViolation, OutOfRange
 from .fields import field_of_order
 from .linalg import _binom
 
@@ -57,7 +57,8 @@ def a2_closed_form(k, n):
     """The k = 1 and k = 2 families in closed form; must agree with params()."""
     if k == 1:
         num = n * n - 3 * n + 2
-        assert num % 2 == 0
+        if num % 2 != 0:
+            raise DivisibilityViolation(f"a2(1,{n}) numerator {num} is odd")
         return num // 2
     if k == 2:
         num = 3 * n**4 - 10 * n**3 + 9 * n**2 - 26 * n + 48

@@ -2,14 +2,20 @@
 
 Two independent strategies must agree:
 
-matrix-scan       scans the matrices [I_k | A] with A running over all of
-                  GF(q)^(k x (n-k)) in odometer order and accepts A exactly
-                  when every square submatrix of A, of every order, is
-                  nonsingular (equivalent to all maximal minors of [I_k | A]
-                  being nonzero, via complementary column indices).  Work is
-                  chunked by fixing the first t entries of A; candidates with
-                  a zero entry are rejected by the cheapest (order-1) test,
-                  so only all-nonzero suffixes are ever materialized.
+matrix-scan       scans the matrices [I_k | A] and accepts A exactly when
+                  every square submatrix of A, of every order, is nonsingular
+                  (equivalent to all maximal minors of [I_k | A] being
+                  nonzero, via complementary column indices).  Such an A has
+                  no zero entry, and the torus (F_q^*)^k x (F_q^*)^(n-k)
+                  scaling its rows and columns acts freely modulo the
+                  diagonal scalars, with exactly one A per orbit whose first
+                  row and first column are all ones.  So only those
+                  normalized A are scanned: their (k-1)(n-k-1) free entries
+                  run over the nonzero elements in odometer order, the count
+                  is gamma-tilde, and gamma = (q-1)^(n-1) * gamma-tilde.  Work
+                  is chunked by fixing the first t free entries; when all of
+                  it fits in one numpy block no process pool is started,
+                  whatever the requested worker count.
 
 grassmannian-filter  enumerates every echelon representative of G(k, n),
                   cell by cell, and keeps the points whose maximal minors
@@ -65,26 +71,35 @@ def _split_gamma(k, n, q, gamma, method, elapsed, workers):
 # matrix-scan
 # ---------------------------------------------------------------------------
 
+def _free_entries(k, nk):
+    return (k - 1) * (nk - 1) if nk else 0
+
+
 def _scan_minor_plan(k, nk):
-    """All square submatrices of A of order >= 2, smallest orders first."""
+    """All square submatrices of order >= 2 of a normalized A, smallest
+    orders first: row 0 and column 0 are the constant 1, the free entry
+    A[r][c] (r, c >= 1) is value (r-1)(nk-1) + (c-1)."""
+
+    def entry(r, c):
+        if r == 0 or c == 0:
+            return ("c", 1)
+        return ("v", (r - 1) * (nk - 1) + c - 1)
+
     plan = []
     for s in range(2, min(k, nk) + 1):
         for rows in itertools.combinations(range(k), s):
             for cols in itertools.combinations(range(nk), s):
-                plan.append(
-                    tuple(
-                        tuple(("v", r * nk + c) for c in cols) for r in rows
-                    )
-                )
+                plan.append(tuple(tuple(entry(r, c) for c in cols) for r in rows))
     return tuple(plan)
 
 
-def _choose_prefix_len(q, total_positions, workers, suffix_base=None):
-    base = max(suffix_base if suffix_base is not None else q - 1, 1)
+def _choose_prefix_len(base, total_positions, min_chunks):
+    """Smallest prefix length t such that the base**(total_positions - t)
+    suffix fits one block and base**t reaches min_chunks chunks."""
     t = 0
     while t < total_positions and base ** (total_positions - t) > SUFFIX_CAP:
         t += 1
-    while t < total_positions and q**t < CHUNKS_PER_WORKER * workers:
+    while t < total_positions and base**t < min_chunks:
         t += 1
     return t
 
@@ -97,68 +112,69 @@ def _digits(value, base, width):
     return out
 
 
-def _scan_chunk(gf, k, nk, prefix, suffix_len, plan):
-    if any(v == 0 for v in prefix):
-        return 0
-    ops = _vecgf.vector_ops(gf)
-    values = list(prefix) + _vecgf.position_arrays(
-        [gf.q - 1] * suffix_len, 1, ops.dtype
-    )
-    return _vecgf.count_all_nonzero(ops, values, plan)
-
-
 def _scan_range(p, m, k, n, t, lo, hi):
+    """Normalized MDS matrices among chunks [lo, hi): chunk i fixes the first
+    t free entries to the base-(q-1) digits of i, offset by 1."""
     gf = make_field(p, m)
+    ops = _vecgf.vector_ops(gf)
     nk = n - k
     plan = _scan_minor_plan(k, nk)
-    total_positions = k * nk
-    suffix_len = total_positions - t
+    base = gf.q - 1
+    suffix = _vecgf.position_arrays(
+        [base] * (_free_entries(k, nk) - t), 1, ops.dtype
+    )
     acc = 0
     for chunk_id in range(lo, hi):
-        prefix = _digits(chunk_id, gf.q, t)
-        acc += _scan_chunk(gf, k, nk, prefix, suffix_len, plan)
+        prefix = [d + 1 for d in _digits(chunk_id, base, t)]
+        acc += _vecgf.count_all_nonzero(ops, prefix + suffix, plan)
     return acc
 
 
-def _scan_fallback(gf, k, n):
-    """Pure-python scan for fields with no vectorized backend (large q)."""
-    from .linalg import MatrixGF, minor
-    from .exterior import multi_indices
+class _ScalarOps:
+    """The VecOps interface on plain field elements."""
 
-    nk = n - k
-    count = 0
-    nonzero = [e for e in gf.elements() if e != 0]
-    idx_all = multi_indices(k, n)
-    for entries in itertools.product(nonzero, repeat=k * nk):
-        data = []
-        for r in range(k):
-            row = [1 if c == r else 0 for c in range(k)]
-            row.extend(entries[r * nk:(r + 1) * nk])
-            data.extend(row)
-        mat = MatrixGF(gf, k, n, data)
-        if all(minor(mat, idx) != 0 for idx in idx_all):
-            count += 1
-    return count
+    def __init__(self, gf):
+        self.add, self.sub, self.mul, self.neg = gf.add, gf.sub, gf.mul, gf.neg
+
+
+def _scan_fallback(gf, k, nk):
+    """The normalized scan one candidate at a time, for fields with no
+    vectorized backend (extension fields above the table limit)."""
+    ops = _ScalarOps(gf)
+    plan = _scan_minor_plan(k, nk)
+    return sum(
+        _vecgf.count_all_nonzero(ops, list(entries), plan)
+        for entries in itertools.product(range(1, gf.q),
+                                         repeat=_free_entries(k, nk))
+    )
 
 
 def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
     """Number of k-subspaces all of whose Plucker coordinates are nonzero,
-    by scanning the identity-cell matrices [I_k | A]."""
+    by scanning the torus-normalized matrices [I_k | A].  A pool of
+    `threads` workers is started only when the normalized work exceeds one
+    block of SUFFIX_CAP candidates; worker_count reports the workers used."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
-    total_positions = k * (n - k)
-    check_budget(q**total_positions, budget, f"matrix scan at (k={k}, n={n}, q={q})")
+    nk = n - k
+    check_budget(q ** (k * nk), budget, f"matrix scan at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
+    workers = 1
     if _vecgf.vector_ops(gf) is None:
-        gamma = _scan_fallback(gf, k, n)
-        return _split_gamma(k, n, q, gamma, "matrix-scan",
-                            time.perf_counter() - start, 1)
-    t = _choose_prefix_len(q, total_positions, threads)
-    n_chunks = q**t
-    gamma = _run_ranges(_scan_range, (gf.p, gf.m, k, n, t), n_chunks, threads)
-    return _split_gamma(k, n, q, gamma, "matrix-scan",
-                        time.perf_counter() - start, threads)
+        gamma_tilde = _scan_fallback(gf, k, nk)
+    else:
+        n_free = _free_entries(k, nk)
+        if threads > 1 and (q - 1) ** n_free > SUFFIX_CAP:
+            workers = threads
+        min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
+        t = _choose_prefix_len(q - 1, n_free, min_chunks)
+        gamma_tilde = _run_ranges(_scan_range, (gf.p, gf.m, k, n, t),
+                                  (q - 1) ** t, workers)
+    # k = n: the unique [n, n] code, with no column scaling to divide out
+    gamma = gamma_tilde if k == n else gamma_tilde * (q - 1) ** (n - 1)
+    return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
+                        time.perf_counter() - start, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +247,7 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     tasks = []
     for pivots in itertools.combinations(range(1, n + 1), k):
         n_free = len(cell_free_positions(pivots, k, n))
-        t = _choose_prefix_len(q, n_free, 1, suffix_base=q)
+        t = _choose_prefix_len(q, n_free, CHUNKS_PER_WORKER)
         tasks.append((pivots, t, q**t))
     gamma = 0
     if threads <= 1:
@@ -268,14 +284,14 @@ def _ranges(total, parts):
     return out
 
 
-def _run_ranges(fn, head_args, n_chunks, threads):
-    if threads <= 1 or n_chunks <= 1:
+def _run_ranges(fn, head_args, n_chunks, workers):
+    if workers <= 1 or n_chunks <= 1:
         return fn(*head_args, 0, n_chunks)
     total = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(fn, *head_args, lo, hi)
-            for lo, hi in _ranges(n_chunks, threads * 8)
+            for lo, hi in _ranges(n_chunks, workers * 8)
         ]
         total = sum(f.result() for f in futures)
     return total
@@ -329,5 +345,6 @@ def count_mds(k, n, gf, method="scan", threads=1, budget=None):
                 f"matrix-scan gamma={a.gamma} differs from filter gamma={b.gamma}"
             )
         return CensusResult(k, n, gf.q, a.gamma, a.gamma_tilde, "both",
-                            a.elapsed + b.elapsed, threads)
+                            a.elapsed + b.elapsed,
+                            max(a.worker_count, b.worker_count))
     raise OutOfRange(f"unknown census method {method!r}")

@@ -417,9 +417,8 @@ def run(config):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return run(config)
+        return run(_config_from_args(args))
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -21,6 +21,7 @@ from .budget import check_budget
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
+    DivisibilityViolation,
     OutOfRange,
     RankDeficient,
     ShapeMismatch,
@@ -478,7 +479,10 @@ def _weight_recursive(omega, budget=None):
         quotient = _restrict_to_complement(contracted, pivot)
         total += _weight_recursive(quotient, budget)
     denom = gf.q**k - 1
-    assert total % denom == 0
+    if total % denom != 0:
+        raise DivisibilityViolation(
+            f"recursive weight sum {total} not divisible by q^k - 1 = {denom}"
+        )
     return total // denom
 
 

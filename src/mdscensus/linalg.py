@@ -10,7 +10,13 @@ import itertools
 from dataclasses import dataclass
 
 from .budget import check_budget
-from .errors import BadIndex, FieldMismatch, OutOfRange, ShapeMismatch
+from .errors import (
+    BadIndex,
+    DivisibilityViolation,
+    FieldMismatch,
+    OutOfRange,
+    ShapeMismatch,
+)
 
 
 class MatrixGF:
@@ -227,7 +233,10 @@ def gaussian_binomial(k, n, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den != 0:
+        raise DivisibilityViolation(
+            f"Gaussian binomial ({n} choose {k})_{q}: {num} not divisible by {den}"
+        )
     return num // den
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mdscensus import census
 from mdscensus.census import (
     arc_count,
     count_mds,
@@ -12,6 +13,10 @@ from mdscensus.census import (
 from mdscensus.errors import BudgetExceeded
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.linalg import MatrixGF, minor
+
+# The scan's budget counts the q^(k(n-k)) matrices that the torus
+# normalization stands for, so shapes with n = 7 or large q pass this one.
+NOMINAL_BUDGET = 10**13
 
 
 def naive_gamma(k, n, gf):
@@ -84,13 +89,14 @@ def test_closed_forms_match_scan():
 
 
 def test_duality():
-    for q in (2, 3, 4):
+    cases = [(k, n, q) for q in (2, 3, 4) for k, n in ((1, 3), (2, 4), (2, 5))]
+    cases += [(3, 7, q) for q in (7, 8, 9)]
+    for k, n, q in cases:
         gf = field_of_order(q)
-        for k, n in ((1, 3), (2, 4), (2, 5)):
-            assert (
-                count_mds_matrix_scan(k, n, gf).gamma
-                == count_mds_matrix_scan(n - k, n, gf).gamma
-            ), (k, n, q)
+        assert (
+            count_mds_matrix_scan(k, n, gf, budget=NOMINAL_BUDGET).gamma
+            == count_mds_matrix_scan(n - k, n, gf, budget=NOMINAL_BUDGET).gamma
+        ), (k, n, q)
 
 
 def test_budget_refusal():
@@ -133,3 +139,41 @@ def test_scan_fallback_large_prime():
     gf = make_field(257, 1)  # above the table limit, prime path
     assert count_mds_matrix_scan(1, 2, gf).gamma == 256
     assert count_mds_matrix_scan(2, 3, gf).gamma == gamma_closed_form(2, 3, 257)
+
+
+def test_scan_fallback_extension_field():
+    gf = make_field(23, 2)  # GF(529): no vectorized backend
+    for n in (3, 4):
+        res = count_mds_matrix_scan(2, n, gf, budget=NOMINAL_BUDGET)
+        assert res.gamma == gamma_closed_form(2, n, 529)
+        assert res.worker_count == 1
+    # the same walk, on fields that the vectorized kernel reaches too
+    for q in (7, 8):
+        gf = field_of_order(q)
+        for k, n in ((2, 5), (3, 5), (3, 6)):
+            assert (
+                census._scan_fallback(gf, k, n - k)
+                == count_mds_matrix_scan(k, n, gf).gamma_tilde
+            ), (k, n, q)
+
+
+def test_pooled_scan_matches_serial():
+    # 10^6 normalized candidates: more than one block, so a pool is started
+    gf = make_field(11, 1)
+    serial = count_mds_matrix_scan(3, 7, gf, threads=1, budget=NOMINAL_BUDGET)
+    pooled = count_mds_matrix_scan(3, 7, gf, threads=2, budget=NOMINAL_BUDGET)
+    assert pooled.gamma == serial.gamma
+    assert pooled.gamma_tilde == serial.gamma_tilde
+    assert (serial.worker_count, pooled.worker_count) == (1, 2)
+
+
+def test_one_block_scan_starts_no_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", NoPool)
+    for q in (4, 9, 16):
+        res = count_mds_matrix_scan(3, 6, field_of_order(q), threads=8,
+                                    budget=NOMINAL_BUDGET)
+        assert res.worker_count == 1
