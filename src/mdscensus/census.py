@@ -13,9 +13,7 @@ matrix-scan       scans the matrices [I_k | A] and accepts A exactly when
                   normalized A are scanned: their (k-1)(n-k-1) free entries
                   run over the nonzero elements in odometer order, the count
                   is gamma-tilde, and gamma = (q-1)^(n-1) * gamma-tilde.  Work
-                  is chunked by fixing the first t free entries; when all of
-                  it fits in one numpy block no process pool is started,
-                  whatever the requested worker count.
+                  is chunked by fixing the first t free entries.
 
 grassmannian-filter  enumerates every echelon representative of G(k, n),
                   cell by cell, and keeps the points whose maximal minors
@@ -24,10 +22,14 @@ grassmannian-filter  enumerates every echelon representative of G(k, n),
 
 Both kernels run vectorized over candidate blocks; every chunk yields an
 exact integer and the total is an order-independent sum, so results are
-bit-identical for any worker count.
+bit-identical for any worker count.  Both share one scheduling rule: work
+that fits one numpy block of SUFFIX_CAP candidates runs serially whatever
+the requested worker count, and a pool never has more workers than
+os.cpu_count().
 """
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -151,9 +153,8 @@ def _scan_fallback(gf, k, nk):
 
 def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
     """Number of k-subspaces all of whose Plucker coordinates are nonzero,
-    by scanning the torus-normalized matrices [I_k | A].  A pool of
-    `threads` workers is started only when the normalized work exceeds one
-    block of SUFFIX_CAP candidates; worker_count reports the workers used."""
+    by scanning the torus-normalized matrices [I_k | A].  worker_count
+    reports the workers used (see _worker_count)."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
@@ -165,8 +166,7 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
         gamma_tilde = _scan_fallback(gf, k, nk)
     else:
         n_free = _free_entries(k, nk)
-        if threads > 1 and (q - 1) ** n_free > SUFFIX_CAP:
-            workers = threads
+        workers = _worker_count(threads, (q - 1) ** n_free)
         min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
         t = _choose_prefix_len(q - 1, n_free, min_chunks)
         gamma_tilde = _run_ranges(_scan_range, (gf.p, gf.m, k, n, t),
@@ -233,7 +233,8 @@ def _filter_fallback(gf, k, n, budget):
 
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     """Independent oracle: walk every Grassmann point and keep those whose
-    Plucker coordinates are all nonzero."""
+    Plucker coordinates are all nonzero.  worker_count reports the workers
+    used (see _worker_count)."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
@@ -249,27 +250,36 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
         n_free = len(cell_free_positions(pivots, k, n))
         t = _choose_prefix_len(q, n_free, CHUNKS_PER_WORKER)
         tasks.append((pivots, t, q**t))
+    workers = _worker_count(threads, size)
     gamma = 0
-    if threads <= 1:
+    if workers == 1:
         for pivots, t, n_chunks in tasks:
             gamma += _filter_cell_range(gf.p, gf.m, k, n, pivots, t, 0, n_chunks)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = []
             for pivots, t, n_chunks in tasks:
-                for lo, hi in _ranges(n_chunks, threads * 4):
+                for lo, hi in _ranges(n_chunks, workers * 4):
                     futures.append(
                         pool.submit(_filter_cell_range, gf.p, gf.m, k, n,
                                     pivots, t, lo, hi)
                     )
             gamma = sum(f.result() for f in futures)
     return _split_gamma(k, n, q, gamma, "grassmannian-filter",
-                        time.perf_counter() - start, threads)
+                        time.perf_counter() - start, workers)
 
 
 # ---------------------------------------------------------------------------
 # shared scheduling
 # ---------------------------------------------------------------------------
+
+def _worker_count(threads, work):
+    """Workers for `work` candidates: one when they fit a single block of
+    SUFFIX_CAP, else `threads`, capped at os.cpu_count()."""
+    if threads <= 1 or work <= SUFFIX_CAP:
+        return 1
+    return max(1, min(threads, os.cpu_count() or 1))
+
 
 def _ranges(total, parts):
     parts = max(1, min(parts, total))

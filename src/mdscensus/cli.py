@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .budget import effective_budget
-from .errors import BudgetExceeded, MdsError
+from .errors import BudgetExceeded, MdsError, OutOfRange
 from .fields import field_of_order
 from .linalg import gaussian_binomial
 
@@ -389,6 +389,8 @@ def _config_from_args(args):
             extra[key] = getattr(args, key)
     if getattr(args, "q_list", None):
         extra["q_list"] = [int(tok) for tok in args.q_list.split(",") if tok]
+    if args.threads < 1:
+        raise OutOfRange(f"--threads must be at least 1, got {args.threads}")
     return RunConfig(
         command=args.command,
         k=getattr(args, "k", 0),

@@ -8,13 +8,14 @@ index of I.
 
 Weights of forms (the number of Grassmann points on which a form pairs
 nonzero) can be computed two ways: a direct sweep of the Grassmannian, and
-a recursion that contracts the form along every vector outside its kernel
+a recursion that contracts the form along one vector per projective point
 and averages the quotient-form weights.  The two are kept as independent
 code paths and cross-checked in the test suite.
 """
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .budget import check_budget
@@ -316,22 +317,36 @@ class FormProfile:
     decomposable: bool
 
 
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(k, n):
+    """For each coefficient position of a k-form, the (row, column, odd)
+    entries it fills in the contraction matrix; odd entries take its
+    negative."""
+    pos = index_positions(k - 1, n)
+    return tuple(
+        tuple((i - 1, pos[ib[:t] + ib[t + 1:]], t % 2 == 1) for t, i in enumerate(ib))
+        for ib in multi_indices(k, n)
+    )
+
+
+def _contraction_rows(gf, k, n, coeffs):
+    """Rows indexed by e_1..e_n; row i holds the coefficients of the
+    contraction by e_i of the k-form with the given coefficients."""
+    rows = [[0] * _binom(n, k - 1) for _ in range(n)]
+    for b, entries in zip(coeffs, _contraction_plan(k, n)):
+        if b:
+            nb = gf.neg(b)
+            for i, p, odd in entries:
+                rows[i][p] = nb if odd else b
+    return rows
+
+
 def _contraction_matrix(omega):
     """Rows indexed by e_1..e_n; row i holds the coefficients of the
     contraction of omega by e_i."""
-    gf, k, n = omega.gf, omega.k, omega.n
-    width = _binom(n, k - 1)
-    pos = index_positions(k - 1, n)
-    rows = [[0] * width for _ in range(n)]
-    for ib, b in zip(multi_indices(k, n), omega.coeffs):
-        if not b:
-            continue
-        for t, i in enumerate(ib):
-            rest = ib[:t] + ib[t + 1:]
-            val = b if t % 2 == 0 else gf.neg(b)
-            p = pos[rest]
-            rows[i - 1][p] = gf.add(rows[i - 1][p], val)
-    return MatrixGF.from_rows(gf, rows)
+    return MatrixGF.from_rows(
+        omega.gf, _contraction_rows(omega.gf, omega.k, omega.n, omega.coeffs)
+    )
 
 
 def _kernel_matrix(omega):
@@ -376,9 +391,9 @@ def form_profile(omega):
 def form_weight(omega, method="direct", budget=None):
     """Number of k-subspaces whose Plucker vector pairs nonzero with omega.
 
-    direct: sweep the Grassmannian.  recursive: contract along every vector
-    outside the form's kernel, recurse on the quotient forms, and divide by
-    q^k - 1; base case of 1-forms counted directly.
+    direct: sweep the Grassmannian.  recursive: contract along one vector
+    per projective point, recurse on the quotient forms, and divide by
+    (q^k - 1) / (q - 1); base case of 1-forms counted directly.
     """
     if not isinstance(omega, DualForm):
         raise ShapeMismatch("form_weight takes a DualForm")
@@ -425,65 +440,91 @@ def _span_set(gf, matrix):
     return vectors
 
 
-def _vector_contraction(omega, u):
-    """Contraction of omega by the plain vector u (tuple of n encodings)."""
-    gf, n = omega.gf, omega.n
-    terms = MultiVector.from_terms(
-        gf, 1, n, [((i + 1,), c) for i, c in enumerate(u) if c]
+def _unchecked_dot(gf):
+    """sum_i a_i * b_i over gf without per-element checks: integers mod p on
+    prime fields, the field's tables on the others (its methods above the
+    table limit)."""
+    if gf.m == 1:
+        p = gf.p
+        return lambda a, b: sum(map(operator.mul, a, b)) % p
+    if gf._mul is None:
+        add, mul = gf.add, gf.mul
+    else:
+        add_t, mul_t = gf._add, gf._mul
+        add, mul = (lambda x, y: add_t[x][y]), (lambda x, y: mul_t[x][y])
+
+    def dot(a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc
+
+    return dot
+
+
+@functools.lru_cache(maxsize=None)
+def _complement_positions(k, n):
+    """Per 0-based pivot p, the positions in I_{k,n} of the multi-indices
+    without p + 1: read in order they are the coordinates of a form on the
+    complement of e_(p+1), relabeled."""
+    return tuple(
+        tuple(pos for pos, idx in enumerate(multi_indices(k, n)) if p + 1 not in idx)
+        for p in range(n)
     )
-    return interior_mult(terms, omega)
-
-
-def _restrict_to_complement(form, drop_index):
-    """Reinterpret a form with no dependence on basis direction drop_index
-    (1-based) as a form on the (n-1)-dimensional complement subspace."""
-    gf, k, n = form.gf, form.k, form.n
-    keep = [i for i in range(1, n + 1) if i != drop_index]
-    relabel = {old: new + 1 for new, old in enumerate(keep)}
-    out = [0] * _binom(n - 1, k)
-    pos = index_positions(k, n - 1)
-    for idx, c in zip(multi_indices(k, n), form.coeffs):
-        if not c:
-            continue
-        if drop_index in idx:
-            continue
-        out[pos[tuple(relabel[i] for i in idx)]] = c
-    return DualForm(gf, k, n - 1, out)
 
 
 def _weight_recursive(omega, budget=None):
-    gf, k, n = omega.gf, omega.k, omega.n
-    if k == 1:
-        # count projective points with a nonzero evaluation directly; the
-        # coordinate vector of a line's representative is its own embedding
-        count = 0
-        coeffs = omega.coeffs
-        add, mul = gf.add, gf.mul
-        for v in _projective_reps(gf, n):
-            acc = 0
-            for c, x in zip(coeffs, v):
-                if c and x:
-                    acc = add(acc, mul(c, x))
-            if acc:
-                count += 1
-        return count
-    kernel_vectors = _span_set(gf, _kernel_matrix(omega))
-    total = 0
-    for u in _all_vectors(gf, n):
-        if u in kernel_vectors:
-            continue
-        contracted = _vector_contraction(omega, u)
-        # quotient by the line through u: complement spanned by the standard
-        # basis directions other than u's leading coordinate
-        pivot = next(i + 1 for i, c in enumerate(u) if c)
-        quotient = _restrict_to_complement(contracted, pivot)
-        total += _weight_recursive(quotient, budget)
-    denom = gf.q**k - 1
-    if total % denom != 0:
-        raise DivisibilityViolation(
-            f"recursive weight sum {total} not divisible by q^k - 1 = {denom}"
-        )
-    return total // denom
+    """Sum the weights of the quotient forms iota_u omega on V/<u> over the
+    nonzero u, and divide by q^k - 1; 1-forms count their points directly.
+
+    The quotient form scales with u and its weight does not, so only one
+    representative u per projective point is walked (_projective_reps) and
+    the sum is multiplied by q - 1.  A u in the kernel gives the zero
+    quotient and adds nothing.  Each contraction is sum_i u_i * row_i over
+    the rows of the contraction matrix, formed once per form; dropping the
+    coordinates through u's pivot gives the quotient on the complement of
+    that basis direction.  Quotient weights are memoized in a dict that
+    lives for this call only.  No vectorized code is used, so this route
+    stays independent of the direct sweep.
+    """
+    gf = omega.gf
+    dot = _unchecked_dot(gf)
+    memo = {}  # (k, coeffs) -> weight; n - k is the same at every depth
+    reps = {}
+
+    def projective(n):
+        if n not in reps:
+            reps[n] = tuple(_projective_reps(gf, n))
+        return reps[n]
+
+    def weight(k, n, coeffs):
+        key = (k, coeffs)
+        if key in memo:
+            return memo[key]
+        if k == 1:
+            # the coordinate vector of a line's representative is its own
+            # embedding
+            memo[key] = sum(1 for v in projective(n) if dot(coeffs, v))
+            return memo[key]
+        columns = tuple(zip(*_contraction_rows(gf, k, n, coeffs)))
+        keep = _complement_positions(k - 1, n)
+        total = 0
+        for u in projective(n):
+            # u's pivot is its first nonzero coordinate, normalized to 1
+            quotient = tuple(dot(u, columns[j]) for j in keep[u.index(1)])
+            if any(quotient):
+                total += weight(k - 1, n - 1, quotient)
+        total *= gf.q - 1
+        denom = gf.q**k - 1
+        if total % denom != 0:
+            raise DivisibilityViolation(
+                f"recursive weight sum {total} not divisible by q^k - 1 = {denom}"
+            )
+        memo[key] = total // denom
+        return memo[key]
+
+    return weight(omega.k, omega.n, omega.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +576,7 @@ def pi_gamma(gamma, budget=None):
 
 def _projective_reps(gf, n):
     """One representative per projective point of GF(q)^n: first nonzero
-    coordinate normalized to 1."""
-    for v in _all_vectors(gf, n):
-        lead = next((c for c in v if c), None)
-        if lead == 1:
-            yield v
+    coordinate normalized to 1, in lexicographic order."""
+    for lead in reversed(range(n)):
+        for tail in itertools.product(gf.elements(), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail

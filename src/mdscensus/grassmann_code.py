@@ -10,6 +10,7 @@ verbatim.
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +38,25 @@ class GrassmannCode:
     generator: MatrixGF  # dimension x length
 
 
+SPECTRUM_BLOCK = 2**16  # max entries of the combined block of exhaustive spectra
+
+
 def build_code(k, n, gf, budget=None):
-    """Generator matrix built column by column from the point enumeration."""
+    """Generator matrix whose column j is the Plucker vector of the j-th
+    enumerated point: the cached Plucker matrix where it exists, else built
+    column by column from the point enumeration."""
     length = gaussian_binomial(k, n, gf.q)
     dimension = _binom(n, k)
     check_budget(length * dimension, budget, f"code build at (k={k}, n={n}, q={gf.q})")
-    columns = []
-    for pt in enumerate_grassmannian(gf, k, n, budget=budget):
-        columns.append(plucker_embed(pt.matrix).coeffs)
-    data = []
-    for i in range(dimension):
-        data.extend(col[i] for col in columns)
+    mat = _vecgf.plucker_matrix(gf, k, n)
+    if mat is not None:
+        data = mat.ravel().tolist()
+    else:
+        columns = [
+            plucker_embed(pt.matrix).coeffs
+            for pt in enumerate_grassmannian(gf, k, n, budget=budget)
+        ]
+        data = [col[i] for i in range(dimension) for col in columns]
     generator = MatrixGF(gf, dimension, length, data)
     if rank(generator) != dimension:
         raise RankDeficient("the Plucker embedding generator lost row rank")
@@ -57,7 +66,10 @@ def build_code(k, n, gf, budget=None):
 
 def codeword_weight(code, omega):
     """Hamming weight of the codeword of the form omega, streamed across the
-    generator columns (independent of the vectorized weight path)."""
+    generator columns with scalar field ops.  Where build_code took the
+    cached Plucker matrix, the columns are the ones form_weight(omega,
+    "direct") pairs with, so form_weight(omega, "recursive") is the
+    independent check."""
     if not isinstance(omega, DualForm):
         raise ShapeMismatch("codewords are indexed by DualForms")
     if omega.gf != code.gf or (omega.k, omega.n) != (code.k, code.n):
@@ -79,11 +91,9 @@ def codeword_weight(code, omega):
     return weight
 
 
-def _generator_array(code):
-    return np.array(
-        [list(code.generator.row(i)) for i in range(code.dimension)],
-        dtype=np.int64,
-    )
+def _generator_array(code, dtype):
+    return np.array(code.generator.data, dtype=dtype).reshape(
+        code.dimension, code.length)
 
 
 def _batched_weights(code, coeff_rows):
@@ -95,7 +105,7 @@ def _batched_weights(code, coeff_rows):
             codeword_weight(code, DualForm(gf, code.k, code.n, coeffs))
             for coeffs in coeff_rows
         ]
-    gen = _generator_array(code).astype(ops.dtype)
+    gen = _generator_array(code, ops.dtype)
     out = []
     for coeffs in coeff_rows:
         acc = np.zeros(code.length, dtype=ops.dtype)
@@ -106,37 +116,63 @@ def _batched_weights(code, coeff_rows):
     return out
 
 
+def _exhaustive_histogram(ops, gen, q):
+    """Number of codewords of each weight, the zero word included, over all
+    q^dimension coefficient vectors.  The last t generator rows are combined
+    once into a block of at most SPECTRUM_BLOCK entries; the prefix words
+    over the other rows are walked depth first, one row add each, and every
+    prefix word is added to the whole block at once."""
+    dimension, length = gen.shape
+    t = 0
+    while t < dimension and q ** (t + 1) * length <= SPECTRUM_BLOCK:
+        t += 1
+    # the nonzero multiples c * row of every generator row
+    multiples = [[ops.mul(c, row) for c in range(1, q)] for row in gen]
+    block = np.zeros((1, length), dtype=ops.dtype)
+    for scaled in multiples[dimension - t:]:
+        block = np.concatenate([block] + [ops.add(block, m) for m in scaled])
+    hist = np.zeros(length + 1, dtype=np.int64)
+
+    def walk(depth, word):
+        if depth == dimension - t:
+            weights = np.count_nonzero(ops.add(block, word), axis=1)
+            hist[:] += np.bincount(weights, minlength=length + 1)
+            return
+        walk(depth + 1, word)
+        for m in multiples[depth]:
+            walk(depth + 1, ops.add(word, m))
+
+    walk(0, np.zeros(length, dtype=ops.dtype))
+    return hist
+
+
 def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=None):
     """Weight -> multiplicity over nonzero codewords.
 
-    exhaustive walks all q^dimension - 1 codewords; sample draws
-    sample_count coefficient vectors from a seeded Mersenne Twister
-    (random.Random(seed)), rejecting the zero vector, so sampled spectra are
-    reproducible bit for bit.
+    exhaustive walks all q^dimension - 1 codewords in blocks (see
+    _exhaustive_histogram); sample draws sample_count coefficient vectors
+    from a seeded Mersenne Twister (random.Random(seed)), rejecting the zero
+    vector, so sampled spectra are reproducible bit for bit.
     """
     gf = code.gf
     q = gf.q
     if mode == "exhaustive":
         n_words = q**code.dimension
         check_budget(n_words, budget, "exhaustive codeword sweep")
-        spectrum = {}
-        block = []
-        for coeffs in itertools.product(range(q), repeat=code.dimension):
-            if not any(coeffs):
-                continue
-            block.append(coeffs)
-            if len(block) == 4096:
-                for w in _batched_weights(code, block):
-                    spectrum[w] = spectrum.get(w, 0) + 1
-                block = []
-        for w in _batched_weights(code, block):
-            spectrum[w] = spectrum.get(w, 0) + 1
-        return spectrum
+        ops = _vecgf.vector_ops(gf)
+        if ops is None:
+            # no vector backend: one codeword at a time
+            return dict(Counter(_batched_weights(code, (
+                coeffs for coeffs in itertools.product(range(q), repeat=code.dimension)
+                if any(coeffs)
+            ))))
+        hist = _exhaustive_histogram(ops, _generator_array(code, ops.dtype), q)
+        hist[0] -= 1  # the zero word
+        return {w: m for w, m in enumerate(hist.tolist()) if m}
     if mode == "sample":
         if not sample_count or sample_count < 1:
             raise OutOfRange("sample mode needs a positive draw count")
         rng = random.Random(seed)
-        spectrum = {}
         block = []
         for _ in range(sample_count):
             while True:
@@ -144,9 +180,7 @@ def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=N
                 if any(coeffs):
                     break
             block.append(coeffs)
-        for w in _batched_weights(code, block):
-            spectrum[w] = spectrum.get(w, 0) + 1
-        return spectrum
+        return dict(Counter(_batched_weights(code, block)))
     raise OutOfRange(f"unknown spectrum mode {mode!r}")
 
 

@@ -1,4 +1,5 @@
 import itertools
+from concurrent.futures import Future
 
 import pytest
 
@@ -168,12 +169,68 @@ def test_pooled_scan_matches_serial():
 
 
 def test_one_block_scan_starts_no_pool(monkeypatch):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a process pool was started")
-
     monkeypatch.setattr(census, "ProcessPoolExecutor", NoPool)
     for q in (4, 9, 16):
         res = count_mds_matrix_scan(3, 6, field_of_order(q), threads=8,
                                     budget=NOMINAL_BUDGET)
         assert res.worker_count == 1
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker counts asked
+    for and runs every task at once in this process."""
+
+    started = []
+
+    def __init__(self, max_workers=None):
+        InlinePool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_small_filter_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(census, "ProcessPoolExecutor", NoPool)
+    gf = make_field(2, 1)
+    for threads in (0, 1, 2, 8):
+        res = count_mds_grassmannian_filter(2, 4, gf, threads=threads)
+        assert (res.gamma, res.worker_count) == (0, 1)
+    res = count_mds_grassmannian_filter(2, 5, make_field(3, 1), threads=4)
+    assert res.gamma == gamma_closed_form(2, 5, 3)
+    assert res.worker_count == 1
+
+
+def test_pool_never_exceeds_cpu_count(monkeypatch):
+    # (3,7,11): 10^6 normalized candidates; (2,6,5): 508431 Grassmann points
+    scan_gf, filter_gf = make_field(11, 1), make_field(5, 1)
+    serial_scan = count_mds_matrix_scan(3, 7, scan_gf, budget=NOMINAL_BUDGET)
+    serial_filter = count_mds_grassmannian_filter(2, 6, filter_gf)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    InlinePool.started = []
+    scan = count_mds_matrix_scan(3, 7, scan_gf, threads=64, budget=NOMINAL_BUDGET)
+    filt = count_mds_grassmannian_filter(2, 6, filter_gf, threads=64)
+    assert InlinePool.started == [3, 3]
+    assert (scan.worker_count, filt.worker_count) == (3, 3)
+    assert scan.gamma == serial_scan.gamma
+    assert filt.gamma == serial_filter.gamma == gamma_closed_form(2, 6, 5)
+    InlinePool.started = []
+    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2,
+                                 budget=NOMINAL_BUDGET).worker_count == 2
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2,
+                                 budget=NOMINAL_BUDGET).worker_count == 1
+    assert InlinePool.started == [2]

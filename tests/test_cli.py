@@ -191,3 +191,14 @@ def test_threads_do_not_change_results(capsys):
         payload.pop("elapsed_ms")
         outputs.append(payload)
     assert outputs[0] == outputs[1]
+
+
+def test_threads_below_one_rejected(capsys):
+    for t in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "count", "--k", "2", "--n", "4", "--q", "3", "--threads", t
+        )
+        assert code == 1
+        assert out == "" and "--threads must be at least 1" in err
+    code, _, err = run_cli(capsys, "verify", "--threads", "0")
+    assert code == 1 and "--threads" in err

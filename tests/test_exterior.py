@@ -292,6 +292,52 @@ def test_weight_methods_agree_random():
             assert direct >= q ** (k * (n - k))
 
 
+def test_recursive_weight_on_extension_fields():
+    # GF(4), GF(8), GF(9) take the table branch of the recursion's dot
+    # product, GF(529) the branch above the table limit
+    rng = random.Random(29)
+    for q, k, n, trials in ((4, 2, 4, 6), (8, 2, 3, 6), (9, 2, 3, 6), (529, 1, 2, 3)):
+        gf = field_of_order(q)
+        for _ in range(trials):
+            omega = random_form(gf, k, n, rng)
+            assert form_weight(omega, "recursive") == form_weight(omega, "direct")
+
+
+def test_recursive_weight_never_touches_vecgf(monkeypatch):
+    from mdscensus import _vecgf
+
+    rng = random.Random(31)
+    cases = []
+    for q, k, n in ((3, 2, 4), (2, 3, 6), (4, 2, 4), (2, 1, 4)):
+        omega = random_form(field_of_order(q), k, n, rng)
+        cases.append((omega, form_weight(omega, "direct")))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursive weight reached _vecgf")
+
+    for name, value in list(vars(_vecgf).items()):
+        if callable(value) and getattr(value, "__module__", None) == _vecgf.__name__:
+            monkeypatch.setattr(_vecgf, name, refuse)
+    for omega, weight in cases:
+        assert form_weight(omega, "recursive") == weight
+    with pytest.raises(AssertionError):
+        form_weight(cases[0][0], "direct")
+
+
+def test_contraction_rows_are_basis_contractions():
+    from mdscensus.exterior import _contraction_rows
+
+    rng = random.Random(37)
+    for q, k, n in ((2, 2, 4), (3, 3, 5), (4, 2, 5), (5, 4, 5)):
+        gf = field_of_order(q)
+        for _ in range(5):
+            omega = random_form(gf, k, n, rng)
+            rows = _contraction_rows(gf, k, n, omega.coeffs)
+            for i in range(n):
+                e_i = MultiVector.basis(gf, 1, n, (i + 1,))
+                assert tuple(rows[i]) == interior_mult(e_i, omega).coeffs
+
+
 def test_weight_zero_form_rejected():
     gf = make_field(2, 1)
     with pytest.raises(ZeroInput):

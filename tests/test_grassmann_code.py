@@ -1,11 +1,21 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
+from mdscensus import _vecgf
 from mdscensus.errors import OutOfRange, ShapeMismatch
-from mdscensus.exterior import DualForm, form_weight, multi_indices, satisfies_plucker
+from mdscensus.exterior import (
+    DualForm,
+    form_weight,
+    multi_indices,
+    plucker_embed,
+    satisfies_plucker,
+)
 from mdscensus.fields import field_of_order, make_field
+from mdscensus.linalg import enumerate_grassmannian
 from mdscensus.grassmann_code import (
     build_code,
     codeword_weight,
@@ -56,7 +66,79 @@ def test_codeword_weight_matches_form_weight():
             if not any(coeffs):
                 continue
             omega = DualForm(gf, k, n, coeffs)
-            assert codeword_weight(code, omega) == form_weight(omega, "direct")
+            weight = codeword_weight(code, omega)
+            assert weight == form_weight(omega, "direct")
+            # the direct sweep reads the same Plucker matrix as the code
+            assert weight == form_weight(omega, "recursive")
+
+
+def test_generator_columns_are_plucker_vectors():
+    for k, n, q in ((2, 4, 2), (2, 4, 3), (1, 3, 4), (3, 6, 2)):
+        gf = field_of_order(q)
+        code = build_code(k, n, gf)
+        columns = list(zip(*code.generator.row_list()))
+        assert columns == [
+            plucker_embed(pt.matrix).coeffs for pt in enumerate_grassmannian(gf, k, n)
+        ]
+
+
+def test_build_code_without_plucker_matrix(monkeypatch):
+    shapes = ((2, 4, 3), (1, 3, 4), (2, 5, 2))
+    cached = {shape: build_code(shape[0], shape[1], field_of_order(shape[2]))
+              for shape in shapes}
+    monkeypatch.setattr(_vecgf, "plucker_matrix", lambda gf, k, n: None)
+    for (k, n, q), code in cached.items():
+        assert build_code(k, n, field_of_order(q)) == code
+
+
+def test_exhaustive_spectrum_matches_codeword_weights():
+    # GF(4) and GF(8) take the int16 table path, GF(2) and GF(3) int64 mod p
+    for k, n, q in ((2, 4, 2), (2, 4, 3), (2, 4, 4), (1, 3, 8)):
+        gf = field_of_order(q)
+        code = build_code(k, n, gf)
+        words = Counter(
+            codeword_weight(code, DualForm(gf, k, n, coeffs))
+            for coeffs in itertools.product(range(q), repeat=code.dimension)
+            if any(coeffs)
+        )
+        assert weight_spectrum(code) == dict(words), (k, n, q)
+
+
+def test_exhaustive_spectrum_without_vector_backend(monkeypatch):
+    gf = make_field(2, 1)
+    code = build_code(2, 4, gf)
+    monkeypatch.setattr(_vecgf, "vector_ops", lambda gf: None)
+    assert weight_spectrum(code) == {16: 35, 20: 28}
+
+
+def _dual_distribution(spectrum, length, q, dimension):
+    """MacWilliams transform: B_j = q^-dimension * sum_i A_i K_j(i), where
+    sum_j K_j(i) z^j = (1 + (q - 1) z)^(length - i) (1 - z)^i."""
+    sums = [0] * (length + 1)
+    for i, count in list(spectrum.items()) + [(0, 1)]:
+        grow = [math.comb(length - i, s) * (q - 1) ** s * count
+                for s in range(length - i + 1)]
+        shrink = [math.comb(i, t) * (-1) ** t for t in range(i + 1)]
+        for s, x in enumerate(grow):
+            for t, y in enumerate(shrink):
+                sums[s + t] += x * y
+    size = q**dimension
+    if any(value % size for value in sums):
+        return None
+    return [value // size for value in sums]
+
+
+def test_macwilliams_dual_distribution():
+    for k, n, q in ((2, 4, 2), (2, 5, 2), (2, 4, 3), (2, 6, 2)):
+        code = build_code(k, n, field_of_order(q))
+        dual = _dual_distribution(weight_spectrum(code), code.length, q,
+                                  code.dimension)
+        assert dual is not None, (k, n, q)
+        assert min(dual) >= 0
+        assert dual[0] == 1
+        # distinct projective points as columns: no dual word of weight 1 or 2
+        assert dual[1] == dual[2] == 0
+        assert sum(dual) == q ** (code.length - code.dimension)
 
 
 def test_codeword_weight_shape_mismatch():
