@@ -1,10 +1,12 @@
 """Vectorized GF(q) arithmetic for the hot enumeration kernels.
 
-Two execution modes: prime fields compute componentwise mod p on int64
-arrays; extension fields with q <= 256 go through the field's lookup tables
-(int16 fancy indexing).  Values are either plain Python ints (constants) or
-1-d numpy arrays over a shared candidate axis; constant algebra stays in
-Python so structurally-zero determinants never touch an array.
+Values are either plain Python ints (constants) or numpy arrays over a
+shared candidate axis; constant algebra stays in Python so structurally-zero
+determinants never touch an array.  Every field has a backend: prime fields
+compute componentwise mod p on int64 arrays; extension fields multiply by
+gathering from the field's own log/exp tables (log 0 is a sentinel whose
+sums all land in a zero tail of the exp array) and add by XOR of the
+encodings when p = 2, base-p digit by digit when p is odd.
 
 Everything here is exact integer arithmetic; numpy is only a carrier.
 """
@@ -14,11 +16,10 @@ import itertools
 
 import numpy as np
 
-from .fields import TABLE_LIMIT
 from .linalg import _binom, cell_free_positions, gaussian_binomial
 from .exterior import multi_indices
 
-PLUCKER_CACHE_CAP = 2**24  # max N * |G(k,n)| entries held in the cached matrix
+PLUCKER_CACHE_CAP = 2**24  # max entries of the cached matrix and of each block
 
 
 class VecOps:
@@ -30,17 +31,28 @@ class VecOps:
         if gf.m == 1:
             self.prime = gf.p
             self.dtype = np.int64
-            self.tables = None
-        elif gf.q <= TABLE_LIMIT:
-            self.prime = None
-            self.dtype = np.int16
-            add = np.array(gf._add, dtype=np.int16)
-            sub = np.array(gf._sub, dtype=np.int16)
-            mul = np.array(gf._mul, dtype=np.int16)
-            neg = np.array(gf._neg, dtype=np.int16)
-            self.tables = (add, sub, mul, neg)
-        else:
-            raise ValueError("no vectorized backend for large extension fields")
+            return
+        self.prime = None
+        q = gf.q
+        # sums of two logs reach 2 * zero, which must fit the dtype
+        self.dtype = np.int16 if 4 * q < 2**15 else np.int32
+        zero = 2 * q - 3  # one past the largest sum of two nonzero logs
+        self.log = np.array([zero] + gf._log[1:], dtype=self.dtype)
+        self.exp = np.zeros(2 * zero + 1, dtype=self.dtype)
+        self.exp[:zero] = gf._exp[:zero]
+        self.place_values = [gf.p**i for i in range(gf.m)]
+
+    def _log_of(self, x):
+        return self.gf._log[x] if isinstance(x, int) else self.log[x]
+
+    def _by_digit(self, x, y, sign):
+        """x + sign * y on an odd extension field: digit i of an encoding e
+        is (e // p^i) mod p, and the digits add mod p."""
+        p = self.gf.p
+        out = 0
+        for pw in self.place_values:
+            out = out + (x // pw + sign * (y // pw)) % p * pw
+        return out
 
     def mul(self, x, y):
         if isinstance(x, int):
@@ -55,7 +67,9 @@ class VecOps:
                 return x
         if self.prime is not None:
             return (x * y) % self.prime
-        return self.tables[2][x, y]
+        if isinstance(x, int) and isinstance(y, int):
+            return self.gf._umul(x, y)
+        return self.exp[self._log_of(x) + self._log_of(y)]
 
     def add(self, x, y):
         if isinstance(x, int) and x == 0:
@@ -64,31 +78,33 @@ class VecOps:
             return x
         if self.prime is not None:
             return (x + y) % self.prime
-        return self.tables[0][x, y]
+        if self.gf.p == 2:
+            return x ^ y
+        return self._by_digit(x, y, 1)
 
     def sub(self, x, y):
         if isinstance(y, int) and y == 0:
             return x
         if self.prime is not None:
             return (x - y) % self.prime
-        if isinstance(x, int) and x == 0:
-            return self.tables[3][y]
-        return self.tables[1][x, y]
+        if self.gf.p == 2:
+            return x ^ y
+        return self._by_digit(x, y, -1)
 
     def neg(self, x):
         if isinstance(x, int) and x == 0:
             return 0
         if self.prime is not None:
             return (-x) % self.prime
-        return self.tables[3][x]
+        if self.gf.p == 2:
+            return x
+        return self._by_digit(0, x, -1)
 
 
+@functools.lru_cache(maxsize=None)
 def vector_ops(gf):
-    """VecOps for the field, or None when no vectorized backend exists."""
-    try:
-        return VecOps(gf)
-    except ValueError:
-        return None
+    """The field's VecOps, built once per field."""
+    return VecOps(gf)
 
 
 def det_any(ops, m):
@@ -181,44 +197,53 @@ def _cell_entry_plan(pivots, k, n, free_index):
     return entry
 
 
+def _cell_blocks(gf, k, n):
+    """Column blocks of the Plucker matrix, cell by cell in enumeration
+    order.  A cell wider than PLUCKER_CACHE_CAP // C(n, k) columns is split
+    by fixing its first free entries (the slowest odometer positions), so a
+    block holds at most PLUCKER_CACHE_CAP entries, or one column."""
+    ops = vector_ops(gf)
+    q = gf.q
+    indices = multi_indices(k, n)
+    width = max(1, PLUCKER_CACHE_CAP // len(indices))
+    for pivots in itertools.combinations(range(1, n + 1), k):
+        free = cell_free_positions(pivots, k, n)
+        entry = _cell_entry_plan(pivots, k, n,
+                                 {pos: i for i, pos in enumerate(free)})
+        plans = [[[entry(r, c - 1) for c in idx] for r in range(k)]
+                 for idx in indices]
+        t = 0
+        while q ** (len(free) - t) > width:
+            t += 1
+        suffix = position_arrays([q] * (len(free) - t), 0, ops.dtype)
+        for chunk in range(q**t):
+            values = [chunk // q ** (t - 1 - i) % q for i in range(t)] + suffix
+            block = np.empty((len(indices), q ** (len(free) - t)), dtype=ops.dtype)
+            for row_pos, plan in enumerate(plans):
+                mat = [[values[e[1]] if e[0] == "v" else e[1] for e in row]
+                       for row in plan]
+                block[row_pos] = det_any(ops, mat)  # scalar broadcasts
+            yield block
+
+
 @functools.lru_cache(maxsize=8)
 def plucker_matrix(gf, k, n):
     """Matrix whose column j is the Plucker vector of the j-th enumerated
-    point of G(k, n) (rows in lexicographic multi-index order), or None when
-    the field has no vectorized backend or the matrix would be too large.
-    The cached array is read-only."""
-    ops = vector_ops(gf)
-    if ops is None:
-        return None
-    size = gaussian_binomial(k, n, gf.q)
-    big_n = _binom(n, k)
-    if size * big_n > PLUCKER_CACHE_CAP:
-        return None
-    indices = multi_indices(k, n)
-    blocks = []
-    for pivots in itertools.combinations(range(1, n + 1), k):
-        free = cell_free_positions(pivots, k, n)
-        free_index = {pos: i for i, pos in enumerate(free)}
-        arrays = position_arrays([gf.q] * len(free), 0, ops.dtype)
-        cell_size = 1
-        for _ in free:
-            cell_size *= gf.q
-        entry = _cell_entry_plan(pivots, k, n, free_index)
-        block = np.empty((big_n, cell_size), dtype=ops.dtype)
-        for row_pos, idx in enumerate(indices):
-            mat = [
-                [
-                    arrays[e[1]] if e[0] == "v" else e[1]
-                    for e in (entry(r, c - 1) for c in idx)
-                ]
-                for r in range(k)
-            ]
-            d = det_any(ops, mat)
-            block[row_pos] = d  # scalar broadcasts
-        blocks.append(block)
-    out = np.concatenate(blocks, axis=1)
+    point of G(k, n), rows in lexicographic multi-index order, for shapes
+    within PLUCKER_CACHE_CAP entries.  The cached array is read-only."""
+    out = np.concatenate(list(_cell_blocks(gf, k, n)), axis=1)
     out.flags.writeable = False  # shared by every caller through the cache
     return out
+
+
+def plucker_blocks(gf, k, n):
+    """The one source of Plucker columns: the cached plucker_matrix when it
+    fits PLUCKER_CACHE_CAP, else its columns in the same order as blocks of
+    at most that many entries, built on the fly and not kept."""
+    if gaussian_binomial(k, n, gf.q) * _binom(n, k) <= PLUCKER_CACHE_CAP:
+        yield plucker_matrix(gf, k, n)
+    else:
+        yield from _cell_blocks(gf, k, n)
 
 
 def form_values(gf, coeffs, mat):

@@ -132,25 +132,6 @@ def _scan_range(p, m, k, n, t, lo, hi):
     return acc
 
 
-class _ScalarOps:
-    """The VecOps interface on plain field elements."""
-
-    def __init__(self, gf):
-        self.add, self.sub, self.mul, self.neg = gf.add, gf.sub, gf.mul, gf.neg
-
-
-def _scan_fallback(gf, k, nk):
-    """The normalized scan one candidate at a time, for fields with no
-    vectorized backend (extension fields above the table limit)."""
-    ops = _ScalarOps(gf)
-    plan = _scan_minor_plan(k, nk)
-    return sum(
-        _vecgf.count_all_nonzero(ops, list(entries), plan)
-        for entries in itertools.product(range(1, gf.q),
-                                         repeat=_free_entries(k, nk))
-    )
-
-
 def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
     """Number of k-subspaces all of whose Plucker coordinates are nonzero,
     by scanning the torus-normalized matrices [I_k | A].  worker_count
@@ -159,18 +140,15 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
     nk = n - k
-    check_budget(q ** (k * nk), budget, f"matrix scan at (k={k}, n={n}, q={q})")
+    n_free = _free_entries(k, nk)
+    check_budget((q - 1) ** n_free, budget,
+                 f"matrix scan at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
-    workers = 1
-    if _vecgf.vector_ops(gf) is None:
-        gamma_tilde = _scan_fallback(gf, k, nk)
-    else:
-        n_free = _free_entries(k, nk)
-        workers = _worker_count(threads, (q - 1) ** n_free)
-        min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
-        t = _choose_prefix_len(q - 1, n_free, min_chunks)
-        gamma_tilde = _run_ranges(_scan_range, (gf.p, gf.m, k, n, t),
-                                  (q - 1) ** t, workers)
+    workers = _worker_count(threads, (q - 1) ** n_free)
+    min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
+    t = _choose_prefix_len(q - 1, n_free, min_chunks)
+    gamma_tilde = _run_ranges(_scan_range, (gf.p, gf.m, k, n, t),
+                              (q - 1) ** t, workers)
     # k = n: the unique [n, n] code, with no column scaling to divide out
     gamma = gamma_tilde if k == n else gamma_tilde * (q - 1) ** (n - 1)
     return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
@@ -219,18 +197,6 @@ def _filter_cell_range(p, m, k, n, pivots, t, lo, hi):
     return acc
 
 
-def _filter_fallback(gf, k, n, budget):
-    from .exterior import multi_indices
-    from .linalg import enumerate_grassmannian, minor
-
-    idx_all = multi_indices(k, n)
-    count = 0
-    for pt in enumerate_grassmannian(gf, k, n, budget=budget):
-        if all(minor(pt.matrix, idx) != 0 for idx in idx_all):
-            count += 1
-    return count
-
-
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     """Independent oracle: walk every Grassmann point and keep those whose
     Plucker coordinates are all nonzero.  worker_count reports the workers
@@ -241,10 +207,6 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     size = gaussian_binomial(k, n, q)
     check_budget(size, budget, f"Grassmannian filter at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
-    if _vecgf.vector_ops(gf) is None:
-        gamma = _filter_fallback(gf, k, n, budget)
-        return _split_gamma(k, n, q, gamma, "grassmannian-filter",
-                            time.perf_counter() - start, 1)
     tasks = []
     for pivots in itertools.combinations(range(1, n + 1), k):
         n_free = len(cell_free_positions(pivots, k, n))

@@ -373,10 +373,6 @@ def build_parser():
                    default="all")
     p.add_argument("--scale", choices=("quick", "full"), default="quick")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--format", dest="fmt", default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
 
     return parser
 
@@ -391,16 +387,18 @@ def _config_from_args(args):
         extra["q_list"] = [int(tok) for tok in args.q_list.split(",") if tok]
     if args.threads < 1:
         raise OutOfRange(f"--threads must be at least 1, got {args.threads}")
+    # verify takes only --suite, --scale and --threads
+    budget = getattr(args, "budget", None)
     return RunConfig(
         command=args.command,
         k=getattr(args, "k", 0),
         n=getattr(args, "n", 0),
         q=getattr(args, "q", 0),
         threads=args.threads,
-        budget=effective_budget(args.budget) if args.budget is not None else None,
-        fmt=args.fmt,
-        seed=args.seed,
-        output=args.output,
+        budget=effective_budget(budget) if budget is not None else None,
+        fmt=getattr(args, "fmt", "json"),
+        seed=getattr(args, "seed", 0),
+        output=getattr(args, "output", None),
         extra=extra,
     )
 

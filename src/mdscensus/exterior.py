@@ -30,7 +30,6 @@ from .errors import (
 )
 from .linalg import (
     MatrixGF,
-    enumerate_grassmannian,
     kernel_basis,
     minor,
     point_from_rows,
@@ -412,14 +411,8 @@ def _weight_direct(omega, budget=None):
                  f"weight sweep of G({k},{n}) over GF({gf.q})")
     from . import _vecgf
 
-    mat = _vecgf.plucker_matrix(gf, k, n)
-    if mat is not None:
-        return _vecgf.count_nonzero_pairings(gf, omega.coeffs, mat)
-    count = 0
-    for pt in enumerate_grassmannian(gf, k, n, budget=budget):
-        if pairing(omega, plucker_embed(pt.matrix)) != 0:
-            count += 1
-    return count
+    return sum(_vecgf.count_nonzero_pairings(gf, omega.coeffs, block)
+               for block in _vecgf.plucker_blocks(gf, k, n))
 
 
 def _all_vectors(gf, n):
@@ -442,16 +435,11 @@ def _span_set(gf, matrix):
 
 def _unchecked_dot(gf):
     """sum_i a_i * b_i over gf without per-element checks: integers mod p on
-    prime fields, the field's tables on the others (its methods above the
-    table limit)."""
+    prime fields, the field's unchecked table operations on the others."""
     if gf.m == 1:
         p = gf.p
         return lambda a, b: sum(map(operator.mul, a, b)) % p
-    if gf._mul is None:
-        add, mul = gf.add, gf.mul
-    else:
-        add_t, mul_t = gf._add, gf._mul
-        add, mul = (lambda x, y: add_t[x][y]), (lambda x, y: mul_t[x][y])
+    add, mul = gf._uadd, gf._umul
 
     def dot(a, b):
         acc = 0
@@ -486,9 +474,12 @@ def _weight_recursive(omega, budget=None):
     coordinates through u's pivot gives the quotient on the complement of
     that basis direction.  Quotient weights are memoized in a dict that
     lives for this call only.  No vectorized code is used, so this route
-    stays independent of the direct sweep.
+    stays independent of the direct sweep.  The budget counts the
+    (q^n - 1)/(q - 1) projective points of the top-level walk.
     """
     gf = omega.gf
+    check_budget((gf.q**omega.n - 1) // (gf.q - 1), budget,
+                 f"recursive weight on G({omega.k},{omega.n}) over GF({gf.q})")
     dot = _unchecked_dot(gf)
     memo = {}  # (k, coeffs) -> weight; n - k is the same at every depth
     reps = {}

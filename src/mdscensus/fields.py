@@ -2,15 +2,23 @@
 
 Elements are plain Python ints in [0, q): the canonical encoding of the
 polynomial representation a_0 + a_1*x + ... + a_{m-1}*x^{m-1} as
-sum(a_i * p**i).  A GF object carries the arithmetic context; for q <= 256
-all operations go through precomputed lookup tables so they are cheap in
-hot enumeration loops, above that they fall back to polynomial arithmetic.
+sum(a_i * p**i).  A GF object carries the arithmetic context.  Every field
+up to ORDER_CAP has O(q) discrete-log and exponent tables of its smallest
+generator, built once from the polynomial arithmetic, and every scalar
+operation takes one path: integers mod p on prime fields; on extension
+fields multiplication, inversion and powers through the log/exp tables,
+addition by XOR of the encodings when p = 2 and by Zech logarithms when p
+is odd.  The polynomial arithmetic (_mul_raw, _add_raw) stays as the
+reference the tables are built and tested from.
 
 Fields are immutable after construction and safe to share across worker
 processes; make_field() is cached and deterministic.
 """
 
 import functools
+import operator
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -22,7 +30,6 @@ from .errors import (
 
 ORDER_CAP = 2**20
 MAX_DEGREE = 8
-TABLE_LIMIT = 256
 
 # Type alias documenting the public contract: field elements are ints.
 FieldElem = int
@@ -41,6 +48,21 @@ def is_prime(n):
             return False
         d += 2
     return True
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, increasing."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +116,6 @@ def _poly_divmod(a, b, p):
                 a[shift + i] = (a[shift + i] - lead * b[i]) % p
         a.pop()
     return _poly_trim(quo), _poly_trim(a)
-
-
-def _poly_ext_euclid_inv(a, mod, p):
-    # inverse of a modulo mod, both over GF(p); a nonzero mod `mod`
-    r0, r1 = mod, a
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs = _poly_mul(q, s1, p)
-        width = max(len(s0), len(qs))
-        s = tuple((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
-                  for i in range(width))
-        s = _poly_trim(tuple(c % p for c in s))
-        s0, s1 = s1, s
-    # r0 is the gcd, a nonzero constant
-    c_inv = pow(r0[0], -1, p)
-    return _poly_trim(tuple(c * c_inv % p for c in s0))
 
 
 def _monic_polys(p, degree):
@@ -174,9 +178,8 @@ class GF:
     """Arithmetic context for GF(p**m).  Construct via make_field()."""
 
     __slots__ = (
-        "p", "m", "q", "modulus",
-        "_add", "_sub", "_mul", "_neg", "_inv", "_log", "_exp",
-        "_np_cache",
+        "p", "m", "q", "modulus", "_log", "_exp",
+        "_uadd", "_usub", "_uneg", "_umul",
     )
 
     def __init__(self, p, m, modulus):
@@ -184,12 +187,7 @@ class GF:
         self.m = m
         self.q = p**m
         self.modulus = modulus
-        self._np_cache = None
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self._add = self._sub = self._mul = None
-            self._neg = self._inv = self._log = self._exp = None
+        self._build_tables()
 
     # -- encoding -----------------------------------------------------------
 
@@ -213,9 +211,13 @@ class GF:
 
     def _check(self, a):
         if not 0 <= a < self.q:
-            raise FieldMismatch(f"{a} is not an element encoding of GF({self.q})")
+            self._reject(a)
 
-    # -- table construction --------------------------------------------------
+    def _reject(self, *elems):
+        bad = next(a for a in elems if not 0 <= a < self.q)
+        raise FieldMismatch(f"{bad} is not an element encoding of GF({self.q})")
+
+    # -- polynomial reference arithmetic (builds the tables) ------------------
 
     def _poly_of(self, a):
         out = []
@@ -244,106 +246,138 @@ class GF:
             shift *= p
         return out
 
-    def _build_tables(self):
-        q, p = self.q, self.p
-        self._neg = [self._add_inverse(a) for a in range(q)]
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
-        # discrete-log tables from the smallest-encoding generator
-        gen = self._find_generator()
-        exp = [1]
-        for _ in range(q - 2):
-            exp.append(self._mul_raw(exp[-1], gen))
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp, log
-        order = q - 1
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            row = self._mul[a]
-            la = log[a]
-            for b in range(1, q):
-                row[b] = exp[(la + log[b]) % order]
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = exp[(order - log[a]) % order]
-
-    def _add_inverse(self, a):
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.m):
-            out += ((-a) % p) * shift
-            a //= p
-            shift *= p
+    def _pow_raw(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
         return out
 
     def _find_generator(self):
-        q = self.q
-        if q == 2:
-            return 1
-        for g in range(2, q):
-            seen = 1
-            x = g
-            while x != 1:
-                x = self._mul_raw(x, g)
-                seen += 1
-            if seen == q - 1:
+        """Smallest encoding of multiplicative order q - 1."""
+        order = self.q - 1
+        primes = _prime_factors(order)
+        for g in range(1, self.q):
+            if all(self._pow_raw(g, order // r) != 1 for r in primes):
                 return g
         raise AssertionError("no multiplicative generator found")  # unreachable
+
+    def _powers(self, gen):
+        """gen^0, ..., gen^(q-2) as encodings, by doubling: the next L
+        powers are the first L times gen^L, a GF(p)-linear map on base-p
+        digit vectors whose row j is the digit vector of gen^L * x^j."""
+        p, m, order = self.p, self.m, self.q - 1
+        digits = np.zeros((1, m), dtype=np.int64)
+        digits[0, 0] = 1
+        step = gen
+        while len(digits) < order:
+            image = np.array([self.coeffs(self._mul_raw(step, p**j))
+                              for j in range(m)], dtype=np.int64)
+            digits = np.concatenate([digits, digits @ image % p])
+            step = self._mul_raw(step, step)
+        return (digits[:order] @ p ** np.arange(m, dtype=np.int64)).tolist()
+
+    # -- tables ----------------------------------------------------------------
+
+    def _build_tables(self):
+        """Discrete-log and exponent tables of the smallest generator g:
+        exp[i] = g^i, doubled to length 2(q-1) so that exp[log a + log b]
+        needs no reduction, and log[0] = None.  Odd extension fields add
+        by the Zech logarithms zech[d] = log(1 + g^d), None where
+        1 + g^d = 0.  The unchecked operations _uadd, _usub, _uneg and _umul
+        are bound once here: mod p on prime fields, XOR addition when
+        p = 2, Zech-log addition on odd extensions, and the log/exp tables
+        for multiplication on every extension field."""
+        q, p = self.q, self.p
+        order = q - 1
+        gen = self._find_generator()
+        exp = self._powers(gen)
+        log = [None] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        exp += exp
+        self._exp, self._log = exp, log
+        if self.m == 1:
+            self._uadd = lambda a, b: (a + b) % p
+            self._usub = lambda a, b: (a - b) % p
+            self._uneg = lambda a: -a % p
+            self._umul = lambda a, b: a * b % p
+            return
+
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        self._umul = mul
+        if p == 2:
+            self._uadd = self._usub = operator.xor
+            self._uneg = operator.pos
+            return
+        half = order // 2  # g^half = -1
+        # 1 + v only changes the lowest base-p digit of v; doubled so that
+        # every log difference below indexes it without reduction
+        zech = [log[v - v % p + (v + 1) % p] for v in exp[:order]] * 2
+
+        def add(a, b):
+            if not b:
+                return a
+            if not a:
+                return b
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp[la + z]
+
+        def sub(a, b):
+            if not b:
+                return a
+            lb = log[b] + half  # log(-b)
+            if not a:
+                return exp[lb]
+            la = log[a]
+            z = zech[lb - la]
+            return 0 if z is None else exp[la + z]
+
+        self._uadd, self._usub = add, sub
+        self._uneg = lambda a: exp[log[a] + half] if a else 0
 
     # -- operations ----------------------------------------------------------
 
     def add(self, a, b):
-        self._check(a)
-        self._check(b)
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_raw(a, b)
+        if not (0 <= a < self.q and 0 <= b < self.q):
+            self._reject(a, b)
+        return self._uadd(a, b)
 
     def sub(self, a, b):
-        self._check(a)
-        self._check(b)
-        if self._sub is not None:
-            return self._sub[a][b]
-        return self._add_raw(a, self._add_inverse(b))
+        if not (0 <= a < self.q and 0 <= b < self.q):
+            self._reject(a, b)
+        return self._usub(a, b)
 
     def neg(self, a):
         self._check(a)
-        if self._neg is not None:
-            return self._neg[a]
-        return self._add_inverse(a)
+        return self._uneg(a)
 
     def mul(self, a, b):
-        self._check(a)
-        self._check(b)
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
+        if not (0 <= a < self.q and 0 <= b < self.q):
+            self._reject(a, b)
+        return self._umul(a, b)
 
     def inv(self, a):
         self._check(a)
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in GF({self.q})")
-        if self._inv is not None:
-            return self._inv[a]
-        poly = _poly_ext_euclid_inv(self._poly_of(a), self.modulus, self.p)
-        return self._enc_of(poly)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
         self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if a == 0:
+            if e < 0:
+                raise DivisionByZero(f"inverse of 0 in GF({self.q})")
+            return 1 if e == 0 else 0
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def elements(self):
         """All q elements in increasing canonical order, starting 0, 1."""

@@ -8,7 +8,6 @@ pairs nonzero, so the weight machinery of the exterior module applies
 verbatim.
 """
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 from . import _vecgf
 from .budget import check_budget
 from .errors import OutOfRange, RankDeficient, ShapeMismatch
-from .exterior import DualForm, plucker_embed
+from .exterior import DualForm
 from .linalg import (
     MatrixGF,
     _binom,
@@ -43,20 +42,12 @@ SPECTRUM_BLOCK = 2**16  # max entries of the combined block of exhaustive spectr
 
 def build_code(k, n, gf, budget=None):
     """Generator matrix whose column j is the Plucker vector of the j-th
-    enumerated point: the cached Plucker matrix where it exists, else built
-    column by column from the point enumeration."""
+    enumerated point, read from _vecgf.plucker_blocks."""
     length = gaussian_binomial(k, n, gf.q)
     dimension = _binom(n, k)
     check_budget(length * dimension, budget, f"code build at (k={k}, n={n}, q={gf.q})")
-    mat = _vecgf.plucker_matrix(gf, k, n)
-    if mat is not None:
-        data = mat.ravel().tolist()
-    else:
-        columns = [
-            plucker_embed(pt.matrix).coeffs
-            for pt in enumerate_grassmannian(gf, k, n, budget=budget)
-        ]
-        data = [col[i] for i in range(dimension) for col in columns]
+    blocks = _vecgf.plucker_blocks(gf, k, n)
+    data = np.concatenate(list(blocks), axis=1).ravel().tolist()
     generator = MatrixGF(gf, dimension, length, data)
     if rank(generator) != dimension:
         raise RankDeficient("the Plucker embedding generator lost row rank")
@@ -100,11 +91,6 @@ def _batched_weights(code, coeff_rows):
     """Weights of many codewords at once via the vectorized backend."""
     gf = code.gf
     ops = _vecgf.vector_ops(gf)
-    if ops is None:
-        return [
-            codeword_weight(code, DualForm(gf, code.k, code.n, coeffs))
-            for coeffs in coeff_rows
-        ]
     gen = _generator_array(code, ops.dtype)
     out = []
     for coeffs in coeff_rows:
@@ -160,12 +146,6 @@ def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=N
         n_words = q**code.dimension
         check_budget(n_words, budget, "exhaustive codeword sweep")
         ops = _vecgf.vector_ops(gf)
-        if ops is None:
-            # no vector backend: one codeword at a time
-            return dict(Counter(_batched_weights(code, (
-                coeffs for coeffs in itertools.product(range(q), repeat=code.dimension)
-                if any(coeffs)
-            ))))
         hist = _exhaustive_histogram(ops, _generator_array(code, ops.dtype), q)
         hist[0] -= 1  # the zero word
         return {w: m for w, m in enumerate(hist.tolist()) if m}

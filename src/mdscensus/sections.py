@@ -30,11 +30,9 @@ from .exterior import (
     MultiVector,
     form_weight,
     multi_indices,
-    pairing,
-    plucker_embed,
     satisfies_plucker,
 )
-from .linalg import MatrixGF, _binom, enumerate_grassmannian, gaussian_binomial, rank
+from .linalg import MatrixGF, _binom, gaussian_binomial, rank
 
 
 @dataclass(frozen=True)
@@ -102,17 +100,12 @@ def _norm_point_scan(section, budget=None):
         gf.q ** (k * (n - k)) * _binom(n, k), budget,
         f"section point scan on G({k},{n}) over GF({gf.q})",
     )
-    mat = _vecgf.plucker_matrix(gf, k, n)
-    if mat is not None:
-        hit = np.zeros(mat.shape[1], dtype=bool)
-        for omega in section.ann_basis:
-            hit |= _vecgf.form_values(gf, omega.coeffs, mat) != 0
-        return int(np.count_nonzero(hit))
     count = 0
-    for pt in enumerate_grassmannian(gf, k, n, budget=budget):
-        lam = plucker_embed(pt.matrix)
-        if any(pairing(omega, lam) != 0 for omega in section.ann_basis):
-            count += 1
+    for block in _vecgf.plucker_blocks(gf, k, n):
+        hit = np.zeros(block.shape[1], dtype=bool)
+        for omega in section.ann_basis:
+            hit |= _vecgf.form_values(gf, omega.coeffs, block) != 0
+        count += int(np.count_nonzero(hit))
     return count
 
 
@@ -185,25 +178,19 @@ class InclusionExclusionReport:
 def support_mask_counts(gf, k, n, budget=None):
     """How many Grassmann points have each nonzero-coordinate pattern.
 
-    Returns {bitmask over lexicographic coordinate positions: point count}.
+    Returns {bitmask over lexicographic coordinate positions: point count},
+    masks increasing.
     """
-    big_n = _binom(n, k)
-    mat = _vecgf.plucker_matrix(gf, k, n)
-    if mat is not None:
-        masks = np.zeros(mat.shape[1], dtype=np.int64)
-        for i in range(big_n):
-            masks |= (mat[i] != 0).astype(np.int64) << i
-        values, counts = np.unique(masks, return_counts=True)
-        return dict(zip((int(v) for v in values), (int(c) for c in counts)))
+    check_budget(gf.q ** (k * (n - k)) * _binom(n, k), budget,
+                 f"support masks of G({k},{n}) over GF({gf.q})")
     counter = Counter()
-    for pt in enumerate_grassmannian(gf, k, n, budget=budget):
-        lam = plucker_embed(pt.matrix)
-        mask = 0
-        for i, c in enumerate(lam.coeffs):
-            if c:
-                mask |= 1 << i
-        counter[mask] += 1
-    return dict(counter)
+    for block in _vecgf.plucker_blocks(gf, k, n):
+        masks = np.zeros(block.shape[1], dtype=np.int64)
+        for i, row in enumerate(block):
+            masks |= (row != 0).astype(np.int64) << i
+        values, counts = np.unique(masks, return_counts=True)
+        counter.update(dict(zip(values.tolist(), counts.tolist())))
+    return dict(sorted(counter.items()))
 
 
 def coordinate_norm_from_masks(mask_counts, total, subset_mask):

@@ -15,10 +15,6 @@ from mdscensus.errors import BudgetExceeded
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.linalg import MatrixGF, minor
 
-# The scan's budget counts the q^(k(n-k)) matrices that the torus
-# normalization stands for, so shapes with n = 7 or large q pass this one.
-NOMINAL_BUDGET = 10**13
-
 
 def naive_gamma(k, n, gf):
     """Reference count: all [I_k | A] with every maximal minor nonzero,
@@ -95,8 +91,8 @@ def test_duality():
     for k, n, q in cases:
         gf = field_of_order(q)
         assert (
-            count_mds_matrix_scan(k, n, gf, budget=NOMINAL_BUDGET).gamma
-            == count_mds_matrix_scan(n - k, n, gf, budget=NOMINAL_BUDGET).gamma
+            count_mds_matrix_scan(k, n, gf).gamma
+            == count_mds_matrix_scan(n - k, n, gf).gamma
         ), (k, n, q)
 
 
@@ -137,32 +133,29 @@ def test_extension_field_census():
 
 
 def test_scan_fallback_large_prime():
-    gf = make_field(257, 1)  # above the table limit, prime path
+    gf = make_field(257, 1)  # prime path, first prime above 256
     assert count_mds_matrix_scan(1, 2, gf).gamma == 256
     assert count_mds_matrix_scan(2, 3, gf).gamma == gamma_closed_form(2, 3, 257)
 
 
 def test_scan_fallback_extension_field():
-    gf = make_field(23, 2)  # GF(529): no vectorized backend
-    for n in (3, 4):
-        res = count_mds_matrix_scan(2, n, gf, budget=NOMINAL_BUDGET)
+    # GF(529), an odd extension field above 256: both routes run on the
+    # log/exp backend, with no scalar fallback left
+    gf = make_field(23, 2)
+    scan = count_mds_matrix_scan(2, 3, gf)
+    assert scan.gamma == gamma_closed_form(2, 3, 529)
+    assert count_mds_grassmannian_filter(2, 3, gf).gamma == scan.gamma
+    for n in (4, 5):
+        res = count_mds_matrix_scan(2, n, gf)
         assert res.gamma == gamma_closed_form(2, n, 529)
         assert res.worker_count == 1
-    # the same walk, on fields that the vectorized kernel reaches too
-    for q in (7, 8):
-        gf = field_of_order(q)
-        for k, n in ((2, 5), (3, 5), (3, 6)):
-            assert (
-                census._scan_fallback(gf, k, n - k)
-                == count_mds_matrix_scan(k, n, gf).gamma_tilde
-            ), (k, n, q)
 
 
 def test_pooled_scan_matches_serial():
     # 10^6 normalized candidates: more than one block, so a pool is started
     gf = make_field(11, 1)
-    serial = count_mds_matrix_scan(3, 7, gf, threads=1, budget=NOMINAL_BUDGET)
-    pooled = count_mds_matrix_scan(3, 7, gf, threads=2, budget=NOMINAL_BUDGET)
+    serial = count_mds_matrix_scan(3, 7, gf, threads=1)
+    pooled = count_mds_matrix_scan(3, 7, gf, threads=2)
     assert pooled.gamma == serial.gamma
     assert pooled.gamma_tilde == serial.gamma_tilde
     assert (serial.worker_count, pooled.worker_count) == (1, 2)
@@ -171,8 +164,7 @@ def test_pooled_scan_matches_serial():
 def test_one_block_scan_starts_no_pool(monkeypatch):
     monkeypatch.setattr(census, "ProcessPoolExecutor", NoPool)
     for q in (4, 9, 16):
-        res = count_mds_matrix_scan(3, 6, field_of_order(q), threads=8,
-                                    budget=NOMINAL_BUDGET)
+        res = count_mds_matrix_scan(3, 6, field_of_order(q), threads=8)
         assert res.worker_count == 1
 
 
@@ -216,21 +208,19 @@ def test_small_filter_starts_no_pool(monkeypatch):
 def test_pool_never_exceeds_cpu_count(monkeypatch):
     # (3,7,11): 10^6 normalized candidates; (2,6,5): 508431 Grassmann points
     scan_gf, filter_gf = make_field(11, 1), make_field(5, 1)
-    serial_scan = count_mds_matrix_scan(3, 7, scan_gf, budget=NOMINAL_BUDGET)
+    serial_scan = count_mds_matrix_scan(3, 7, scan_gf)
     serial_filter = count_mds_grassmannian_filter(2, 6, filter_gf)
     monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     InlinePool.started = []
-    scan = count_mds_matrix_scan(3, 7, scan_gf, threads=64, budget=NOMINAL_BUDGET)
+    scan = count_mds_matrix_scan(3, 7, scan_gf, threads=64)
     filt = count_mds_grassmannian_filter(2, 6, filter_gf, threads=64)
     assert InlinePool.started == [3, 3]
     assert (scan.worker_count, filt.worker_count) == (3, 3)
     assert scan.gamma == serial_scan.gamma
     assert filt.gamma == serial_filter.gamma == gamma_closed_form(2, 6, 5)
     InlinePool.started = []
-    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2,
-                                 budget=NOMINAL_BUDGET).worker_count == 2
+    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2).worker_count == 2
     monkeypatch.setattr(census.os, "cpu_count", lambda: None)
-    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2,
-                                 budget=NOMINAL_BUDGET).worker_count == 1
+    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2).worker_count == 1
     assert InlinePool.started == [2]

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from mdscensus.cli import main
 
@@ -31,8 +32,9 @@ def test_count_both_methods(capsys):
 
 
 def test_count_budget_refusal(capsys):
+    # the scan walks 15^9 > 2^32 torus-normalized candidates at (4,8,16)
     code, out, err = run_cli(
-        capsys, "count", "--k", "3", "--n", "8", "--q", "16"
+        capsys, "count", "--k", "4", "--n", "8", "--q", "16"
     )
     assert code == 2
     assert "exceeds budget" in err
@@ -155,6 +157,17 @@ def test_verify_quick_fields(capsys):
     assert code == 0
     assert "OK" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_rejects_unread_options(capsys):
+    # verify prints its own report: it has no --format, --seed, --output or
+    # --budget to ignore
+    for option in (["--format", "csv"], ["--seed", "3"], ["--output", "x.json"],
+                   ["--budget", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "fields", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_output_file_omits_elapsed(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mdscensus.errors import DegreeMismatch, ShapeMismatch, ZeroInput
+from mdscensus.errors import BudgetExceeded, DegreeMismatch, ShapeMismatch, ZeroInput
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.linalg import MatrixGF, enumerate_grassmannian, point_from_rows, rank
 from mdscensus.exterior import (
@@ -293,8 +293,8 @@ def test_weight_methods_agree_random():
 
 
 def test_recursive_weight_on_extension_fields():
-    # GF(4), GF(8), GF(9) take the table branch of the recursion's dot
-    # product, GF(529) the branch above the table limit
+    # the recursion's dot product adds by XOR on GF(4) and GF(8), by Zech
+    # logarithms on GF(9) and GF(529)
     rng = random.Random(29)
     for q, k, n, trials in ((4, 2, 4, 6), (8, 2, 3, 6), (9, 2, 3, 6), (529, 1, 2, 3)):
         gf = field_of_order(q)
@@ -344,16 +344,14 @@ def test_weight_zero_form_rejected():
         form_weight(DualForm.zero(gf, 2, 4))
 
 
-def test_weight_streaming_fallback_matches_vectorized():
-    gf = make_field(3, 1)
-    omega = DualForm.from_terms(gf, 2, 4, [((1, 2), 1), ((2, 3), 2), ((1, 4), 1)])
-    fast = form_weight(omega, "direct")
-    # force the streaming path by asking for a matrix beyond the cache cap
-    count = 0
-    for pt in enumerate_grassmannian(gf, 2, 4):
-        if pairing(omega, plucker_embed(pt.matrix)) != 0:
-            count += 1
-    assert fast == count
+def test_recursive_weight_honours_budget():
+    # the budget counts the (q^n - 1)/(q - 1) = 15 points of the top walk
+    gf = make_field(2, 1)
+    omega = DualForm.from_terms(gf, 2, 4, [((1, 2), 1), ((3, 4), 1)])
+    for budget in (0, 14):
+        with pytest.raises(BudgetExceeded):
+            form_weight(omega, "recursive", budget=budget)
+    assert form_weight(omega, "recursive", budget=15) == 2**4 + 2**2
 
 
 def test_indecomposable_weight_second_term():

@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from mdscensus import fields
+from mdscensus import _vecgf, fields
 from mdscensus.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -162,8 +163,7 @@ def test_out_of_range_encoding_rejected():
 
 
 def test_large_field_without_tables():
-    gf = make_field(2, 9) if False else make_field(521, 1)  # q = 521 > table limit
-    assert gf._mul is None
+    gf = make_field(521, 1)  # a prime above 256 takes the same log/exp path
     assert gf.mul(2, 3) == 6
     assert gf.mul(gf.inv(7), 7) == 1
     assert gf.sub(3, 5) == 521 - 2
@@ -201,3 +201,30 @@ def test_is_irreducible_agrees_with_factor_search():
                     for x in range(p)
                 )
                 assert fields.is_irreducible(poly, p) == (not has_root)
+
+
+PRIME_POWERS_TO_256 = [q for q in range(2, 257)
+                       if len(fields._prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_ops_match_poly_reference_on_all_pairs(q):
+    """The log/exp (and Zech) scalar ops equal the polynomial reference on
+    every pair, and the VecOps array ops equal the scalar ops on every pair."""
+    gf = field_of_order(q)
+    add = [[gf._add_raw(a, b) for b in range(q)] for a in range(q)]
+    mul = [[gf._mul_raw(a, b) for b in range(q)] for a in range(q)]
+    neg = [row.index(0) for row in add]
+    assert [gf.neg(a) for a in range(q)] == neg
+    assert [[gf.add(a, b) for b in range(q)] for a in range(q)] == add
+    assert [[gf.sub(a, b) for b in range(q)] for a in range(q)] == [
+        [row[neg[b]] for b in range(q)] for row in add]
+    assert [[gf.mul(a, b) for b in range(q)] for a in range(q)] == mul
+    assert all(mul[a][gf.inv(a)] == 1 for a in range(1, q))
+    ops = _vecgf.vector_ops(gf)
+    x, y = (v.astype(ops.dtype).ravel() for v in np.indices((q, q)))
+    assert ops.add(x, y).reshape(q, q).tolist() == add
+    assert ops.mul(x, y).reshape(q, q).tolist() == mul
+    assert ops.sub(x, y).reshape(q, q).tolist() == [
+        [row[neg[b]] for b in range(q)] for row in add]
+    assert ops.neg(x[::q]).tolist() == neg

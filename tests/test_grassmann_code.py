@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from mdscensus import _vecgf
 from mdscensus.errors import OutOfRange, ShapeMismatch
 from mdscensus.exterior import (
     DualForm,
@@ -82,17 +81,8 @@ def test_generator_columns_are_plucker_vectors():
         ]
 
 
-def test_build_code_without_plucker_matrix(monkeypatch):
-    shapes = ((2, 4, 3), (1, 3, 4), (2, 5, 2))
-    cached = {shape: build_code(shape[0], shape[1], field_of_order(shape[2]))
-              for shape in shapes}
-    monkeypatch.setattr(_vecgf, "plucker_matrix", lambda gf, k, n: None)
-    for (k, n, q), code in cached.items():
-        assert build_code(k, n, field_of_order(q)) == code
-
-
 def test_exhaustive_spectrum_matches_codeword_weights():
-    # GF(4) and GF(8) take the int16 table path, GF(2) and GF(3) int64 mod p
+    # GF(4) and GF(8) take the int16 log/exp path, GF(2) and GF(3) int64 mod p
     for k, n, q in ((2, 4, 2), (2, 4, 3), (2, 4, 4), (1, 3, 8)):
         gf = field_of_order(q)
         code = build_code(k, n, gf)
@@ -102,13 +92,6 @@ def test_exhaustive_spectrum_matches_codeword_weights():
             if any(coeffs)
         )
         assert weight_spectrum(code) == dict(words), (k, n, q)
-
-
-def test_exhaustive_spectrum_without_vector_backend(monkeypatch):
-    gf = make_field(2, 1)
-    code = build_code(2, 4, gf)
-    monkeypatch.setattr(_vecgf, "vector_ops", lambda gf: None)
-    assert weight_spectrum(code) == {16: 35, 20: 28}
 
 
 def _dual_distribution(spectrum, length, q, dimension):

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,15 @@ from mdscensus import _vecgf
 from mdscensus.budget import DEFAULT_BUDGET, effective_budget
 from mdscensus.cli import main
 from mdscensus.errors import OutOfRange
-from mdscensus.fields import make_field
+from mdscensus.exterior import DualForm, form_weight, multi_indices
+from mdscensus.fields import field_of_order, make_field
+from mdscensus.grassmann_code import build_code
+from mdscensus.sections import (
+    LinearSection,
+    coordinate_section,
+    section_norm,
+    support_mask_counts,
+)
 
 PACKAGE_DIR = pathlib.Path(mdscensus.__file__).parent
 
@@ -81,3 +90,43 @@ def test_cached_plucker_matrix_is_read_only():
         mat[0, 0] = 1
     with pytest.raises(ValueError):
         mat += 1
+
+
+def _over_cap_values(gf, k, n, forms, sections):
+    return (
+        [form_weight(omega, "direct") for omega in forms],
+        [section_norm(s, method) for s in sections
+         for method in ("point-scan", "annihilator-sum")],
+        support_mask_counts(gf, k, n),
+        build_code(k, n, gf),
+    )
+
+
+def test_over_cap_blocks_match_cached_matrix(monkeypatch):
+    """Past PLUCKER_CACHE_CAP every Plucker consumer reads the same columns
+    as prefix-chunked blocks built on the fly, and gets the same values."""
+    rng = random.Random(11)
+    cases = []
+    for k, n, q in ((2, 4, 3), (2, 5, 2), (3, 6, 2), (2, 4, 4)):
+        gf = field_of_order(q)
+        width = len(multi_indices(k, n))
+        forms = []
+        while len(forms) < 3:
+            coeffs = [rng.randrange(q) for _ in range(width)]
+            if any(coeffs[1:]):  # independent of e^I for the first I
+                forms.append(DualForm(gf, k, n, coeffs))
+        first = DualForm.basis(gf, k, n, multi_indices(k, n)[0])
+        sections = [coordinate_section(gf, k, n, multi_indices(k, n)[:2]),
+                    LinearSection(gf, k, n, (first, forms[0]))]
+        cached = _vecgf.plucker_matrix(gf, k, n)
+        cases.append((gf, k, n, forms, sections, cached,
+                      _over_cap_values(gf, k, n, forms, sections)))
+    # 320 entries: at most 53, 32 or 16 columns a block for C(n, k) = 6, 10
+    # or 20, so every shape takes several blocks
+    cap = 320
+    monkeypatch.setattr(_vecgf, "PLUCKER_CACHE_CAP", cap)
+    for gf, k, n, forms, sections, cached, expected in cases:
+        blocks = list(_vecgf.plucker_blocks(gf, k, n))
+        assert len(blocks) > 1 and all(b.size <= cap for b in blocks)
+        assert np.array_equal(np.concatenate(blocks, axis=1), cached)
+        assert _over_cap_values(gf, k, n, forms, sections) == expected, (k, n, gf.q)
