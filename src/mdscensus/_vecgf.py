@@ -13,6 +13,7 @@ Everything here is exact integer arithmetic; numpy is only a carrier.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -135,18 +136,40 @@ def det_any(ops, m):
     return total
 
 
-def position_arrays(sizes, offset, dtype):
-    """Odometer grids: one array per position, first position slowest."""
-    total = 1
-    for s in sizes:
-        total *= s
+def position_arrays(sizes, offsets, dtype):
+    """Mixed-radix odometer grids: one array per position, first position
+    slowest; position i runs over offsets[i], ..., offsets[i] + sizes[i] - 1.
+    A size of 0 gives empty grids."""
+    total = math.prod(sizes)
+    if total == 0:
+        return [np.empty(0, dtype=dtype) for _ in sizes]
     base = np.arange(total, dtype=np.int64)
     out = []
-    period = total
-    for s in sizes:
-        period //= s
-        out.append(((base // period) % s + offset).astype(dtype))
+    for i, (size, offset) in enumerate(zip(sizes, offsets)):
+        period = math.prod(sizes[i + 1:])
+        out.append(((base // period) % size + offset).astype(dtype))
     return out
+
+
+def digits(value, sizes):
+    """The odometer reading of `value` in the mixed radix `sizes`, first
+    position slowest."""
+    out = [0] * len(sizes)
+    for pos in range(len(sizes) - 1, -1, -1):
+        value, out[pos] = divmod(value, sizes[pos])
+    return out
+
+
+def choose_prefix_len(sizes, cap, min_chunks=1):
+    """Smallest prefix length t such that the odometer suffix sizes[t:] fits
+    `cap` candidates and the prefix sizes[:t] reaches min_chunks chunks (or
+    covers every position)."""
+    t = 0
+    while t < len(sizes) and math.prod(sizes[t:]) > cap:
+        t += 1
+    while t < len(sizes) and math.prod(sizes[:t]) < min_chunks:
+        t += 1
+    return t
 
 
 def count_all_nonzero(ops, values, minors):
@@ -212,12 +235,11 @@ def _cell_blocks(gf, k, n):
                                  {pos: i for i, pos in enumerate(free)})
         plans = [[[entry(r, c - 1) for c in idx] for r in range(k)]
                  for idx in indices]
-        t = 0
-        while q ** (len(free) - t) > width:
-            t += 1
-        suffix = position_arrays([q] * (len(free) - t), 0, ops.dtype)
+        sizes = [q] * len(free)
+        t = choose_prefix_len(sizes, width)
+        suffix = position_arrays(sizes[t:], [0] * (len(free) - t), ops.dtype)
         for chunk in range(q**t):
-            values = [chunk // q ** (t - 1 - i) % q for i in range(t)] + suffix
+            values = digits(chunk, sizes[:t]) + suffix
             block = np.empty((len(indices), q ** (len(free) - t)), dtype=ops.dtype)
             for row_pos, plan in enumerate(plans):
                 mat = [[values[e[1]] if e[0] == "v" else e[1] for e in row]

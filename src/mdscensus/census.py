@@ -10,15 +10,23 @@ matrix-scan       scans the matrices [I_k | A] and accepts A exactly when
                   scaling its rows and columns acts freely modulo the
                   diagonal scalars, with exactly one A per orbit whose first
                   row and first column are all ones.  So only those
-                  normalized A are scanned: their (k-1)(n-k-1) free entries
-                  run over the nonzero elements in odometer order, the count
-                  is gamma-tilde, and gamma = (q-1)^(n-1) * gamma-tilde.  Work
-                  is chunked by fixing the first t free entries.
+                  normalized A are scanned.  The 2 x 2 minor through row 0
+                  and column 0 is A[r][c] - 1, so their (k-1)(n-k-1) free
+                  entries run over 2..q-1 in odometer order and those minors
+                  are never evaluated; the count is gamma-tilde, and
+                  gamma = (q-1)^(n-1) * gamma-tilde.  Work is chunked by
+                  fixing the first t free entries.
 
-grassmannian-filter  enumerates every echelon representative of G(k, n),
-                  cell by cell, and keeps the points whose maximal minors
-                  are all nonzero, evaluated in lexicographic multi-index
-                  order with batch short-circuiting.
+grassmannian-filter  walks the echelon representatives of G(k, n), cell by
+                  cell, with no torus normalization, and keeps the points
+                  whose maximal minors are all nonzero, evaluated in
+                  lexicographic multi-index order with batch
+                  short-circuiting.  A maximal minor whose other k-1 columns
+                  are pivot columns is, up to sign, one entry alone: it is
+                  read off the plan instead of evaluated, its entry runs over
+                  1..q-1, and a cell where it is a structural zero is
+                  skipped.  Only the big cell, pivots 1..k, survives, so the
+                  walk is (q-1)^(k(n-k)) points and the count is gamma.
 
 Both kernels run vectorized over candidate blocks; every chunk yields an
 exact integer and the total is an order-independent sum, so results are
@@ -29,6 +37,7 @@ os.cpu_count().
 """
 
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +47,7 @@ from . import _vecgf
 from .budget import check_budget
 from .errors import DivisibilityViolation, OutOfRange
 from .fields import make_field
-from .linalg import cell_free_positions, gaussian_binomial
+from .linalg import cell_free_positions
 
 SUFFIX_CAP = 2**18          # max candidates materialized per numpy block
 CHUNKS_PER_WORKER = 64
@@ -79,8 +88,10 @@ def _free_entries(k, nk):
 
 def _scan_minor_plan(k, nk):
     """All square submatrices of order >= 2 of a normalized A, smallest
-    orders first: row 0 and column 0 are the constant 1, the free entry
-    A[r][c] (r, c >= 1) is value (r-1)(nk-1) + (c-1)."""
+    orders first, except the 2 x 2 ones through row 0 and column 0: row 0
+    and column 0 are the constant 1, the free entry A[r][c] (r, c >= 1) is
+    value (r-1)(nk-1) + (c-1), and the minor on rows {0, r} and columns
+    {0, c} is A[r][c] - 1, nonzero because the walk skips the value 1."""
 
     def entry(r, c):
         if r == 0 or c == 0:
@@ -91,43 +102,25 @@ def _scan_minor_plan(k, nk):
     for s in range(2, min(k, nk) + 1):
         for rows in itertools.combinations(range(k), s):
             for cols in itertools.combinations(range(nk), s):
+                if s == 2 and rows[0] == 0 and cols[0] == 0:
+                    continue
                 plan.append(tuple(tuple(entry(r, c) for c in cols) for r in rows))
     return tuple(plan)
 
 
-def _choose_prefix_len(base, total_positions, min_chunks):
-    """Smallest prefix length t such that the base**(total_positions - t)
-    suffix fits one block and base**t reaches min_chunks chunks."""
-    t = 0
-    while t < total_positions and base ** (total_positions - t) > SUFFIX_CAP:
-        t += 1
-    while t < total_positions and base**t < min_chunks:
-        t += 1
-    return t
-
-
-def _digits(value, base, width):
-    out = [0] * width
-    for pos in range(width - 1, -1, -1):
-        out[pos] = value % base
-        value //= base
-    return out
-
-
 def _scan_range(p, m, k, n, t, lo, hi):
-    """Normalized MDS matrices among chunks [lo, hi): chunk i fixes the first
-    t free entries to the base-(q-1) digits of i, offset by 1."""
+    """Normalized MDS matrices among chunks [lo, hi): every free entry runs
+    over 2..q-1, and chunk i fixes the first t of them to its odometer
+    reading."""
     gf = make_field(p, m)
     ops = _vecgf.vector_ops(gf)
     nk = n - k
     plan = _scan_minor_plan(k, nk)
-    base = gf.q - 1
-    suffix = _vecgf.position_arrays(
-        [base] * (_free_entries(k, nk) - t), 1, ops.dtype
-    )
+    sizes = [gf.q - 2] * _free_entries(k, nk)
+    suffix = _vecgf.position_arrays(sizes[t:], [2] * (len(sizes) - t), ops.dtype)
     acc = 0
     for chunk_id in range(lo, hi):
-        prefix = [d + 1 for d in _digits(chunk_id, base, t)]
+        prefix = [d + 2 for d in _vecgf.digits(chunk_id, sizes[:t])]
         acc += _vecgf.count_all_nonzero(ops, prefix + suffix, plan)
     return acc
 
@@ -140,15 +133,15 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
     nk = n - k
-    n_free = _free_entries(k, nk)
-    check_budget((q - 1) ** n_free, budget,
-                 f"matrix scan at (k={k}, n={n}, q={q})")
+    sizes = [q - 2] * _free_entries(k, nk)
+    walk = math.prod(sizes)
+    check_budget(walk, budget, f"matrix scan at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
-    workers = _worker_count(threads, (q - 1) ** n_free)
+    workers = _worker_count(threads, walk)
     min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
-    t = _choose_prefix_len(q - 1, n_free, min_chunks)
+    t = _vecgf.choose_prefix_len(sizes, SUFFIX_CAP, min_chunks)
     gamma_tilde = _run_ranges(_scan_range, (gf.p, gf.m, k, n, t),
-                              (q - 1) ** t, workers)
+                              math.prod(sizes[:t]), workers)
     # k = n: the unique [n, n] code, with no column scaling to divide out
     gamma = gamma_tilde if k == n else gamma_tilde * (q - 1) ** (n - 1)
     return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
@@ -160,59 +153,83 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
 # ---------------------------------------------------------------------------
 
 def _cell_minor_plans(k, n, pivots):
-    """Minor plans (one per multi-index, lexicographic) for an echelon cell,
-    or None when some structurally-zero minor makes the cell empty of
-    all-nonzero points."""
+    """Minor plans (one per multi-index, lexicographic) for an echelon cell
+    and, per free entry, whether it is marked nonzero; plans is None when
+    some structurally-zero minor makes the cell empty of all-nonzero points.
+
+    A multi-index whose other k-1 columns are pivot columns, all but the
+    pivot p_r of row r, is a lone-entry minor: up to sign it is the entry of
+    row r at its one non-pivot column c.  Such a minor is dropped from the
+    plans and its entry marked nonzero, or, when the entry is a structural
+    zero (c < p_r), the cell is empty.  Any minor with a structurally zero
+    row r has such a column c, so these minors alone decide emptiness."""
     from .exterior import multi_indices
 
     free = cell_free_positions(pivots, k, n)
     free_index = {pos: i for i, pos in enumerate(free)}
     entry = _vecgf._cell_entry_plan(pivots, k, n, free_index)
+    nonzero = [False] * len(free)
     plans = []
     for idx in multi_indices(k, n):
-        rows = []
-        for r in range(k):
-            row = tuple(entry(r, c - 1) for c in idx)
-            rows.append(row)
-            if all(e == ("c", 0) for e in row):
-                return None, len(free)
-        plans.append(tuple(rows))
-    return tuple(plans), len(free)
+        others = [c for c in idx if c not in pivots]
+        if len(others) == 1:
+            r = next(r for r, p in enumerate(pivots) if p not in idx)
+            kind, payload = entry(r, others[0] - 1)
+            if kind == "c":
+                return None, tuple(nonzero)
+            nonzero[payload] = True
+        else:
+            plans.append(tuple(tuple(entry(r, c - 1) for c in idx)
+                               for r in range(k)))
+    return tuple(plans), tuple(nonzero)
+
+
+def _cell_walk(nonzero, q):
+    """Walked sizes and offsets of a cell's free entries: marked entries run
+    over 1..q-1, the others over 0..q-1."""
+    return ([q - 1 if nz else q for nz in nonzero],
+            [1 if nz else 0 for nz in nonzero])
 
 
 def _filter_cell_range(p, m, k, n, pivots, t, lo, hi):
+    """All-nonzero points of a non-empty cell among chunks [lo, hi): chunk
+    i fixes the first t free entries to its odometer reading."""
     gf = make_field(p, m)
-    plans, n_free = _cell_minor_plans(k, n, pivots)
-    if plans is None:
-        return 0
     ops = _vecgf.vector_ops(gf)
-    suffix_len = n_free - t
+    plans, nonzero = _cell_minor_plans(k, n, pivots)
+    sizes, offsets = _cell_walk(nonzero, gf.q)
+    suffix = _vecgf.position_arrays(sizes[t:], offsets[t:], ops.dtype)
     acc = 0
     for chunk_id in range(lo, hi):
-        prefix = _digits(chunk_id, gf.q, t)
-        values = list(prefix) + _vecgf.position_arrays(
-            [gf.q] * suffix_len, 0, ops.dtype
-        )
-        acc += _vecgf.count_all_nonzero(ops, values, plans)
+        prefix = [d + o for d, o in
+                  zip(_vecgf.digits(chunk_id, sizes[:t]), offsets)]
+        acc += _vecgf.count_all_nonzero(ops, prefix + suffix, plans)
     return acc
 
 
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
-    """Independent oracle: walk every Grassmann point and keep those whose
-    Plucker coordinates are all nonzero.  worker_count reports the workers
-    used (see _worker_count)."""
+    """Independent oracle: walk the Grassmann points of every cell that can
+    hold an all-nonzero point, entries marked nonzero over F_q^*, and keep
+    those whose Plucker coordinates are all nonzero.  worker_count reports
+    the workers used (see _worker_count)."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
-    size = gaussian_binomial(k, n, q)
-    check_budget(size, budget, f"Grassmannian filter at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
     tasks = []
+    walk = 0
     for pivots in itertools.combinations(range(1, n + 1), k):
-        n_free = len(cell_free_positions(pivots, k, n))
-        t = _choose_prefix_len(q, n_free, CHUNKS_PER_WORKER)
-        tasks.append((pivots, t, q**t))
-    workers = _worker_count(threads, size)
+        plans, nonzero = _cell_minor_plans(k, n, pivots)
+        if plans is None:
+            continue
+        sizes, _ = _cell_walk(nonzero, q)
+        # the floor of CHUNKS_PER_WORKER chunks holds even for a serial
+        # walk: it keeps each block, and so peak memory, small
+        t = _vecgf.choose_prefix_len(sizes, SUFFIX_CAP, CHUNKS_PER_WORKER)
+        tasks.append((pivots, t, math.prod(sizes[:t])))
+        walk += math.prod(sizes)
+    check_budget(walk, budget, f"Grassmannian filter at (k={k}, n={n}, q={q})")
+    workers = _worker_count(threads, walk)
     gamma = 0
     if workers == 1:
         for pivots, t, n_chunks in tasks:

@@ -29,7 +29,6 @@ class RunConfig:
     threads: int = 1
     budget: int = None
     fmt: str = "json"
-    seed: int = 0
     output: str = None
     extra: dict = field(default_factory=dict)
 
@@ -317,7 +316,6 @@ def _add_common(sub, *, needs_q=True, needs_k=True):
     sub.add_argument("--budget", type=int, default=None)
     sub.add_argument("--format", dest="fmt", choices=("json", "csv", "table"),
                      default="json")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", default=None)
 
 
@@ -397,7 +395,6 @@ def _config_from_args(args):
         threads=args.threads,
         budget=effective_budget(budget) if budget is not None else None,
         fmt=getattr(args, "fmt", "json"),
-        seed=getattr(args, "seed", 0),
         output=getattr(args, "output", None),
         extra=extra,
     )

@@ -1,9 +1,11 @@
 import itertools
+import math
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
-from mdscensus import census
+from mdscensus import _vecgf, census
 from mdscensus.census import (
     arc_count,
     count_mds,
@@ -13,7 +15,7 @@ from mdscensus.census import (
 )
 from mdscensus.errors import BudgetExceeded
 from mdscensus.fields import field_of_order, make_field
-from mdscensus.linalg import MatrixGF, minor
+from mdscensus.linalg import MatrixGF, cell_free_positions, minor
 
 
 def naive_gamma(k, n, gf):
@@ -206,8 +208,8 @@ def test_small_filter_starts_no_pool(monkeypatch):
 
 
 def test_pool_never_exceeds_cpu_count(monkeypatch):
-    # (3,7,11): 10^6 normalized candidates; (2,6,5): 508431 Grassmann points
-    scan_gf, filter_gf = make_field(11, 1), make_field(5, 1)
+    # (3,7,11): 9^6 normalized candidates; (2,6,7): the filter walks 6^8
+    scan_gf, filter_gf = make_field(11, 1), make_field(7, 1)
     serial_scan = count_mds_matrix_scan(3, 7, scan_gf)
     serial_filter = count_mds_grassmannian_filter(2, 6, filter_gf)
     monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
@@ -218,9 +220,67 @@ def test_pool_never_exceeds_cpu_count(monkeypatch):
     assert InlinePool.started == [3, 3]
     assert (scan.worker_count, filt.worker_count) == (3, 3)
     assert scan.gamma == serial_scan.gamma
-    assert filt.gamma == serial_filter.gamma == gamma_closed_form(2, 6, 5)
+    assert filt.gamma == serial_filter.gamma == gamma_closed_form(2, 6, 7)
     InlinePool.started = []
     assert count_mds_matrix_scan(3, 7, scan_gf, threads=2).worker_count == 2
     monkeypatch.setattr(census.os, "cpu_count", lambda: None)
     assert count_mds_matrix_scan(3, 7, scan_gf, threads=2).worker_count == 1
     assert InlinePool.started == [2]
+
+
+def test_only_the_big_cell_survives():
+    # a free entry (r, c) is, up to sign, the maximal minor on the columns
+    # pivots - {p_r} + {c}; any cell but pivots 1..k has such a minor on a
+    # structurally zero entry, so it holds no all-nonzero point
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            survivors = []
+            for pivots in itertools.combinations(range(1, n + 1), k):
+                plans, nonzero = census._cell_minor_plans(k, n, pivots)
+                assert len(nonzero) == len(cell_free_positions(pivots, k, n))
+                if plans is not None:
+                    survivors.append(pivots)
+                    assert all(nonzero), (k, n)
+                    # the k(n-k) lone-entry minors are read off, not planned
+                    assert len(plans) == math.comb(n, k) - k * (n - k)
+            assert survivors == [tuple(range(1, k + 1))], (k, n)
+
+
+def test_walks_honour_budget():
+    # the filter walks (q-1)^(k(n-k)) points, the scan (q-2)^((k-1)(n-k-1))
+    # normalized candidates; a budget one below the walk is refused
+    for k, n, q in ((2, 4, 3), (3, 6, 5), (2, 5, 4)):
+        gf = field_of_order(q)
+        expected = count_mds_matrix_scan(k, n, gf).gamma
+        for count, walk in ((count_mds_grassmannian_filter, (q - 1) ** (k * (n - k))),
+                            (count_mds_matrix_scan, (q - 2) ** ((k - 1) * (n - k - 1)))):
+            with pytest.raises(BudgetExceeded):
+                count(k, n, gf, budget=walk - 1)
+            assert count(k, n, gf, budget=walk).gamma == expected, (count, k, n, q)
+
+
+def test_position_arrays_match_product():
+    sizes, offsets = [3, 1, 4, 2], [1, 0, 2, 5]
+    grids = _vecgf.position_arrays(sizes, offsets, np.int16)
+    expected = list(itertools.product(*(range(o, o + s)
+                                        for s, o in zip(sizes, offsets))))
+    assert list(zip(*(g.tolist() for g in grids))) == expected
+    assert all(g.dtype == np.int16 for g in grids)
+    for i, row in enumerate(expected):
+        assert [d + o for d, o in zip(_vecgf.digits(i, sizes), offsets)] == list(row)
+    # a position with no values leaves nothing to walk
+    assert [g.size for g in _vecgf.position_arrays([3, 0, 2], [2, 2, 2], np.int64)] == [0, 0, 0]
+    assert _vecgf.position_arrays([], [], np.int64) == []
+
+
+def test_routes_match_closed_forms_at_edge_fields():
+    # q = 2, where the scan's free entries have no value left; q = 9, an odd
+    # extension field; GF(529), an odd extension field above 256
+    cases = [(k, n, 2) for k in (1, 2) for n in range(k, 7)]
+    cases += [(k, n, 9) for k in (1, 2) for n in range(k, 6)]
+    cases += [(1, 3, 529), (2, 3, 529)]
+    for k, n, q in cases:
+        gf = field_of_order(q)
+        scan = count_mds_matrix_scan(k, n, gf).gamma
+        assert scan == count_mds_grassmannian_filter(k, n, gf).gamma, (k, n, q)
+        assert scan == gamma_closed_form(k, n, q), (k, n, q)

@@ -32,7 +32,7 @@ def test_count_both_methods(capsys):
 
 
 def test_count_budget_refusal(capsys):
-    # the scan walks 15^9 > 2^32 torus-normalized candidates at (4,8,16)
+    # the scan walks 14^9 > 2^32 torus-normalized candidates at (4,8,16)
     code, out, err = run_cli(
         capsys, "count", "--k", "4", "--n", "8", "--q", "16"
     )
@@ -168,6 +168,14 @@ def test_verify_rejects_unread_options(capsys):
             main(["verify", "--suite", "fields", *option])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_seed_option_is_gone(capsys):
+    # nothing read a global --seed; sampled spectra carry their own seed
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--k", "2", "--n", "4", "--q", "3", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_output_file_omits_elapsed(tmp_path, capsys):
