@@ -276,7 +276,3 @@ def form_values(gf, coeffs, mat):
         if c:
             acc = ops.add(acc, ops.mul(int(c), row))
     return acc
-
-
-def count_nonzero_pairings(gf, coeffs, mat):
-    return int(np.count_nonzero(form_values(gf, coeffs, mat)))

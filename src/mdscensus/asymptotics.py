@@ -96,12 +96,6 @@ def arc_series_top3(k, n):
     return (c0, c1, c2)
 
 
-def expansion_coefficients(k, n):
-    """Descending coefficient triple of the truncated expansion."""
-    p = params(k, n)
-    return (1, 1 - p.big_n, p.a2)
-
-
 # ---------------------------------------------------------------------------
 # Convergence harness.
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Every command prints structured output (json, csv, or an aligned table) with
 big integers rendered as decimal strings, and maps failures to exit codes:
-0 success, 1 invalid input or failed verification, 2 budget refusal.
+0 success, 1 invalid input or failed verification, 2 budget refusal, 3 a
+worker process died, 130 interrupted.
 """
 
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .budget import effective_budget
@@ -18,6 +20,8 @@ from .linalg import gaussian_binomial
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
+EXIT_WORKER_DIED = 3
+EXIT_INTERRUPTED = 130
 
 
 @dataclass
@@ -278,16 +282,16 @@ def _cmd_weight(config):
 
 
 def _cmd_verify(config):
-    from .verify import run_suite
+    from .verify import run_check, select
 
-    results = run_suite(config.extra["suite"], config.extra["scale"])
-    all_ok = all(r.passed for r in results)
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        detail = f" [{r.detail}]" if r.detail else ""
-        print(f"[{mark}] {r.suite}/{r.name}: {r.claim}{detail}")
-    print(f"{'OK' if all_ok else 'FAILED'}: {sum(r.passed for r in results)}"
-          f"/{len(results)} checks passed")
+    entries = select(config.extra["suite"], config.extra["scale"])
+    passed = 0
+    for entry in entries:
+        result = run_check(entry)
+        passed += result.passed
+        print(result.line(), flush=True)
+    all_ok = passed == len(entries)
+    print(f"{'OK' if all_ok else 'FAILED'}: {passed}/{len(entries)} checks passed")
     return None if all_ok else EXIT_INVALID
 
 
@@ -364,13 +368,12 @@ def build_parser():
     p.add_argument("--method", choices=("direct", "recursive", "both"),
                    default="both")
 
-    p = subs.add_parser("verify", help="run the invariant suites")
+    p = subs.add_parser("verify", help="run the check registry")
     p.add_argument("--suite",
                    choices=("fields", "plucker", "weights", "sections",
-                            "asymptotics", "all"),
+                            "asymptotics", "census", "all"),
                    default="all")
     p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    p.add_argument("--threads", type=int, default=1)
 
     return parser
 
@@ -383,16 +386,17 @@ def _config_from_args(args):
             extra[key] = getattr(args, key)
     if getattr(args, "q_list", None):
         extra["q_list"] = [int(tok) for tok in args.q_list.split(",") if tok]
-    if args.threads < 1:
-        raise OutOfRange(f"--threads must be at least 1, got {args.threads}")
-    # verify takes only --suite, --scale and --threads
+    # verify has no --threads: each registry entry sets its own worker count
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
+        raise OutOfRange(f"--threads must be at least 1, got {threads}")
     budget = getattr(args, "budget", None)
     return RunConfig(
         command=args.command,
         k=getattr(args, "k", 0),
         n=getattr(args, "n", 0),
         q=getattr(args, "q", 0),
-        threads=args.threads,
+        threads=threads,
         budget=effective_budget(budget) if budget is not None else None,
         fmt=getattr(args, "fmt", "json"),
         output=getattr(args, "output", None),
@@ -425,6 +429,12 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenProcessPool:
+        print("error: a worker process died", file=sys.stderr)
+        return EXIT_WORKER_DIED
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

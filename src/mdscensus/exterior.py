@@ -18,6 +18,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .budget import check_budget
 from .errors import (
     DegreeMismatch,
@@ -411,7 +413,7 @@ def _weight_direct(omega, budget=None):
                  f"weight sweep of G({k},{n}) over GF({gf.q})")
     from . import _vecgf
 
-    return sum(_vecgf.count_nonzero_pairings(gf, omega.coeffs, block)
+    return sum(int(np.count_nonzero(_vecgf.form_values(gf, omega.coeffs, block)))
                for block in _vecgf.plucker_blocks(gf, k, n))
 
 

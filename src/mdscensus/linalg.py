@@ -331,10 +331,6 @@ def enumerate_grassmannian(gf, k, n, budget=None):
             yield GrassmannPoint(MatrixGF(gf, k, n, data), pivots)
 
 
-def grassmannian_size(gf, k, n):
-    return gaussian_binomial(k, n, gf.q)
-
-
 def _binom(n, k):
     if not 0 <= k <= n:
         return 0

@@ -1,16 +1,27 @@
-"""Orchestrated invariant suites behind the `mds verify` command.
+"""The check registry behind `mds verify` and the acceptance tests.
 
-Each check states the mathematical claim it exercises and reports pass/fail
-with a short detail line.  `quick` keeps every suite under a few seconds;
-`full` runs the exhaustive sweeps.
+Each REGISTRY entry holds a suite, a name, a claim, a scale tag, an optional
+time budget and a check function.  The function takes no arguments, returns
+a detail line and fails through `_require`, never `assert`, so the checks
+also run under `python -O`.  `--scale quick` runs the entries tagged quick,
+`--scale full` runs them all, and `tests/test_acceptance.py` runs each entry
+as one test.  Entries named `criterion-NN-...` are the release criteria.
 """
 
+import functools
 import itertools
 import random
+import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .asymptotics import a2_closed_form, arc_series_top3, convergence, params
-from .census import count_mds_matrix_scan
+from .census import (
+    count_mds_grassmannian_filter,
+    count_mds_matrix_scan,
+    gamma_closed_form,
+)
+from .errors import MdsError, NonPrimePower
 from .exterior import (
     DualForm,
     MultiVector,
@@ -25,37 +36,96 @@ from .exterior import (
     satisfies_plucker,
     wedge,
 )
-from .fields import field_of_order, make_field
+from .fields import factor_prime_power, field_of_order, make_field
 from .grassmann_code import (
+    _batched_weights,
     build_code,
     higher_weight_search,
     higher_weight_value,
     weight_spectrum,
 )
-from .linalg import enumerate_grassmannian, rank
+from .linalg import MatrixGF, enumerate_grassmannian, gaussian_binomial, rank
 from .sections import (
     coordinate_ann_in_grassmannian,
     coordinate_section,
     inclusion_exclusion,
+    section_cardinality,
     section_norm,
     structured_counts,
 )
 
-SUITES = ("fields", "plucker", "weights", "sections", "asymptotics")
+SCALES = ("quick", "full")
+
+
+class CheckFailed(Exception):
+    """The claim of a check does not hold; the message says where."""
+
+
+def _require(cond, detail):
+    if not cond:
+        raise CheckFailed(detail)
+
+
+@dataclass(frozen=True)
+class Check:
+    suite: str
+    name: str
+    claim: str
+    scale: str  # "full" for entries past 0.3 s, run only at --scale full
+    fn: object
+    budget_s: float = None
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    suite: str
-    name: str
-    claim: str
+    entry: Check
     passed: bool
-    detail: str = ""
+    detail: str
+    elapsed: float
+
+    def line(self):
+        c = self.entry
+        budget = "no budget" if c.budget_s is None else f"budget {c.budget_s:g}s"
+        detail = f" [{self.detail}]" if self.detail else ""
+        return (f"[{'PASS' if self.passed else 'FAIL'}] {c.suite}/{c.name} "
+                f"({self.elapsed:.2f}s / {budget}): {c.claim}{detail}")
 
 
-def _result(suite, name, claim, passed, detail=""):
-    return CheckResult(suite=suite, name=name, claim=claim, passed=bool(passed),
-                       detail=detail)
+REGISTRY = []
+
+
+def check(suite, name, claim, scale="quick", budget_s=None):
+    """Decorator that adds its function to REGISTRY as one entry."""
+    def register(fn):
+        REGISTRY.append(Check(suite, name, claim, scale, fn, budget_s))
+        return fn
+    return register
+
+
+def run_check(entry):
+    """Run one entry.  It fails on CheckFailed, on an MdsError (the library's
+    own cross-checks raise one) and when it runs past its budget."""
+    start = time.perf_counter()
+    try:
+        detail, passed = entry.fn(), True
+    except CheckFailed as exc:
+        detail, passed = str(exc), False
+    except MdsError as exc:
+        detail, passed = f"{type(exc).__name__}: {exc}", False
+    elapsed = time.perf_counter() - start
+    if passed and entry.budget_s is not None and elapsed > entry.budget_s:
+        detail, passed = f"exceeded its {entry.budget_s:g}s budget; {detail}", False
+    return CheckResult(entry, passed, detail, elapsed)
+
+
+def select(suite="all", scale="quick"):
+    """The entries of one suite (or 'all') that run at the given scale."""
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return [c for c in REGISTRY
+            if suite in ("all", c.suite) and (scale == "full" or c.scale == "quick")]
 
 
 def _random_form(gf, k, n, rng):
@@ -66,324 +136,15 @@ def _random_form(gf, k, n, rng):
             return DualForm(gf, k, n, coeffs)
 
 
-# ---------------------------------------------------------------------------
-
-def _suite_fields(scale):
-    qs = (2, 3, 4, 5, 9) if scale == "quick" else (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
-    out = []
-    for q in qs:
-        gf = field_of_order(q)
-        elems = list(gf.elements())
-        ok = all(
-            gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
-            and gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
-            and gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-            for a, b, c in itertools.product(elems, repeat=3)
-        )
-        ok = ok and all(
-            gf.mul(a, gf.inv(a)) == 1 and gf.inv(gf.inv(a)) == a
-            for a in elems[1:]
-        )
-        ok = ok and len(set(elems)) == q and elems[0] == 0 and elems[1] == 1
-        out.append(_result("fields", f"axioms-q{q}",
-                           "field axioms, inverse involution, element order",
-                           ok, f"q={q} exhaustive"))
-    gf4 = make_field(2, 2)
-    out.append(_result("fields", "gf4-modulus",
-                       "the unique irreducible quadratic over GF(2) is chosen",
-                       gf4.modulus == (1, 1, 1)))
-    return out
-
-
-def _suite_plucker(scale):
-    out = []
-    gf = make_field(2, 1)
-    # embedding image vs the quadratic relations, exhaustively at (2,4,2)
-    image = {plucker_embed(p.matrix).coeffs for p in enumerate_grassmannian(gf, 2, 4)}
-    passing = {
-        coeffs
-        for coeffs in itertools.product(range(2), repeat=6)
-        if any(coeffs) and satisfies_plucker(MultiVector(gf, 2, 4, coeffs))
-    }
-    out.append(_result("plucker", "relations-image",
-                       "the quadratic relations cut out exactly the embedded points",
-                       passing == image and len(image) == 35,
-                       f"{len(passing)} of 63 projective points pass"))
-    # contraction adjunction on full basis at (2,4) and (2,5)
-    ok = True
-    for n in (4, 5):
-        for xi_idx in multi_indices(1, n):
-            xi = MultiVector.basis(gf, 1, n, xi_idx)
-            for om_idx in multi_indices(2, n):
-                omega = DualForm.basis(gf, 2, n, om_idx)
-                down = interior_mult(xi, omega)
-                for z_idx in multi_indices(1, n):
-                    zeta = MultiVector.basis(gf, 1, n, z_idx)
-                    if pairing(down, zeta) != pairing(omega, wedge(xi, zeta)):
-                        ok = False
-    out.append(_result("plucker", "contraction-adjunction",
-                       "contraction is adjoint to the wedge on all basis triples", ok))
-    # decomposability of a 3-form on GF(2)^5 is equivalent to decomposability
-    # of all its vector contractions
-    rng = random.Random(2024)
-    width = len(multi_indices(3, 5))
-    if scale == "full":
-        candidates = [
-            coeffs for coeffs in itertools.product(range(2), repeat=width) if any(coeffs)
-        ]
-    else:
-        candidates = []
-        for _ in range(150):
-            while True:
-                c = tuple(rng.randrange(2) for _ in range(width))
-                if any(c):
-                    break
-            candidates.append(c)
-    ok = True
-    checked = 0
-    for coeffs in candidates:
-        omega = DualForm(gf, 3, 5, coeffs)
-        contractions_ok = True
-        for vec in itertools.product(range(2), repeat=5):
-            if not any(vec):
-                continue
-            xi = MultiVector.from_terms(
-                gf, 1, 5, [((i + 1,), c) for i, c in enumerate(vec) if c]
-            )
-            down = interior_mult(xi, omega)
-            if not down.is_zero() and not satisfies_plucker(down):
-                contractions_ok = False
-                break
-        checked += 1
-        if satisfies_plucker(omega) != contractions_ok:
-            ok = False
-            break
-    out.append(_result("plucker", "contraction-decomposability",
-                       "a form is decomposable exactly when all its vector "
-                       "contractions are",
-                       ok, f"{checked} forms checked"))
-    # kernel bound for indecomposables: annihilator support needs k+2 directions
-    ok = True
-    rng = random.Random(7)
-    for _ in range(60 if scale == "quick" else 200):
-        omega = _random_form(gf, 2, 5, rng)
-        prof = form_profile(omega)
-        if prof.decomposable:
-            if prof.v_omega.rows != 3:
-                ok = False
-        elif prof.u_omega.rows < 4:
-            ok = False
-    out.append(_result("plucker", "kernel-dimensions",
-                       "decomposable forms have full kernels; indecomposable "
-                       "ones span at least k+2 dual directions", ok))
-    if scale == "full":
-        out.append(_suite_plucker_fact0())
-    return out
-
-
-def _suite_plucker_fact0():
-    gf = make_field(2, 1)
-    lines = list(enumerate_grassmannian(gf, 1, 4))
-    solids = list(enumerate_grassmannian(gf, 3, 4))
-    pa = {a: pi_alpha(a) for a in lines}
-    pg = {g: pi_gamma(g) for g in solids}
-    ok = True
-    for a1, a2 in itertools.combinations(lines, 2):
-        meet = pa[a1] & pa[a2]
-        want = 1 if rank(a1.matrix.stack(a2.matrix)) == 2 else 0
-        if len(meet) != want:
-            ok = False
-    for a in lines:
-        for g in solids:
-            meet = pa[a] & pg[g]
-            inside = rank(a.matrix.stack(g.matrix)) == 3
-            if inside and len(meet) != 3 or (not inside and meet):
-                ok = False
-    return _result("plucker", "maximal-subspace-intersections",
-                   "the two families of maximal linear subspaces intersect "
-                   "by the dimension rules", ok)
-
-
-def _suite_weights(scale):
-    out = []
-    gf = make_field(2, 1)
-    w1 = form_weight(DualForm.basis(gf, 2, 4, (1, 2)))
-    w2 = form_weight(DualForm.from_terms(gf, 2, 4, [((1, 2), 1), ((3, 4), 1)]))
-    w3 = form_weight(DualForm.basis(gf, 2, 5, (1, 2)))
-    out.append(_result("weights", "known-weights",
-                       "decomposable weight q^delta; rank-4 form adds q^(delta-2)",
-                       (w1, w2, w3) == (16, 20, 64), f"got {(w1, w2, w3)}"))
-    rng = random.Random(5)
-    param_sets = ((3, 2, 4, 20), (2, 2, 5, 20))
-    if scale == "full":
-        param_sets = ((3, 2, 4, 200), (2, 2, 5, 200), (2, 3, 6, 200))
-    ok = True
-    lower_ok = True
-    for q, k, n, trials in param_sets:
-        gfq = field_of_order(q)
-        for _ in range(trials):
-            omega = _random_form(gfq, k, n, rng)
-            d = form_weight(omega, "direct")
-            if d != form_weight(omega, "recursive"):
-                ok = False
-            if d < q ** (k * (n - k)):
-                lower_ok = False
-    out.append(_result("weights", "direct-vs-recursive",
-                       "the contraction recursion reproduces the direct sweep", ok))
-    out.append(_result("weights", "minimum-weight-bound",
-                       "every nonzero form has weight at least q^delta", lower_ok))
-    code = build_code(2, 4, gf)
-    spec = weight_spectrum(code)
-    out.append(_result("weights", "spectrum-2-4-2",
-                       "the full spectrum is {q^4: 35, q^4+q^2: 28}",
-                       spec == {16: 35, 20: 28}, f"got {spec}"))
-    if scale == "full":
-        code5 = build_code(2, 5, gf)
-        spec5 = weight_spectrum(code5)
-        out.append(_result("weights", "spectrum-2-5-2",
-                           "the spectrum support is {q^6, q^6+q^4}",
-                           set(spec5) == {64, 80}))
-        d2 = higher_weight_search(code, 2, mode="exhaustive")
-        out.append(_result("weights", "second-weight",
-                           "the second generalized weight is q^4 + q^3",
-                           d2 == 24, f"d2={d2}"))
-        trend_ok = True
-        for q in (2, 3, 4):
-            gfq = field_of_order(q)
-            delta = 9
-            rngq = random.Random(q)
-            found = 0
-            while found < 3:
-                omega = _random_form(gfq, 3, 6, rngq)
-                if satisfies_plucker(omega):
-                    continue
-                found += 1
-                w = form_weight(omega, "direct")
-                if abs(w - q**delta - q ** (delta - 2)) > 4 * q ** (delta - 3):
-                    trend_ok = False
-        out.append(_result("weights", "indecomposable-trend",
-                           "indecomposable 3-form weights stay within "
-                           "4 q^(delta-3) of q^delta + q^(delta-2)", trend_ok))
-    for r in (1, 2, 3):
-        got = higher_weight_search(code, r, mode="structured")
-        want = higher_weight_value(2, 4, 2, r)
-        out.append(_result("weights", f"structured-d{r}",
-                           "structured sections certify the higher weight "
-                           "q^delta + ... + q^(delta-r+1)",
-                           got == want, f"r={r}: {got}"))
-    return out
-
-
-def _suite_sections(scale):
-    out = []
-    pairs = []
-    gf2 = make_field(2, 1)
-    coords = multi_indices(2, 4)
-    ok = True
-    for r in range(1, 7):
-        for subset in itertools.combinations(coords, r):
-            s = coordinate_section(gf2, 2, 4, subset)
-            if section_norm(s, "point-scan") != section_norm(s, "annihilator-sum"):
-                ok = False
-    out.append(_result("sections", "norm-methods",
-                       "point scan equals the exact annihilator-weight average",
-                       ok, "all coordinate sections of (2,4,2)"))
-    for q in (2, 3):
-        gfq = field_of_order(q)
-        rep = inclusion_exclusion(2, 4, gfq)
-        want = count_mds_matrix_scan(2, 4, gfq).gamma
-        pairs.append((rep.gamma_reconstructed, want))
-    agree = all(a == b for a, b in pairs)
-    out.append(_result("sections", "inclusion-exclusion",
-                       "the alternating sum over coordinate sections "
-                       "reassembles the census count",
-                       agree, f"(2,4) over q=2,3: {pairs}"))
-    if scale == "full":
-        rep5 = inclusion_exclusion(2, 5, gf2)
-        want5 = count_mds_matrix_scan(2, 5, gf2).gamma
-        out.append(_result("sections", "inclusion-exclusion-2-5",
-                           "the alternating sum matches the census at (2,5,2)",
-                           rep5.gamma_reconstructed == want5))
-    ok = True
-    for q in (2, 3, 4):
-        gfq = field_of_order(q)
-        delta = 4
-        for r, extra in ((2, 1), (3, 2)):
-            predicted = q**delta + q ** (delta - 1) + extra * q ** (delta - 2)
-            for subset in itertools.combinations(coords, r):
-                if coordinate_ann_in_grassmannian(subset):
-                    continue
-                norm = section_norm(coordinate_section(gfq, 2, 4, subset))
-                if abs(norm - predicted) > 4 * q ** (delta - 3):
-                    ok = False
-    out.append(_result("sections", "codim-r-residuals",
-                       "non-degenerate coordinate sections stay within "
-                       "4 q^(delta-3) of the three-term value", ok))
-    c1, c2 = structured_counts(2, 5)
-    got = (c1[3], c2[3])
-    out.append(_result("sections", "structured-counts",
-                       "the two maximal-subspace families count "
-                       "C(n,k-1)C(n-k+1,r) and C(n,k+1)C(k+1,r)",
-                       got == (20, 10), f"(2,5) r=3: {got}"))
-    return out
-
-
-def _suite_asymptotics(scale):
-    out = []
-    golden = {(3, 6): 152, (3, 7): 506, (3, 8): 1360, (3, 9): 3158}
-    got = {kn: params(*kn).a2 for kn in golden}
-    out.append(_result("asymptotics", "a2-golden",
-                       "the quadratic coefficients for the k=3 family",
-                       got == golden, f"{got}"))
-    ok = all(
-        params(k, n).a2 == a2_closed_form(k, n)
-        for k in (1, 2)
-        for n in range(3, 13)
-    )
-    out.append(_result("asymptotics", "a2-closed-forms",
-                       "the k=1,2 polynomial families agree with the "
-                       "general formula", ok))
-    ok = all(
-        params(k, n).a2 == params(n - k, n).a2
-        for n in range(2, 13)
-        for k in range(1, n)
-    )
-    out.append(_result("asymptotics", "a2-duality",
-                       "the quadratic coefficient is symmetric under "
-                       "k -> n-k", ok))
-    p310, p48 = params(3, 10), params(4, 8)
-    out.append(_result("asymptotics", "arc-coefficients",
-                       "the arc-count expansions carry (110, 5561) and "
-                       "(62, 1710)",
-                       (p310.b1, p310.b2, p48.b1, p48.b2) == (110, 5561, 62, 1710)))
-    ok = all(
-        arc_series_top3(k, n) == (1, -params(k, n).b1, params(k, n).b2)
-        for k, n in ((3, 10), (4, 8), (2, 6))
-    )
-    out.append(_result("asymptotics", "arc-series",
-                       "long division by (q-1)^(n-1) reproduces the arc "
-                       "coefficients", ok))
-    qs = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16] if scale == "quick" else [
-        q for q in range(2, 65) if _is_prime_power(q)
-    ]
-    rep = convergence(2, 5, qs)
-    out.append(_result("asymptotics", "convergence-2-5",
-                       "normalized residuals of the (2,5) family stay bounded",
-                       rep.bounded, f"max |residual|/q^(delta-3) = {rep.max_normalized}"))
-    if scale == "full":
-        rep36 = convergence(3, 6, [2, 3, 4, 5])
-        out.append(_result("asymptotics", "convergence-3-6",
-                           "normalized residuals of the (3,6) family stay "
-                           "bounded on the brute-force sweep",
-                           rep36.bounded,
-                           f"max |residual|/q^6 = {rep36.max_normalized}"))
-    return out
+def _random_primal_section(gf, k, n, dim, rng):
+    while True:
+        spanning = [MultiVector(gf, k, n, _random_form(gf, k, n, rng).coeffs)
+                    for _ in range(dim + 1)]
+        if rank(MatrixGF.from_rows(gf, [list(v.coeffs) for v in spanning])) == dim + 1:
+            return spanning
 
 
 def _is_prime_power(q):
-    from .fields import factor_prime_power
-    from .errors import NonPrimePower
-
     try:
         factor_prime_power(q)
         return True
@@ -391,24 +152,383 @@ def _is_prime_power(q):
         return False
 
 
-_SUITE_FUNCS = {
-    "fields": _suite_fields,
-    "plucker": _suite_plucker,
-    "weights": _suite_weights,
-    "sections": _suite_sections,
-    "asymptotics": _suite_asymptotics,
-}
+def _field_axioms(q):
+    gf = field_of_order(q)
+    elems = list(gf.elements())
+    for a, b, c in itertools.product(elems, repeat=3):
+        if not (gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+                and gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
+                and gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))):
+            raise CheckFailed(f"an axiom fails at {(a, b, c)}")
+    for a in elems[1:]:
+        _require(gf.mul(a, gf.inv(a)) == 1 and gf.inv(gf.inv(a)) == a,
+                 f"inverse fails at {a}")
+    _require(len(set(elems)) == q and elems[:2] == [0, 1], "element order")
+    return f"q={q} exhaustive"
 
 
-def run_suite(suite, scale="quick"):
-    """Run one named suite (or 'all'); returns a list of CheckResults."""
-    if scale not in ("quick", "full"):
-        raise ValueError(f"unknown scale {scale!r}")
-    if suite == "all":
-        out = []
-        for name in SUITES:
-            out.extend(_SUITE_FUNCS[name](scale))
-        return out
-    if suite not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {suite!r}")
-    return _SUITE_FUNCS[suite](scale)
+for _q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+    check("fields", f"axioms-q{_q}",
+          "field axioms, inverse involution, element order")(
+        functools.partial(_field_axioms, _q))
+
+
+@check("fields", "gf4-modulus",
+       "the unique irreducible quadratic over GF(2) is chosen")
+def _gf4_modulus():
+    modulus = make_field(2, 2).modulus
+    _require(modulus == (1, 1, 1), f"got {modulus}")
+    return ""
+
+
+@check("plucker", "relations-image",
+       "the quadratic relations cut out exactly the embedded points")
+def _relations_image():
+    gf = make_field(2, 1)
+    image = {plucker_embed(p.matrix).coeffs for p in enumerate_grassmannian(gf, 2, 4)}
+    passing = {
+        coeffs
+        for coeffs in itertools.product(range(2), repeat=6)
+        if any(coeffs) and satisfies_plucker(MultiVector(gf, 2, 4, coeffs))
+    }
+    _require(passing == image and len(image) == 35,
+             f"{len(passing)} pass, {len(image)} embedded")
+    return f"{len(passing)} of 63 projective points pass"
+
+
+@check("plucker", "contraction-adjunction",
+       "contraction is adjoint to the wedge on all basis triples")
+def _contraction_adjunction():
+    gf = make_field(2, 1)
+    for n in (4, 5):
+        for xi_idx, om_idx, z_idx in itertools.product(
+            multi_indices(1, n), multi_indices(2, n), multi_indices(1, n)
+        ):
+            xi = MultiVector.basis(gf, 1, n, xi_idx)
+            omega = DualForm.basis(gf, 2, n, om_idx)
+            zeta = MultiVector.basis(gf, 1, n, z_idx)
+            _require(pairing(interior_mult(xi, omega), zeta)
+                     == pairing(omega, wedge(xi, zeta)),
+                     f"n={n}: {xi_idx}, {om_idx}, {z_idx}")
+    return "(2,4) and (2,5)"
+
+
+@check("plucker", "criterion-08-contraction-decomposability-exhaustive",
+       "a 3-form on GF(2)^5 is decomposable exactly when all its vector "
+       "contractions are", "full", 60)
+def _contraction_decomposability():
+    gf = make_field(2, 1)
+    xis = [
+        MultiVector.from_terms(gf, 1, 5, [((i + 1,), c) for i, c in enumerate(v) if c])
+        for v in itertools.product(range(2), repeat=5) if any(v)
+    ]
+    checked = 0
+    for coeffs in itertools.product(range(2), repeat=len(multi_indices(3, 5))):
+        if not any(coeffs):
+            continue
+        omega = DualForm(gf, 3, 5, coeffs)
+        contractions_ok = all(
+            down.is_zero() or satisfies_plucker(down)
+            for down in (interior_mult(xi, omega) for xi in xis)
+        )
+        _require(satisfies_plucker(omega) == contractions_ok, f"form {coeffs}")
+        checked += 1
+    _require(checked == 1023, f"{checked} forms checked")
+    return f"{checked} forms checked"
+
+
+@check("plucker", "kernel-dimensions",
+       "decomposable forms have full kernels; indecomposable ones span at "
+       "least k+2 dual directions")
+def _kernel_dimensions():
+    gf = make_field(2, 1)
+    rng = random.Random(7)
+    for _ in range(200):
+        omega = _random_form(gf, 2, 5, rng)
+        prof = form_profile(omega)
+        if prof.decomposable:
+            _require(prof.v_omega.rows == 3, f"kernel of {omega.coeffs}")
+        else:
+            _require(prof.u_omega.rows >= 4, f"annihilator of {omega.coeffs}")
+    return "200 random 2-forms on GF(2)^5"
+
+
+@check("plucker", "maximal-subspace-intersections",
+       "the two families of maximal linear subspaces intersect by the "
+       "dimension rules")
+def _maximal_subspace_intersections():
+    gf = make_field(2, 1)
+    lines = list(enumerate_grassmannian(gf, 1, 4))
+    solids = list(enumerate_grassmannian(gf, 3, 4))
+    pa = {a: pi_alpha(a) for a in lines}
+    pg = {g: pi_gamma(g) for g in solids}
+    for a1, a2 in itertools.combinations(lines, 2):
+        want = 1 if rank(a1.matrix.stack(a2.matrix)) == 2 else 0
+        _require(len(pa[a1] & pa[a2]) == want, "two alpha-subspaces")
+    for a, g in itertools.product(lines, solids):
+        inside = rank(a.matrix.stack(g.matrix)) == 3
+        _require(len(pa[a] & pg[g]) == (3 if inside else 0),
+                 "an alpha- and a gamma-subspace")
+    return "G(2,4) over GF(2)"
+
+
+@check("weights", "known-weights",
+       "decomposable weight q^delta; rank-4 form adds q^(delta-2)")
+def _known_weights():
+    gf = make_field(2, 1)
+    got = (form_weight(DualForm.basis(gf, 2, 4, (1, 2))),
+           form_weight(DualForm.from_terms(gf, 2, 4, [((1, 2), 1), ((3, 4), 1)])),
+           form_weight(DualForm.basis(gf, 2, 5, (1, 2))))
+    _require(got == (16, 20, 64), f"got {got}")
+    return f"got {got}"
+
+
+@check("weights", "criterion-05-weight-spectra-and-minimum-words",
+       "the spectra of the (2,4) and (2,5) codes over GF(2); minimum-weight "
+       "words are the decomposable forms", budget_s=60)
+def _weight_spectra():
+    gf = make_field(2, 1)
+    code4, code5 = build_code(2, 4, gf), build_code(2, 5, gf)
+    spec4, spec5 = weight_spectrum(code4), weight_spectrum(code5)
+    _require(spec4 == {16: 35, 20: 28}, f"(2,4): {spec4}")
+    _require(set(spec5) == {64, 80}, f"(2,5): {spec5}")
+    for n, code, minimum in ((4, code4, 16), (5, code5, 64)):
+        rows = [c for c in itertools.product(range(2), repeat=len(multi_indices(2, n)))
+                if any(c)]
+        for coeffs, w in zip(rows, _batched_weights(code, rows)):
+            _require((w == minimum) == satisfies_plucker(DualForm(gf, 2, n, coeffs)),
+                     f"(2,{n}) form {coeffs} has weight {w}")
+    return f"(2,4): {spec4}; (2,5): {spec5}"
+
+
+@check("weights", "criterion-06-second-weight-exhaustive",
+       "the second generalized weight is q^4 + q^3 over all 651 lines", budget_s=60)
+def _second_weight():
+    lines = gaussian_binomial(2, 6, 2)
+    d2 = higher_weight_search(build_code(2, 4, make_field(2, 1)), 2, mode="exhaustive")
+    _require((lines, d2) == (651, 24), f"{lines} lines, d2={d2}")
+    return f"d2={d2}"
+
+
+@check("weights", "criterion-07-weight-recursion-agreement",
+       "the contraction recursion reproduces the direct sweep, which is at "
+       "least q^delta", "full", 120)
+def _weight_recursion():
+    rng = random.Random(20240808)
+    for q, k, n in ((3, 2, 4), (2, 2, 5), (2, 3, 6)):
+        gf = field_of_order(q)
+        for _ in range(200):
+            omega = _random_form(gf, k, n, rng)
+            d, r = form_weight(omega, "direct"), form_weight(omega, "recursive")
+            _require(d == r, f"{(q, k, n)} form {omega.coeffs}: direct {d}, recursive {r}")
+            _require(d >= q ** (k * (n - k)), f"{(q, k, n)} form {omega.coeffs}: {d}")
+    return "(q,k,n) = (3,2,4), (2,2,5), (2,3,6)"
+
+
+@check("weights", "indecomposable-trend",
+       "indecomposable 3-form weights stay within 4 q^(delta-3) of "
+       "q^delta + q^(delta-2)", "full")
+def _indecomposable_trend():
+    delta = 9
+    for q in (2, 3, 4):
+        gf, rng, found = field_of_order(q), random.Random(q), 0
+        while found < 3:
+            omega = _random_form(gf, 3, 6, rng)
+            if satisfies_plucker(omega):
+                continue
+            found += 1
+            w = form_weight(omega, "direct")
+            _require(abs(w - q**delta - q ** (delta - 2)) <= 4 * q ** (delta - 3),
+                     f"q={q}: weight {w}")
+    return "three forms on GF(q)^6, q = 2, 3, 4"
+
+
+def _structured_weight(r):
+    got = higher_weight_search(build_code(2, 4, make_field(2, 1)), r, mode="structured")
+    _require(got == higher_weight_value(2, 4, 2, r), f"r={r}: {got}")
+    return f"r={r}: {got}"
+
+
+for _r in (1, 2, 3):
+    check("weights", f"structured-d{_r}",
+          "structured sections certify the higher weight "
+          "q^delta + ... + q^(delta-r+1)")(functools.partial(_structured_weight, _r))
+
+
+@check("sections", "norm-methods",
+       "point scan equals the exact annihilator-weight average")
+def _norm_methods():
+    gf = make_field(2, 1)
+    coords = multi_indices(2, 4)
+    for r in range(1, 7):
+        for subset in itertools.combinations(coords, r):
+            s = coordinate_section(gf, 2, 4, subset)
+            _require(section_norm(s, "point-scan") == section_norm(s, "annihilator-sum"),
+                     f"section {subset}")
+    return "all coordinate sections of (2,4,2)"
+
+
+@check("sections", "criterion-04-inclusion-exclusion-reconstruction",
+       "the alternating sum over coordinate sections reassembles the census "
+       "count", budget_s=60)
+def _inclusion_exclusion():
+    pairs = {}
+    for k, n, q in ((2, 4, 2), (2, 4, 3), (2, 5, 2)):
+        gf = field_of_order(q)
+        pairs[(k, n, q)] = (inclusion_exclusion(k, n, gf).gamma_reconstructed,
+                            count_mds_matrix_scan(k, n, gf).gamma)
+        _require(len(set(pairs[(k, n, q)])) == 1, f"{(k, n, q)}: {pairs[(k, n, q)]}")
+    return f"(reconstructed, census): {pairs}"
+
+
+def _section_bound(q, ell):
+    return 1 + q + 2 * q**2 + sum(q**j for j in range(3, ell))
+
+
+@check("sections", "criterion-09-section-bounds",
+       "section cardinality bound and codim-r residuals", "full", 300)
+def _section_bounds():
+    for q, k, n in ((2, 2, 4), (2, 2, 5)):
+        gf = field_of_order(q)
+        indices = multi_indices(k, n)
+        for m in range(4, len(indices) + 1):
+            for subset in itertools.combinations(indices, m):
+                spanning = [MultiVector.basis(gf, k, n, idx) for idx in subset]
+                inside, ell = section_cardinality(gf, k, n, spanning), m - 1
+                if inside == (q ** (ell + 1) - 1) // (q - 1):
+                    continue  # the section lies inside the Grassmannian
+                _require(inside <= _section_bound(q, ell), f"{(q, k, n)} {subset}")
+    rng = random.Random(99)
+    for q, k, n in ((2, 2, 4), (2, 2, 5), (2, 3, 6)):
+        gf = field_of_order(q)
+        for _ in range(500):
+            ell = rng.randrange(3, 5)
+            inside = section_cardinality(gf, k, n, _random_primal_section(gf, k, n, ell, rng))
+            if inside != (q ** (ell + 1) - 1) // (q - 1):
+                _require(inside <= _section_bound(q, ell), f"{(q, k, n, ell)}: {inside}")
+    delta, coords = 4, multi_indices(2, 4)
+    for q in (2, 3, 4):
+        gf = field_of_order(q)
+        for r, extra in ((2, 1), (3, 2)):
+            minimal = sum(q ** (delta - i) for i in range(r))
+            predicted = q**delta + q ** (delta - 1) + extra * q ** (delta - 2)
+            for subset in itertools.combinations(coords, r):
+                norm = section_norm(coordinate_section(gf, 2, 4, subset))
+                if coordinate_ann_in_grassmannian(subset):
+                    _require(norm == minimal, f"q={q} {subset}: {norm}")
+                else:
+                    _require(abs(norm - predicted) <= 4 * q ** (delta - 3),
+                             f"q={q} {subset}: {norm}")
+    return "coordinate sections of (2,4,2), (2,5,2); 1500 random; codim 2, 3 of (2,4)"
+
+
+@check("sections", "structured-counts",
+       "the two maximal-subspace families count C(n,k-1)C(n-k+1,r) and "
+       "C(n,k+1)C(k+1,r)")
+def _structured_counts():
+    c1, c2 = structured_counts(2, 5)
+    got = (c1[3], c2[3])
+    _require(got == (20, 10), f"(2,5) r=3: {got}")
+    return f"(2,5) r=3: {got}"
+
+
+@check("asymptotics", "criterion-01-a2-golden-table",
+       "the quadratic coefficients of the k=3 family, and the k=1,2 "
+       "polynomial families agree with the general formula", budget_s=1)
+def _a2_golden_table():
+    golden = {(3, 6): 152, (3, 7): 506, (3, 8): 1360, (3, 9): 3158}
+    got = {kn: params(*kn).a2 for kn in golden}
+    _require(got == golden, f"{got}")
+    for k, n in itertools.product((1, 2), range(3, 13)):
+        _require(params(k, n).a2 == a2_closed_form(k, n), f"(k,n) = {(k, n)}")
+    return f"{got}"
+
+
+@check("asymptotics", "criterion-02-arc-expansion-coefficients",
+       "the arc-count expansions carry (110, 5561) and (62, 1710)", budget_s=1)
+def _arc_coefficients():
+    p310, p48 = params(3, 10), params(4, 8)
+    got = (p310.b1, p310.b2, p48.b1, p48.b2)
+    _require(got == (110, 5561, 62, 1710), f"got {got}")
+    return f"(3,10): {got[:2]}; (4,8): {got[2:]}"
+
+
+@check("asymptotics", "a2-duality",
+       "the quadratic coefficient is symmetric under k -> n-k")
+def _a2_duality():
+    for n in range(2, 13):
+        for k in range(1, n):
+            _require(params(k, n).a2 == params(n - k, n).a2, f"(k,n) = {(k, n)}")
+    return "n <= 12"
+
+
+@check("asymptotics", "arc-series",
+       "long division by (q-1)^(n-1) reproduces the arc coefficients")
+def _arc_series():
+    for k, n in ((3, 10), (4, 8), (2, 6)):
+        p = params(k, n)
+        _require(arc_series_top3(k, n) == (1, -p.b1, p.b2), f"(k,n) = {(k, n)}")
+    return "(3,10), (4,8), (2,6)"
+
+
+@check("asymptotics", "criterion-10-convergence-sweeps",
+       "residual sweeps stay bounded: (3,6) brute force, (2,5) oracle to q=64",
+       budget_s=1800)
+def _convergence_sweeps():
+    rep36 = convergence(3, 6, [2, 3, 4, 5, 7, 8, 9], threads=8)
+    for row in rep36.rows:
+        _require(row.predicted == row.q**9 - 19 * row.q**8 + 152 * row.q**7
+                 and row.normalized == Fraction(row.residual, row.q**6),
+                 f"(3,6) q={row.q}")
+    _require(rep36.bounded, f"(3,6): {rep36}")
+    rep25 = convergence(2, 5, [q for q in range(2, 65) if _is_prime_power(q)])
+    _require(rep25.bounded, f"(2,5): {rep25}")
+    return (f"max |residual|/q^(delta-3): (3,6) {rep36.max_normalized}, "
+            f"(2,5) {rep25.max_normalized}")
+
+
+@check("census", "criterion-03-census-cross-oracle",
+       "the matrix scan, the Grassmannian filter and the closed forms agree",
+       budget_s=120)
+def _census_cross_oracle():
+    for q in (2, 3, 4):
+        gf = field_of_order(q)
+        for n in range(1, 7):
+            for k in range(1, min(3, n) + 1):
+                a = count_mds_matrix_scan(k, n, gf).gamma
+                b = count_mds_grassmannian_filter(k, n, gf).gamma
+                _require(a == b, f"{(k, n, q)}: scan {a}, filter {b}")
+    # closed forms for the k = 1 and k = 2 families.  The spec's printed
+    # k=2 formula C(q+1,n)(q-1)^(n-1) is wrong at q >= 4 (it contradicts
+    # both independent enumerations and the quadratic coefficient table);
+    # the classical count (q-1)^(n-1)(q-2)...(q-n+2) is used instead.
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        gf = field_of_order(q)
+        for n in range(1, 7):
+            got = count_mds_matrix_scan(1, n, gf).gamma
+            _require(got == (q - 1) ** (n - 1), f"(1, {n}, {q}): {got}")
+        for n in range(2, 7):
+            got = count_mds_matrix_scan(2, n, gf).gamma
+            _require(got == gamma_closed_form(2, n, q), f"(2, {n}, {q}): {got}")
+    return "scan = filter for k <= 3, n <= 6, q <= 4; closed forms k = 1, 2 to q = 9"
+
+
+@check("census", "criterion-11-worker-count-determinism",
+       "scan, filter and sweep results are identical at 1, 4 and 8 workers",
+       budget_s=900)
+def _worker_count_determinism():
+    gf3, gf9 = make_field(3, 1), make_field(3, 2)
+    runs = {
+        "scan-3-6-3": lambda t: count_mds_matrix_scan(3, 6, gf3, threads=t).gamma,
+        "scan-3-6-9": lambda t: count_mds_matrix_scan(3, 6, gf9, threads=t).gamma,
+        "filter-2-5-3": lambda t: count_mds_grassmannian_filter(2, 5, gf3, threads=t).gamma,
+        "sweep-3-6": lambda t: convergence(3, 6, [2, 3, 4], threads=t),
+    }
+    for label, run in runs.items():
+        base = run(1)
+        for threads in (4, 8):
+            _require(run(threads) == base, f"{label} at {threads} workers")
+    return ", ".join(runs)
+
+
+SUITES = tuple(dict.fromkeys(c.suite for c in REGISTRY))

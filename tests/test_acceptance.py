@@ -1,293 +1,20 @@
-"""Acceptance suite: one test per release criterion, each printing a
-pass/fail line with its elapsed time.  Run with `pytest tests/test_acceptance.py -v -s`.
+"""Acceptance suite: one test per entry of the check registry behind
+`mds verify`, each printing its verdict, time and budget.  Run with
+`pytest tests/test_acceptance.py -v -s`.
 """
 
-import itertools
-import random
-import time
-from fractions import Fraction
-
-from mdscensus.asymptotics import a2_closed_form, convergence, params
-from mdscensus.census import (
-    count_mds_grassmannian_filter,
-    count_mds_matrix_scan,
-    gamma_closed_form,
-)
-from mdscensus.exterior import (
-    DualForm,
-    MultiVector,
-    form_weight,
-    interior_mult,
-    multi_indices,
-    satisfies_plucker,
-)
-from mdscensus.fields import field_of_order, make_field
-from mdscensus.grassmann_code import build_code, higher_weight_search, weight_spectrum
-from mdscensus.linalg import MatrixGF, gaussian_binomial, rank
-from mdscensus.sections import (
-    coordinate_ann_in_grassmannian,
-    coordinate_section,
-    inclusion_exclusion,
-    section_cardinality,
-    section_norm,
-)
+from mdscensus.verify import REGISTRY, run_check
 
 
-def _report(number, budget_s, description):
-    """Context manager printing the criterion verdict line."""
+def _registry_test(entry):
+    def test():
+        result = run_check(entry)
+        print(result.line())
+        assert result.passed, result.line()
 
-    class _Ctx:
-        def __enter__(self):
-            self.start = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            elapsed = time.perf_counter() - self.start
-            verdict = "PASS" if exc_type is None else "FAIL"
-            print(f"criterion-{number:02d} {verdict} ({elapsed:.1f}s / "
-                  f"budget {budget_s}s): {description}")
-            if exc_type is None:
-                assert elapsed < budget_s, (
-                    f"criterion {number} exceeded its {budget_s}s budget "
-                    f"({elapsed:.1f}s)"
-                )
-            return False
-
-    return _Ctx()
+    return test
 
 
-def test_criterion_01_a2_golden_table():
-    with _report(1, 1.0, "a2 golden values and k=1,2 closed forms"):
-        golden = {(3, 6): 152, (3, 7): 506, (3, 8): 1360, (3, 9): 3158}
-        for (k, n), want in golden.items():
-            assert params(k, n).a2 == want
-        for n in range(3, 13):
-            assert params(1, n).a2 == a2_closed_form(1, n)
-            assert params(2, n).a2 == a2_closed_form(2, n)
-
-
-def test_criterion_02_arc_expansion_coefficients():
-    with _report(2, 1.0, "arc-count coefficients (110, 5561) and (62, 1710)"):
-        p = params(3, 10)
-        assert (p.b1, p.b2) == (110, 5561)
-        p = params(4, 8)
-        assert (p.b1, p.b2) == (62, 1710)
-
-
-def test_criterion_03_census_cross_oracle():
-    with _report(3, 120.0, "matrix scan vs Grassmannian filter vs closed forms"):
-        for q in (2, 3, 4):
-            gf = field_of_order(q)
-            for n in range(1, 7):
-                for k in range(1, min(3, n) + 1):
-                    a = count_mds_matrix_scan(k, n, gf).gamma
-                    b = count_mds_grassmannian_filter(k, n, gf).gamma
-                    assert a == b, (k, n, q)
-        # closed forms for the k = 1 and k = 2 families.  The spec's printed
-        # k=2 formula C(q+1,n)(q-1)^(n-1) is wrong at q >= 4 (it contradicts
-        # both independent enumerations and the quadratic coefficient table);
-        # the classical count (q-1)^(n-1)(q-2)...(q-n+2) is used instead.
-        for q in (2, 3, 4, 5, 7, 8, 9):
-            gf = field_of_order(q)
-            for n in range(1, 7):
-                scan = count_mds_matrix_scan(1, n, gf).gamma
-                assert scan == (q - 1) ** (n - 1)
-            for n in range(2, 7):
-                scan = count_mds_matrix_scan(2, n, gf).gamma
-                assert scan == gamma_closed_form(2, n, q), (n, q)
-
-
-def test_criterion_04_inclusion_exclusion_reconstruction():
-    with _report(4, 60.0, "inclusion-exclusion reassembles the census"):
-        for q in (2, 3):
-            gf = field_of_order(q)
-            rep = inclusion_exclusion(2, 4, gf)
-            assert rep.gamma_reconstructed == count_mds_matrix_scan(2, 4, gf).gamma
-        gf = make_field(2, 1)
-        rep = inclusion_exclusion(2, 5, gf)
-        assert rep.gamma_reconstructed == count_mds_matrix_scan(2, 5, gf).gamma
-
-
-def test_criterion_05_weight_spectra_and_minimum_words():
-    with _report(5, 60.0, "spectra of the (2,4) and (2,5) codes over GF(2)"):
-        gf = make_field(2, 1)
-        code4 = build_code(2, 4, gf)
-        assert weight_spectrum(code4) == {16: 35, 20: 28}
-        code5 = build_code(2, 5, gf)
-        spec5 = weight_spectrum(code5)
-        assert set(spec5) == {64, 80}
-        # minimum-weight codewords are exactly the decomposable forms
-        for n, code, minimum in ((4, code4, 16), (5, code5, 64)):
-            width = len(multi_indices(2, n))
-            from mdscensus.grassmann_code import _batched_weights
-
-            coeff_rows = [
-                c for c in itertools.product(range(2), repeat=width) if any(c)
-            ]
-            weights = _batched_weights(code, coeff_rows)
-            for coeffs, w in zip(coeff_rows, weights):
-                omega = DualForm(gf, 2, n, coeffs)
-                assert (w == minimum) == satisfies_plucker(omega)
-
-
-def test_criterion_06_second_weight_exhaustive():
-    with _report(6, 60.0, "second generalized weight by exhaustive line search"):
-        gf = make_field(2, 1)
-        code = build_code(2, 4, gf)
-        assert gaussian_binomial(2, 6, 2) == 651  # the number of searched lines
-        assert higher_weight_search(code, 2, mode="exhaustive") == 24
-
-
-def test_criterion_07_weight_recursion_agreement():
-    with _report(7, 120.0, "direct and recursive weights on 200 random forms"):
-        rng = random.Random(20240808)
-        for q, k, n in ((3, 2, 4), (2, 2, 5), (2, 3, 6)):
-            gf = field_of_order(q)
-            width = len(multi_indices(k, n))
-            for _ in range(200):
-                while True:
-                    coeffs = tuple(rng.randrange(q) for _ in range(width))
-                    if any(coeffs):
-                        break
-                omega = DualForm(gf, k, n, coeffs)
-                assert form_weight(omega, "direct") == form_weight(omega, "recursive")
-
-
-def test_criterion_08_contraction_decomposability_exhaustive():
-    with _report(8, 60.0, "decomposability vs contractions over all 1023 forms"):
-        gf = make_field(2, 1)
-        width = len(multi_indices(3, 5))
-        assert width == 10
-        vectors = [
-            v for v in itertools.product(range(2), repeat=5) if any(v)
-        ]
-        xis = [
-            MultiVector.from_terms(
-                gf, 1, 5, [((i + 1,), c) for i, c in enumerate(v) if c]
-            )
-            for v in vectors
-        ]
-        checked = 0
-        for coeffs in itertools.product(range(2), repeat=width):
-            if not any(coeffs):
-                continue
-            omega = DualForm(gf, 3, 5, coeffs)
-            contractions_ok = True
-            for xi in xis:
-                down = interior_mult(xi, omega)
-                if not down.is_zero() and not satisfies_plucker(down):
-                    contractions_ok = False
-                    break
-            assert satisfies_plucker(omega) == contractions_ok
-            checked += 1
-        assert checked == 1023
-
-
-def _random_primal_section(gf, k, n, dim, rng):
-    width = len(multi_indices(k, n))
-    while True:
-        spanning = []
-        for _ in range(dim + 1):
-            while True:
-                coeffs = tuple(rng.randrange(gf.q) for _ in range(width))
-                if any(coeffs):
-                    break
-            spanning.append(MultiVector(gf, k, n, coeffs))
-        got = rank(MatrixGF.from_rows(gf, [list(v.coeffs) for v in spanning]))
-        if got == dim + 1:
-            return spanning
-
-
-def test_criterion_09_section_bounds():
-    with _report(9, 300.0, "section cardinality bound and codim-r residuals"):
-        # bound 1 + q + 2q^2 + q^3 + ... + q^(ell-1) for sections of
-        # projective dimension >= 3 not inside the Grassmannian
-        for q, k, n in ((2, 2, 4), (2, 2, 5)):
-            gf = field_of_order(q)
-            indices = multi_indices(k, n)
-            for m in range(4, len(indices) + 1):
-                for subset in itertools.combinations(indices, m):
-                    spanning = [MultiVector.basis(gf, k, n, idx) for idx in subset]
-                    ell = m - 1
-                    inside = section_cardinality(gf, k, n, spanning)
-                    total = (q ** (ell + 1) - 1) // (q - 1)
-                    if inside == total:
-                        continue  # the section lies inside the Grassmannian
-                    bound = 1 + q + 2 * q**2 + sum(q**j for j in range(3, ell))
-                    assert inside <= bound, (q, k, n, subset)
-        rng = random.Random(99)
-        for q, k, n in ((2, 2, 4), (2, 2, 5), (2, 3, 6)):
-            gf = field_of_order(q)
-            for _ in range(500):
-                ell = rng.randrange(3, 5)
-                spanning = _random_primal_section(gf, k, n, ell, rng)
-                inside = section_cardinality(gf, k, n, spanning)
-                total = (q ** (ell + 1) - 1) // (q - 1)
-                if inside == total:
-                    continue
-                bound = 1 + q + 2 * q**2 + sum(q**j for j in range(3, ell))
-                assert inside <= bound, (q, k, n, ell, inside)
-        # three-branch check of the codimension-r norms at (2,4)
-        for q in (2, 3, 4):
-            gf = field_of_order(q)
-            delta = 4
-            coords = multi_indices(2, 4)
-            for r, extra in ((2, 1), (3, 2)):
-                minimal = sum(q ** (delta - i) for i in range(r))
-                predicted = q**delta + q ** (delta - 1) + extra * q ** (delta - 2)
-                for subset in itertools.combinations(coords, r):
-                    norm = section_norm(coordinate_section(gf, 2, 4, subset))
-                    if coordinate_ann_in_grassmannian(subset):
-                        assert norm == minimal, (q, r, subset)
-                    else:
-                        assert abs(norm - predicted) <= 4 * q ** (delta - 3), (
-                            q, r, subset, norm,
-                        )
-
-
-def test_criterion_10_convergence_sweeps():
-    with _report(10, 1800.0, "residual sweeps stay bounded: (3,6) brute force, "
-                             "(2,5) oracle to q=64"):
-        rep36 = convergence(3, 6, [2, 3, 4, 5, 7, 8, 9], threads=8)
-        for row in rep36.rows:
-            assert row.predicted == row.q**9 - 19 * row.q**8 + 152 * row.q**7
-            assert row.normalized == Fraction(row.residual, row.q**6)
-        assert rep36.bounded, rep36
-        qs = [q for q in range(2, 65) if _is_prime_power(q)]
-        rep25 = convergence(2, 5, qs)
-        assert rep25.bounded, rep25
-        print(f"  (3,6) gammas: {[(r.q, r.gamma_exact) for r in rep36.rows]}")
-
-
-def test_criterion_11_worker_count_determinism():
-    with _report(11, 900.0, "identical results at 1, 4 and 8 workers"):
-        gf3 = make_field(3, 1)
-        gf9 = make_field(3, 2)
-        baselines = {
-            "scan-3-6-3": count_mds_matrix_scan(3, 6, gf3, threads=1).gamma,
-            "scan-3-6-9": count_mds_matrix_scan(3, 6, gf9, threads=1).gamma,
-            "filter-2-5-3": count_mds_grassmannian_filter(2, 5, gf3, threads=1).gamma,
-        }
-        for threads in (4, 8):
-            assert count_mds_matrix_scan(3, 6, gf3, threads=threads).gamma \
-                == baselines["scan-3-6-3"]
-            assert count_mds_matrix_scan(3, 6, gf9, threads=threads).gamma \
-                == baselines["scan-3-6-9"]
-            assert count_mds_grassmannian_filter(2, 5, gf3, threads=threads).gamma \
-                == baselines["filter-2-5-3"]
-        base = convergence(3, 6, [2, 3, 4], threads=1)
-        for threads in (4, 8):
-            rep = convergence(3, 6, [2, 3, 4], threads=threads)
-            assert rep.rows == base.rows
-            assert rep.bounded == base.bounded
-
-
-def _is_prime_power(q):
-    from mdscensus.errors import NonPrimePower
-    from mdscensus.fields import factor_prime_power
-
-    try:
-        factor_prime_power(q)
-        return True
-    except NonPrimePower:
-        return False
+# entry `criterion-01-a2-golden-table` runs as test_criterion_01_a2_golden_table
+for _entry in REGISTRY:
+    globals()["test_" + _entry.name.replace("-", "_")] = _registry_test(_entry)

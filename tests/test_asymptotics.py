@@ -6,7 +6,6 @@ from mdscensus.asymptotics import (
     a2_closed_form,
     arc_series_top3,
     convergence,
-    expansion_coefficients,
     params,
     predicted_gamma,
 )
@@ -78,10 +77,9 @@ def test_k1_truncation_matches_binomial_coefficients():
     # the three-term truncation of the k = 1 family agrees with the leading
     # binomial coefficients of (q-1)^(n-1)
     for n in range(3, 10):
-        one, lin, quad = expansion_coefficients(1, n)
-        assert one == 1
-        assert lin == -_binom(n - 1, 1)
-        assert quad == _binom(n - 1, 2)
+        p = params(1, n)
+        assert 1 - p.big_n == -_binom(n - 1, 1)
+        assert p.a2 == _binom(n - 1, 2)
 
 
 def test_params_out_of_range():

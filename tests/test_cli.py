@@ -1,8 +1,12 @@
 import json
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from mdscensus import cli, verify
 from mdscensus.cli import main
+from mdscensus.errors import OutOfRange
 
 
 def run_cli(capsys, *argv):
@@ -160,10 +164,10 @@ def test_verify_quick_fields(capsys):
 
 
 def test_verify_rejects_unread_options(capsys):
-    # verify prints its own report: it has no --format, --seed, --output or
-    # --budget to ignore
+    # verify prints its own report and each entry sets its own worker count:
+    # it has no --format, --seed, --output, --budget or --threads to ignore
     for option in (["--format", "csv"], ["--seed", "3"], ["--output", "x.json"],
-                   ["--budget", "10"]):
+                   ["--budget", "10"], ["--threads", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "fields", *option])
         assert exc.value.code == 2
@@ -221,5 +225,61 @@ def test_threads_below_one_rejected(capsys):
         )
         assert code == 1
         assert out == "" and "--threads must be at least 1" in err
-    code, _, err = run_cli(capsys, "verify", "--threads", "0")
-    assert code == 1 and "--threads" in err
+
+
+def test_verify_reports_failing_entries_and_runs_the_rest(monkeypatch, capsys):
+    def claim_fails():
+        verify._require(False, "planted failure")
+
+    def library_raises():
+        raise OutOfRange("planted error")
+
+    planted = [
+        verify.Check("fields", "planted-claim", "a claim that does not hold",
+                     "quick", claim_fails),
+        verify.Check("fields", "planted-error", "a check whose library call "
+                     "raises", "quick", library_raises),
+    ]
+    monkeypatch.setattr(verify, "REGISTRY", [planted[0], *verify.REGISTRY, planted[1]])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fields")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("[FAIL] fields/planted-claim (")
+    assert lines[0].endswith("[planted failure]")
+    assert lines[-2].startswith("[FAIL] fields/planted-error (")
+    assert lines[-2].endswith("[OutOfRange: planted error]")
+    assert sum(line.startswith("[PASS] fields/") for line in lines) == 11
+    assert lines[-1] == "FAILED: 11/13 checks passed"
+
+
+def test_run_check_fails_an_entry_past_its_budget():
+    slow = verify.Check("fields", "slow", "a claim that holds slowly", "quick",
+                        lambda: time.sleep(0.01) or "held", 0.001)
+    result = verify.run_check(slow)
+    assert not result.passed
+    assert result.detail == "exceeded its 0.001s budget; held"
+    assert result.line().startswith("[FAIL] fields/slow (")
+    assert "s / budget 0.001s): a claim that holds slowly" in result.line()
+
+
+def test_verify_suite_choices_match_registry():
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    suite = next(a for a in subcommands["verify"]._actions if a.dest == "suite")
+    assert set(suite.choices) == {*verify.SUITES, "all"}
+    assert len({c.name for c in verify.REGISTRY}) == len(verify.REGISTRY)
+
+
+@pytest.mark.parametrize("raised, code, message", [
+    (BrokenProcessPool("boom"), 3, "error: a worker process died"),
+    (KeyboardInterrupt(), 130, "interrupted"),
+])
+def test_worker_death_and_interrupt_exit_codes(monkeypatch, capsys, raised, code,
+                                               message):
+    def handler(config):
+        raise raised
+
+    monkeypatch.setitem(cli._HANDLERS, "count", handler)
+    got, out, err = run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3")
+    assert got == code
+    assert out == "" and err == message + "\n"

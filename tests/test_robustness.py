@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mdscensus
-from mdscensus import _vecgf
+from mdscensus import _vecgf, verify
 from mdscensus.budget import DEFAULT_BUDGET, effective_budget
 from mdscensus.cli import main
 from mdscensus.errors import OutOfRange
@@ -40,19 +40,38 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_count_under_optimize_flag():
+def _run_python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "mdscensus.cli", "count",
-         "--k", "3", "--n", "6", "--q", "5", "--method", "both"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_count_under_optimize_flag():
+    proc = _run_python("-O", "-m", "mdscensus.cli", "count", "--k", "3", "--n", "6",
+                       "--q", "5", "--method", "both")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert (payload["gamma"], payload["gamma_tilde"]) == ("6144", "6")
+
+
+def test_verify_under_optimize_flag():
+    # the registry fails through CheckFailed, so -O runs every check
+    proc = _run_python("-O", "-m", "mdscensus.cli", "verify", "--scale", "quick")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    total = len(verify.select("all", "quick"))
+    assert proc.stdout.splitlines()[-1] == f"OK: {total}/{total} checks passed"
+    assert proc.stdout.count("[PASS] ") == total
+
+
+def test_cli_imports_the_registry_lazily():
+    # only the verify command imports the registry, so no other command
+    # pays for its imports
+    proc = _run_python("-c", "import sys, mdscensus.cli; "
+                       "print('mdscensus.verify' in sys.modules)")
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_budget_validation(monkeypatch):
