@@ -18,13 +18,7 @@ from . import _vecgf
 from .budget import check_budget
 from .errors import OutOfRange, RankDeficient, ShapeMismatch
 from .exterior import DualForm
-from .linalg import (
-    MatrixGF,
-    _binom,
-    enumerate_grassmannian,
-    gaussian_binomial,
-    rank,
-)
+from .linalg import _binom, enumerate_grassmannian, gaussian_binomial
 
 
 @dataclass(frozen=True)
@@ -34,22 +28,32 @@ class GrassmannCode:
     n: int
     length: int     # number of Grassmann points
     dimension: int  # number of Plucker coordinates
-    generator: MatrixGF  # dimension x length
+    generator: np.ndarray  # dimension x length, read-only
 
 
-SPECTRUM_BLOCK = 2**16  # max entries of the combined block of exhaustive spectra
+# max entries (q > 2) or 64-bit words (q = 2) of the combined block of
+# exhaustive spectra
+SPECTRUM_BLOCK = 2**16
 
 
 def build_code(k, n, gf, budget=None):
     """Generator matrix whose column j is the Plucker vector of the j-th
-    enumerated point, read from _vecgf.plucker_blocks."""
+    enumerated point, read from _vecgf.plucker_blocks: the cached matrix
+    within the cap, else its blocks joined; read-only either way.
+
+    Full row rank is certified exactly: the coordinate point e_I has the
+    unit Plucker vector at I, so every row must own a column that is
+    nonzero in that row alone.  A generator that passes has the identity
+    among its columns up to scaling; a rank-deficient one never passes."""
     length = gaussian_binomial(k, n, gf.q)
     dimension = _binom(n, k)
     check_budget(length * dimension, budget, f"code build at (k={k}, n={n}, q={gf.q})")
-    blocks = _vecgf.plucker_blocks(gf, k, n)
-    data = np.concatenate(list(blocks), axis=1).ravel().tolist()
-    generator = MatrixGF(gf, dimension, length, data)
-    if rank(generator) != dimension:
+    blocks = list(_vecgf.plucker_blocks(gf, k, n))
+    generator = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    generator.flags.writeable = False
+    nonzero = generator != 0
+    lone = nonzero[:, np.count_nonzero(nonzero, axis=0) == 1]
+    if not lone.any(axis=1).all():
         raise RankDeficient("the Plucker embedding generator lost row rank")
     return GrassmannCode(gf=gf, k=k, n=n, length=length, dimension=dimension,
                          generator=generator)
@@ -66,43 +70,28 @@ def codeword_weight(code, omega):
     if omega.gf != code.gf or (omega.k, omega.n) != (code.k, code.n):
         raise ShapeMismatch("form does not match the code parameters")
     gf = code.gf
-    gen = code.generator
     support = [
-        (i, c) for i, c in enumerate(omega.coeffs) if c
+        (c, code.generator[i].tolist()) for i, c in enumerate(omega.coeffs) if c
     ]
     if not support:
         return 0
     weight = 0
     for j in range(code.length):
         acc = 0
-        for i, c in support:
-            acc = gf.add(acc, gf.mul(c, gen.entry(i, j)))
+        for c, row in support:
+            acc = gf.add(acc, gf.mul(c, row[j]))
         if acc:
             weight += 1
     return weight
 
 
-def _generator_array(code, dtype):
-    return np.array(code.generator.data, dtype=dtype).reshape(
-        code.dimension, code.length)
-
-
 def _batched_weights(code, coeff_rows):
     """Weights of many codewords at once via the vectorized backend."""
-    gf = code.gf
-    ops = _vecgf.vector_ops(gf)
-    gen = _generator_array(code, ops.dtype)
-    out = []
-    for coeffs in coeff_rows:
-        acc = np.zeros(code.length, dtype=ops.dtype)
-        for i, c in enumerate(coeffs):
-            if c:
-                acc = ops.add(acc, ops.mul(int(c), gen[i]))
-        out.append(int(np.count_nonzero(acc)))
-    return out
+    return [int(np.count_nonzero(_vecgf.form_values(code.gf, coeffs, code.generator)))
+            for coeffs in coeff_rows]
 
 
-def _exhaustive_histogram(ops, gen, q):
+def _block_histogram(ops, gen, q):
     """Number of codewords of each weight, the zero word included, over all
     q^dimension coefficient vectors.  The last t generator rows are combined
     once into a block of at most SPECTRUM_BLOCK entries; the prefix words
@@ -132,21 +121,51 @@ def _exhaustive_histogram(ops, gen, q):
     return hist
 
 
+def _packed_histogram(gen):
+    """The GF(2) case of _block_histogram on bit-packed rows: each row is
+    packed into 64-bit words (zero padding bits weigh nothing), the last t
+    rows are combined once into a block of at most SPECTRUM_BLOCK words,
+    and the prefix words over the other rows are walked in Gray-code order,
+    one XOR per word; weights are popcounts."""
+    dimension, length = gen.shape
+    width = -(-length // 64)
+    bits = np.zeros((dimension, 64 * width), dtype=bool)
+    bits[:, :length] = gen != 0
+    rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    t = 0
+    while t < dimension and 2 ** (t + 1) * width <= SPECTRUM_BLOCK:
+        t += 1
+    block = np.zeros((1, width), dtype=np.uint64)
+    for row in rows[dimension - t:]:
+        block = np.concatenate([block, block ^ row])
+    hist = np.zeros(length + 1, dtype=np.int64)
+    word = np.zeros(width, dtype=np.uint64)
+    for i in range(2 ** (dimension - t)):
+        if i:
+            word ^= rows[(i & -i).bit_length() - 1]  # the bit that flips
+        weights = np.bitwise_count(block ^ word).sum(axis=1)
+        hist += np.bincount(weights, minlength=length + 1)
+    return hist
+
+
 def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=None):
     """Weight -> multiplicity over nonzero codewords.
 
-    exhaustive walks all q^dimension - 1 codewords in blocks (see
-    _exhaustive_histogram); sample draws sample_count coefficient vectors
-    from a seeded Mersenne Twister (random.Random(seed)), rejecting the zero
-    vector, so sampled spectra are reproducible bit for bit.
+    exhaustive walks all q^dimension - 1 codewords in blocks, bit-packed
+    at q = 2 (see _block_histogram and _packed_histogram); sample draws
+    sample_count coefficient vectors from a seeded Mersenne Twister
+    (random.Random(seed)), rejecting the zero vector, so sampled spectra
+    are reproducible bit for bit.
     """
     gf = code.gf
     q = gf.q
     if mode == "exhaustive":
         n_words = q**code.dimension
         check_budget(n_words, budget, "exhaustive codeword sweep")
-        ops = _vecgf.vector_ops(gf)
-        hist = _exhaustive_histogram(ops, _generator_array(code, ops.dtype), q)
+        if q == 2:
+            hist = _packed_histogram(code.generator)
+        else:
+            hist = _block_histogram(_vecgf.vector_ops(gf), code.generator, q)
         hist[0] -= 1  # the zero word
         return {w: m for w, m in enumerate(hist.tolist()) if m}
     if mode == "sample":
@@ -187,24 +206,10 @@ def standard_two_form(gf, n, r):
 def subcode_weight(code, forms):
     """Support size of the subcode spanned by the given forms: columns where
     at least one spanning form evaluates nonzero."""
-    gf = code.gf
-    gen = code.generator
-    weight = 0
-    supports = [
-        [(i, c) for i, c in enumerate(f.coeffs) if c] for f in forms
-    ]
-    for j in range(code.length):
-        hit = False
-        for support in supports:
-            acc = 0
-            for i, c in support:
-                acc = gf.add(acc, gf.mul(c, gen.entry(i, j)))
-            if acc:
-                hit = True
-                break
-        if hit:
-            weight += 1
-    return weight
+    hit = np.zeros(code.length, dtype=bool)
+    for f in forms:
+        hit |= _vecgf.form_values(code.gf, f.coeffs, code.generator) != 0
+    return int(np.count_nonzero(hit))
 
 
 def higher_weight_search(code, r, mode="exhaustive", budget=None):

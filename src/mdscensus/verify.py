@@ -515,13 +515,17 @@ def _census_cross_oracle():
 
 @check("census", "criterion-11-worker-count-determinism",
        "scan, filter and sweep results are identical at 1, 4 and 8 workers",
-       budget_s=900)
+       "full", 900)
 def _worker_count_determinism():
-    gf3, gf9 = make_field(3, 1), make_field(3, 2)
+    gf3, gf9, gf11 = make_field(3, 1), make_field(3, 2), make_field(11, 1)
+    # the 11-shapes walk 9^6 and 10^6 candidates, past one block of
+    # census.SUFFIX_CAP, so their runs at 4 and 8 workers start a pool
     runs = {
         "scan-3-6-3": lambda t: count_mds_matrix_scan(3, 6, gf3, threads=t).gamma,
         "scan-3-6-9": lambda t: count_mds_matrix_scan(3, 6, gf9, threads=t).gamma,
+        "scan-3-7-11": lambda t: count_mds_matrix_scan(3, 7, gf11, threads=t).gamma,
         "filter-2-5-3": lambda t: count_mds_grassmannian_filter(2, 5, gf3, threads=t).gamma,
+        "filter-2-5-11": lambda t: count_mds_grassmannian_filter(2, 5, gf11, threads=t).gamma,
         "sweep-3-6": lambda t: convergence(3, 6, [2, 3, 4], threads=t),
     }
     for label, run in runs.items():

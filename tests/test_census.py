@@ -1,11 +1,12 @@
 import itertools
 import math
-from concurrent.futures import Future
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from mdscensus import _vecgf, census
+from mdscensus import _vecgf, census, verify
 from mdscensus.census import (
     arc_count,
     count_mds,
@@ -226,6 +227,31 @@ def test_pool_never_exceeds_cpu_count(monkeypatch):
     monkeypatch.setattr(census.os, "cpu_count", lambda: None)
     assert count_mds_matrix_scan(3, 7, scan_gf, threads=2).worker_count == 1
     assert InlinePool.started == [2]
+
+
+class CountingPool(ProcessPoolExecutor):
+    """A real process pool that counts its starts."""
+
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        CountingPool.started += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_worker_count_criterion_starts_a_pool(monkeypatch):
+    # the "identical at 1, 4 and 8 workers" claim compares pooled runs with
+    # serial ones only if some shape of the check is past one block
+    monkeypatch.setattr(census, "ProcessPoolExecutor", CountingPool)
+    CountingPool.started = 0
+    [entry] = [c for c in verify.REGISTRY
+               if c.name == "criterion-11-worker-count-determinism"]
+    result = verify.run_check(entry)
+    assert result.passed, result.line()
+    if (os.cpu_count() or 1) >= 2:
+        assert CountingPool.started >= 1
+    else:
+        assert CountingPool.started == 0
 
 
 def test_only_the_big_cell_survives():

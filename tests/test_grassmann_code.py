@@ -3,9 +3,11 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from mdscensus.errors import OutOfRange, ShapeMismatch
+from mdscensus import _vecgf, grassmann_code
+from mdscensus.errors import OutOfRange, RankDeficient, ShapeMismatch
 from mdscensus.exterior import (
     DualForm,
     form_weight,
@@ -75,7 +77,7 @@ def test_generator_columns_are_plucker_vectors():
     for k, n, q in ((2, 4, 2), (2, 4, 3), (1, 3, 4), (3, 6, 2)):
         gf = field_of_order(q)
         code = build_code(k, n, gf)
-        columns = list(zip(*code.generator.row_list()))
+        columns = [tuple(col) for col in code.generator.T.tolist()]
         assert columns == [
             plucker_embed(pt.matrix).coeffs for pt in enumerate_grassmannian(gf, k, n)
         ]
@@ -92,6 +94,72 @@ def test_exhaustive_spectrum_matches_codeword_weights():
             if any(coeffs)
         )
         assert weight_spectrum(code) == dict(words), (k, n, q)
+
+
+def test_packed_walk_prefix_covers_most_rows(monkeypatch):
+    # 3 words a row at (2,5,2): a block of 6 words combines t = 1 row, so the
+    # Gray-code prefix walks the other 9; length 155 leaves 37 padding bits
+    gf = make_field(2, 1)
+    code = build_code(2, 5, gf)
+    monkeypatch.setattr(grassmann_code, "SPECTRUM_BLOCK", 6)
+    words = Counter(
+        codeword_weight(code, DualForm(gf, 2, 5, coeffs))
+        for coeffs in itertools.product(range(2), repeat=code.dimension)
+        if any(coeffs)
+    )
+    assert sum(words.values()) == 1023
+    assert weight_spectrum(code) == dict(words)
+
+
+def _alternating_rank_count(n, q, r):
+    """Number of alternating n x n matrices over GF(q) of rank 2r:
+    q^(r(r-1)) prod_{i<2r} (q^(n-i) - 1) / prod_{1<=i<=r} (q^(2i) - 1)."""
+    num = q ** (r * (r - 1)) * math.prod(q ** (n - i) - 1 for i in range(2 * r))
+    den = math.prod(q ** (2 * i) - 1 for i in range(1, r + 1))
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (5, 2), (6, 2), (7, 2),
+                                  (4, 3), (5, 3), (4, 4)])
+def test_two_form_spectrum_by_rank_classes(n, q):
+    # the nonzero 2-forms split into GL(n, q)-orbits by rank 2r, each of the
+    # weight of standard_two_form(n, r); at q = 2 the rows take 1, 3, 11
+    # and 42 packed words
+    code = build_code(2, n, field_of_order(q))
+    expected = {two_form_weight_value(n, q, r): _alternating_rank_count(n, q, r)
+                for r in range(1, n // 2 + 1)}
+    assert weight_spectrum(code) == expected
+
+
+def test_rank_deficient_generator_raises(monkeypatch):
+    real = _vecgf.plucker_blocks
+
+    def damaged(row, source):
+        def blocks(gf, k, n):
+            for block in real(gf, k, n):
+                block = block.copy()
+                block[row] = 0 if source is None else block[source]
+                yield block
+        return blocks
+
+    gf = make_field(3, 1)
+    # two zero rows, then row 4 overwritten by a copy of row 1
+    for row, source in ((3, None), (0, None), (4, 1)):
+        monkeypatch.setattr(_vecgf, "plucker_blocks", damaged(row, source))
+        with pytest.raises(RankDeficient):
+            build_code(2, 4, gf)
+
+
+def test_generator_is_read_only(monkeypatch):
+    gf = make_field(2, 1)
+    cached = build_code(2, 5, gf).generator
+    monkeypatch.setattr(_vecgf, "PLUCKER_CACHE_CAP", 320)  # past the cap
+    joined = build_code(2, 5, gf).generator
+    for gen in (cached, joined):
+        assert isinstance(gen, np.ndarray)
+        with pytest.raises(ValueError):
+            gen[0, 0] = 1
 
 
 def _dual_distribution(spectrum, length, q, dimension):

@@ -117,7 +117,8 @@ def _over_cap_values(gf, k, n, forms, sections):
         [section_norm(s, method) for s in sections
          for method in ("point-scan", "annihilator-sum")],
         support_mask_counts(gf, k, n),
-        build_code(k, n, gf),
+        # ndarray fields defeat dataclass equality: compare the arrays
+        build_code(k, n, gf).generator.tolist(),
     )
 
 
