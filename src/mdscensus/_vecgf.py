@@ -21,6 +21,7 @@ from .linalg import _binom, cell_free_positions, gaussian_binomial
 from .exterior import multi_indices
 
 PLUCKER_CACHE_CAP = 2**24  # max entries of the cached matrix and of each block
+BLOCK_BYTES = 2**16        # max bytes of one value array of a walked block
 
 
 class VecOps:
@@ -160,6 +161,23 @@ def digits(value, sizes):
     return out
 
 
+def chunk_values(sizes, offsets, dtype, t, lo=0, hi=None):
+    """Chunks lo..hi-1 (default: all) of the odometer over `sizes`, position
+    i running from offsets[i], cut after its first t positions: each chunk
+    is the odometer reading of its prefix, as Python ints, followed by the
+    suffix grids, built once and shared by every chunk."""
+    suffix = position_arrays(sizes[t:], offsets[t:], dtype)
+    if hi is None:
+        hi = math.prod(sizes[:t])
+    for chunk in range(lo, hi):
+        yield [d + o for d, o in zip(digits(chunk, sizes[:t]), offsets)] + suffix
+
+
+def block_len(dtype):
+    """The values of `dtype` that one array of BLOCK_BYTES holds."""
+    return BLOCK_BYTES // np.dtype(dtype).itemsize
+
+
 def choose_prefix_len(sizes, cap, min_chunks=1):
     """Smallest prefix length t such that the odometer suffix sizes[t:] fits
     `cap` candidates and the prefix sizes[:t] reaches min_chunks chunks (or
@@ -220,27 +238,23 @@ def _cell_entry_plan(pivots, k, n, free_index):
     return entry
 
 
-def _cell_blocks(gf, k, n):
+def _cell_blocks(gf, k, n, width):
     """Column blocks of the Plucker matrix, cell by cell in enumeration
-    order.  A cell wider than PLUCKER_CACHE_CAP // C(n, k) columns is split
-    by fixing its first free entries (the slowest odometer positions), so a
-    block holds at most PLUCKER_CACHE_CAP entries, or one column."""
+    order.  A cell wider than `width` columns is split by fixing its first
+    free entries (the slowest odometer positions), so a block holds at most
+    `width` columns, or one."""
     ops = vector_ops(gf)
-    q = gf.q
     indices = multi_indices(k, n)
-    width = max(1, PLUCKER_CACHE_CAP // len(indices))
     for pivots in itertools.combinations(range(1, n + 1), k):
         free = cell_free_positions(pivots, k, n)
         entry = _cell_entry_plan(pivots, k, n,
                                  {pos: i for i, pos in enumerate(free)})
         plans = [[[entry(r, c - 1) for c in idx] for r in range(k)]
                  for idx in indices]
-        sizes = [q] * len(free)
+        sizes = [gf.q] * len(free)
         t = choose_prefix_len(sizes, width)
-        suffix = position_arrays(sizes[t:], [0] * (len(free) - t), ops.dtype)
-        for chunk in range(q**t):
-            values = digits(chunk, sizes[:t]) + suffix
-            block = np.empty((len(indices), q ** (len(free) - t)), dtype=ops.dtype)
+        for values in chunk_values(sizes, [0] * len(free), ops.dtype, t):
+            block = np.empty((len(indices), math.prod(sizes[t:])), dtype=ops.dtype)
             for row_pos, plan in enumerate(plans):
                 mat = [[values[e[1]] if e[0] == "v" else e[1] for e in row]
                        for row in plan]
@@ -252,20 +266,24 @@ def _cell_blocks(gf, k, n):
 def plucker_matrix(gf, k, n):
     """Matrix whose column j is the Plucker vector of the j-th enumerated
     point of G(k, n), rows in lexicographic multi-index order, for shapes
-    within PLUCKER_CACHE_CAP entries.  The cached array is read-only."""
-    out = np.concatenate(list(_cell_blocks(gf, k, n)), axis=1)
+    within PLUCKER_CACHE_CAP entries, built one block per cell.  The cached
+    array is read-only."""
+    out = np.concatenate(list(_cell_blocks(gf, k, n, math.inf)), axis=1)
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 
 def plucker_blocks(gf, k, n):
     """The one source of Plucker columns: the cached plucker_matrix when it
-    fits PLUCKER_CACHE_CAP, else its columns in the same order as blocks of
-    at most that many entries, built on the fly and not kept."""
-    if gaussian_binomial(k, n, gf.q) * _binom(n, k) <= PLUCKER_CACHE_CAP:
+    fits PLUCKER_CACHE_CAP, else its columns in the same order as blocks
+    built on the fly and not kept, each of at most PLUCKER_CACHE_CAP entries
+    and of at most BLOCK_BYTES a row."""
+    rows = _binom(n, k)
+    if gaussian_binomial(k, n, gf.q) * rows <= PLUCKER_CACHE_CAP:
         yield plucker_matrix(gf, k, n)
     else:
-        yield from _cell_blocks(gf, k, n)
+        yield from _cell_blocks(gf, k, n, min(PLUCKER_CACHE_CAP // rows,
+                                              block_len(vector_ops(gf).dtype)))
 
 
 def form_values(gf, coeffs, mat):

@@ -28,12 +28,16 @@ grassmannian-filter  walks the echelon representatives of G(k, n), cell by
                   skipped.  Only the big cell, pivots 1..k, survives, so the
                   walk is (q-1)^(k(n-k)) points and the count is gamma.
 
-Both kernels run vectorized over candidate blocks; every chunk yields an
-exact integer and the total is an order-independent sum, so results are
-bit-identical for any worker count.  Both share one scheduling rule: work
-that fits one numpy block of SUFFIX_CAP candidates runs serially whatever
-the requested worker count, and a pool never has more workers than
-os.cpu_count().
+Both routes hand the same scheduler a list of walks, each a minor plan
+with the sizes and offsets of its free entries: the scan one walk, the
+filter one per non-empty cell.  Every chunk yields an exact integer and the
+total is an order-independent sum, so results are bit-identical for any
+worker count.  A chunk fixes the first free entries of its walk and
+materializes the rest as value arrays of at most _vecgf.BLOCK_BYTES each.
+A pool starts only when the walks pass POOL_MIN_WORK candidates and more
+than one worker is asked for; it never has more workers than
+os.cpu_count(), each walk is then cut into at least CHUNKS_PER_WORKER
+chunks per worker, and the chunks go out in at most 8 tasks per worker.
 """
 
 import itertools
@@ -49,7 +53,7 @@ from .errors import DivisibilityViolation, OutOfRange
 from .fields import make_field
 from .linalg import cell_free_positions
 
-SUFFIX_CAP = 2**18          # max candidates materialized per numpy block
+POOL_MIN_WORK = 2**18       # candidates the walks must pass to start a pool
 CHUNKS_PER_WORKER = 64
 
 
@@ -108,40 +112,20 @@ def _scan_minor_plan(k, nk):
     return tuple(plan)
 
 
-def _scan_range(p, m, k, n, t, lo, hi):
-    """Normalized MDS matrices among chunks [lo, hi): every free entry runs
-    over 2..q-1, and chunk i fixes the first t of them to its odometer
-    reading."""
-    gf = make_field(p, m)
-    ops = _vecgf.vector_ops(gf)
-    nk = n - k
-    plan = _scan_minor_plan(k, nk)
-    sizes = [gf.q - 2] * _free_entries(k, nk)
-    suffix = _vecgf.position_arrays(sizes[t:], [2] * (len(sizes) - t), ops.dtype)
-    acc = 0
-    for chunk_id in range(lo, hi):
-        prefix = [d + 2 for d in _vecgf.digits(chunk_id, sizes[:t])]
-        acc += _vecgf.count_all_nonzero(ops, prefix + suffix, plan)
-    return acc
-
-
 def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
     """Number of k-subspaces all of whose Plucker coordinates are nonzero,
-    by scanning the torus-normalized matrices [I_k | A].  worker_count
-    reports the workers used (see _worker_count)."""
+    by scanning the torus-normalized matrices [I_k | A], one walk whose
+    free entries run over 2..q-1.  worker_count reports the workers used
+    (see _worker_count)."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
     nk = n - k
     sizes = [q - 2] * _free_entries(k, nk)
-    walk = math.prod(sizes)
-    check_budget(walk, budget, f"matrix scan at (k={k}, n={n}, q={q})")
+    check_budget(math.prod(sizes), budget, f"matrix scan at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
-    workers = _worker_count(threads, walk)
-    min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
-    t = _vecgf.choose_prefix_len(sizes, SUFFIX_CAP, min_chunks)
-    gamma_tilde = _run_ranges(_scan_range, (gf.p, gf.m, k, n, t),
-                              math.prod(sizes[:t]), workers)
+    walk = (_scan_minor_plan(k, nk), sizes, [2] * len(sizes))
+    gamma_tilde, workers = _count_walks(gf, [walk], threads)
     # k = n: the unique [n, n] code, with no column scaling to divide out
     gamma = gamma_tilde if k == n else gamma_tilde * (q - 1) ** (n - 1)
     return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
@@ -184,29 +168,6 @@ def _cell_minor_plans(k, n, pivots):
     return tuple(plans), tuple(nonzero)
 
 
-def _cell_walk(nonzero, q):
-    """Walked sizes and offsets of a cell's free entries: marked entries run
-    over 1..q-1, the others over 0..q-1."""
-    return ([q - 1 if nz else q for nz in nonzero],
-            [1 if nz else 0 for nz in nonzero])
-
-
-def _filter_cell_range(p, m, k, n, pivots, t, lo, hi):
-    """All-nonzero points of a non-empty cell among chunks [lo, hi): chunk
-    i fixes the first t free entries to its odometer reading."""
-    gf = make_field(p, m)
-    ops = _vecgf.vector_ops(gf)
-    plans, nonzero = _cell_minor_plans(k, n, pivots)
-    sizes, offsets = _cell_walk(nonzero, gf.q)
-    suffix = _vecgf.position_arrays(sizes[t:], offsets[t:], ops.dtype)
-    acc = 0
-    for chunk_id in range(lo, hi):
-        prefix = [d + o for d, o in
-                  zip(_vecgf.digits(chunk_id, sizes[:t]), offsets)]
-        acc += _vecgf.count_all_nonzero(ops, prefix + suffix, plans)
-    return acc
-
-
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     """Independent oracle: walk the Grassmann points of every cell that can
     hold an all-nonzero point, entries marked nonzero over F_q^*, and keep
@@ -216,34 +177,16 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
     start = time.perf_counter()
-    tasks = []
-    walk = 0
+    walks = []
     for pivots in itertools.combinations(range(1, n + 1), k):
         plans, nonzero = _cell_minor_plans(k, n, pivots)
-        if plans is None:
-            continue
-        sizes, _ = _cell_walk(nonzero, q)
-        # the floor of CHUNKS_PER_WORKER chunks holds even for a serial
-        # walk: it keeps each block, and so peak memory, small
-        t = _vecgf.choose_prefix_len(sizes, SUFFIX_CAP, CHUNKS_PER_WORKER)
-        tasks.append((pivots, t, math.prod(sizes[:t])))
-        walk += math.prod(sizes)
-    check_budget(walk, budget, f"Grassmannian filter at (k={k}, n={n}, q={q})")
-    workers = _worker_count(threads, walk)
-    gamma = 0
-    if workers == 1:
-        for pivots, t, n_chunks in tasks:
-            gamma += _filter_cell_range(gf.p, gf.m, k, n, pivots, t, 0, n_chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for pivots, t, n_chunks in tasks:
-                for lo, hi in _ranges(n_chunks, workers * 4):
-                    futures.append(
-                        pool.submit(_filter_cell_range, gf.p, gf.m, k, n,
-                                    pivots, t, lo, hi)
-                    )
-            gamma = sum(f.result() for f in futures)
+        if plans is not None:
+            # marked entries run over 1..q-1, the others over 0..q-1
+            walks.append((plans, [q - 1 if nz else q for nz in nonzero],
+                          [1 if nz else 0 for nz in nonzero]))
+    check_budget(sum(math.prod(sizes) for _, sizes, _ in walks), budget,
+                 f"Grassmannian filter at (k={k}, n={n}, q={q})")
+    gamma, workers = _count_walks(gf, walks, threads)
     return _split_gamma(k, n, q, gamma, "grassmannian-filter",
                         time.perf_counter() - start, workers)
 
@@ -253,37 +196,47 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
 # ---------------------------------------------------------------------------
 
 def _worker_count(threads, work):
-    """Workers for `work` candidates: one when they fit a single block of
-    SUFFIX_CAP, else `threads`, capped at os.cpu_count()."""
-    if threads <= 1 or work <= SUFFIX_CAP:
+    """Workers for `work` candidates: one up to POOL_MIN_WORK, else
+    `threads`, capped at os.cpu_count()."""
+    if threads <= 1 or work <= POOL_MIN_WORK:
         return 1
     return max(1, min(threads, os.cpu_count() or 1))
 
 
-def _ranges(total, parts):
-    parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    out = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        if hi > lo:
-            out.append((lo, hi))
-        lo = hi
-    return out
+def _count_chunks(p, m, walk, t, lo, hi):
+    """All-nonzero candidates among chunks [lo, hi) of one walk (plan,
+    sizes, offsets) cut after its first t free entries."""
+    plan, sizes, offsets = walk
+    ops = _vecgf.vector_ops(make_field(p, m))
+    return sum(_vecgf.count_all_nonzero(ops, values, plan)
+               for values in _vecgf.chunk_values(sizes, offsets, ops.dtype,
+                                                 t, lo, hi))
 
 
-def _run_ranges(fn, head_args, n_chunks, workers):
-    if workers <= 1 or n_chunks <= 1:
-        return fn(*head_args, 0, n_chunks)
-    total = 0
+def _count_walks(gf, walks, threads):
+    """The all-nonzero candidates of every walk, summed, and the workers
+    used.  Each value array of a chunk fits _vecgf.BLOCK_BYTES; a pooled
+    walk is cut into at least CHUNKS_PER_WORKER chunks per worker and
+    submitted as at most 8 tasks per worker."""
+    workers = _worker_count(threads, sum(math.prod(sizes) for _, sizes, _ in walks))
+    cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
+    min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
+    tasks = []
+    for walk in walks:
+        _, sizes, _ = walk
+        t = _vecgf.choose_prefix_len(sizes, cap, min_chunks)
+        tasks.append((walk, t, math.prod(sizes[:t])))
+    if workers == 1:
+        return sum(_count_chunks(gf.p, gf.m, walk, t, 0, n_chunks)
+                   for walk, t, n_chunks in tasks), 1
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fn, *head_args, lo, hi)
-            for lo, hi in _ranges(n_chunks, workers * 8)
-        ]
-        total = sum(f.result() for f in futures)
-    return total
+        futures = []
+        for walk, t, n_chunks in tasks:
+            step = -(-n_chunks // (8 * workers))
+            for lo in range(0, n_chunks, step):
+                futures.append(pool.submit(_count_chunks, gf.p, gf.m, walk, t,
+                                           lo, min(lo + step, n_chunks)))
+        return sum(f.result() for f in futures), workers
 
 
 # ---------------------------------------------------------------------------

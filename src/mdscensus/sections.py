@@ -28,6 +28,7 @@ from .errors import (
 from .exterior import (
     DualForm,
     MultiVector,
+    _projective_reps,
     form_weight,
     multi_indices,
     satisfies_plucker,
@@ -73,11 +74,7 @@ def _ann_projective_forms(section):
     """One representative per projective point of the annihilator span."""
     gf = section.gf
     basis = section.ann_basis
-    r = len(basis)
-    for coeffs in itertools.product(gf.elements(), repeat=r):
-        lead = next((c for c in coeffs if c), None)
-        if lead != 1:
-            continue
+    for coeffs in _projective_reps(gf, len(basis)):
         acc = DualForm.zero(gf, section.k, section.n)
         for c, omega in zip(coeffs, basis):
             if c:
@@ -144,10 +141,7 @@ def section_cardinality(gf, k, n, spanning, budget=None):
         MultiVector(gf, k, n, reduced.row(i)) for i in range(d)
     ]
     count = 0
-    for coeffs in itertools.product(gf.elements(), repeat=d):
-        lead = next((c for c in coeffs if c), None)
-        if lead != 1:
-            continue
+    for coeffs in _projective_reps(gf, d):
         acc = MultiVector.zero(gf, k, n)
         for c, lam in zip(coeffs, basis):
             if c:

@@ -155,7 +155,7 @@ def test_scan_fallback_extension_field():
 
 
 def test_pooled_scan_matches_serial():
-    # 10^6 normalized candidates: more than one block, so a pool is started
+    # 9^6 normalized candidates: past census.POOL_MIN_WORK, so a pool starts
     gf = make_field(11, 1)
     serial = count_mds_matrix_scan(3, 7, gf, threads=1)
     pooled = count_mds_matrix_scan(3, 7, gf, threads=2)
@@ -241,7 +241,7 @@ class CountingPool(ProcessPoolExecutor):
 
 def test_worker_count_criterion_starts_a_pool(monkeypatch):
     # the "identical at 1, 4 and 8 workers" claim compares pooled runs with
-    # serial ones only if some shape of the check is past one block
+    # serial ones only if some shape of the check is past census.POOL_MIN_WORK
     monkeypatch.setattr(census, "ProcessPoolExecutor", CountingPool)
     CountingPool.started = 0
     [entry] = [c for c in verify.REGISTRY
@@ -283,6 +283,27 @@ def test_walks_honour_budget():
             with pytest.raises(BudgetExceeded):
                 count(k, n, gf, budget=walk - 1)
             assert count(k, n, gf, budget=walk).gamma == expected, (count, k, n, q)
+
+
+def test_walked_blocks_fit_block_bytes(monkeypatch):
+    # every value array a census route materializes fits BLOCK_BYTES: the
+    # scan at (3,7,11) walks 9^6 int64 candidates, the filter 4^9 int64
+    # points at (3,6,5) and 7^8 int16 points at (2,6,8)
+    grids = []
+    position_arrays = _vecgf.position_arrays
+
+    def recording(sizes, offsets, dtype):
+        out = position_arrays(sizes, offsets, dtype)
+        grids.extend(out)
+        return out
+
+    monkeypatch.setattr(_vecgf, "position_arrays", recording)
+    for count, k, n, q in ((count_mds_matrix_scan, 3, 7, 11),
+                           (count_mds_grassmannian_filter, 3, 6, 5),
+                           (count_mds_grassmannian_filter, 2, 6, 8)):
+        grids.clear()
+        count(k, n, field_of_order(q), threads=1)
+        assert grids and all(g.nbytes <= _vecgf.BLOCK_BYTES for g in grids), (k, n, q)
 
 
 def test_position_arrays_match_product():

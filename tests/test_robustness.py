@@ -145,8 +145,12 @@ def test_over_cap_blocks_match_cached_matrix(monkeypatch):
     # or 20, so every shape takes several blocks
     cap = 320
     monkeypatch.setattr(_vecgf, "PLUCKER_CACHE_CAP", cap)
-    for gf, k, n, forms, sections, cached, expected in cases:
-        blocks = list(_vecgf.plucker_blocks(gf, k, n))
-        assert len(blocks) > 1 and all(b.size <= cap for b in blocks)
-        assert np.array_equal(np.concatenate(blocks, axis=1), cached)
-        assert _over_cap_values(gf, k, n, forms, sections) == expected, (k, n, gf.q)
+    # then 48 bytes a block row: 6 int64 or 24 int16 columns
+    for block_bytes in (_vecgf.BLOCK_BYTES, 48):
+        monkeypatch.setattr(_vecgf, "BLOCK_BYTES", block_bytes)
+        for gf, k, n, forms, sections, cached, expected in cases:
+            blocks = list(_vecgf.plucker_blocks(gf, k, n))
+            assert len(blocks) > 1 and all(b.size <= cap for b in blocks)
+            assert all(row.nbytes <= block_bytes for b in blocks for row in b)
+            assert np.array_equal(np.concatenate(blocks, axis=1), cached)
+            assert _over_cap_values(gf, k, n, forms, sections) == expected, (k, n, gf.q)
