@@ -161,16 +161,13 @@ def digits(value, sizes):
     return out
 
 
-def chunk_values(sizes, offsets, dtype, t, lo=0, hi=None):
-    """Chunks lo..hi-1 (default: all) of the odometer over `sizes`, position
-    i running from offsets[i], cut after its first t positions: each chunk
-    is the odometer reading of its prefix, as Python ints, followed by the
-    suffix grids, built once and shared by every chunk."""
-    suffix = position_arrays(sizes[t:], offsets[t:], dtype)
+def prefix_values(sizes, offsets, lo=0, hi=None):
+    """Odometer readings lo..hi-1 (default: all) over `sizes`, position i
+    running from offsets[i], as lists of Python ints."""
     if hi is None:
-        hi = math.prod(sizes[:t])
+        hi = math.prod(sizes)
     for chunk in range(lo, hi):
-        yield [d + o for d, o in zip(digits(chunk, sizes[:t]), offsets)] + suffix
+        yield [d + o for d, o in zip(digits(chunk, sizes), offsets)]
 
 
 def block_len(dtype):
@@ -190,34 +187,74 @@ def choose_prefix_len(sizes, cap, min_chunks=1):
     return t
 
 
-def count_all_nonzero(ops, values, minors):
-    """Count joint assignments (parallel over the candidate axis of the array
-    values) for which every listed minor is nonzero.
+def _last_entry(minor):
+    """The largest free-entry index a minor reads, -1 for a constant one."""
+    return max((payload for row in minor for kind, payload in row if kind == "v"),
+               default=-1)
 
-    values: list of scalar-or-array entries addressed by the minors.
-    minors: each a list of rows; each entry is ("c", const) or ("v", index).
-    """
-    vals = list(values)
 
-    def resolve(entry):
-        kind, payload = entry
-        return payload if kind == "c" else vals[payload]
+def walk_levels(minors, sizes, offsets, dtype, t):
+    """The levels of a walk cut after its first t free entries, for
+    count_all_nonzero: (prefix minors, segments, tail).
 
-    for minor_spec in minors:
-        mat = [[resolve(e) for e in row] for row in minor_spec]
-        d = det_any(ops, mat)
-        if isinstance(d, np.ndarray):
-            mask = d != 0
-            if not mask.any():
-                return 0
-            if not mask.all():
-                vals = [v[mask] if isinstance(v, np.ndarray) else v for v in vals]
-        elif d == 0:
+    Each minor is checked where its last free entry is walked.  The minors
+    whose last entry lies in the prefix (or which read none) are checked on
+    the chunk's Python ints.  The suffix is cut into segments that end at
+    the other minors' last entries; a segment is (grids, minors), its grids
+    the odometer over its positions, built once for every chunk.  The
+    positions after the last minor form the tail: no minor reads them, so
+    they multiply the count by the product of their sizes."""
+    last = [_last_entry(m) for m in minors]
+    prefix = [m for m, e in zip(minors, last) if e < t]
+    segments = []
+    start = t
+    for end in sorted({e for e in last if e >= t}):
+        grids = position_arrays(sizes[start:end + 1], offsets[start:end + 1], dtype)
+        segments.append((grids, [m for m, e in zip(minors, last) if e == end]))
+        start = end + 1
+    return prefix, segments, math.prod(sizes[start:])
+
+
+def _resolve(minor, vals):
+    """The minor's matrix: a constant as it is, free entry i as vals[i]."""
+    return [[vals[payload] if kind == "v" else payload for kind, payload in row]
+            for row in minor]
+
+
+def count_all_nonzero(ops, prefix, levels):
+    """Count the candidates of one chunk, the prefix values `prefix` (Python
+    ints) followed by every suffix assignment, for which every minor of the
+    walk is nonzero; `levels` comes from walk_levels.
+
+    Minors are entry lists of rows, each entry ("c", const) or ("v", index)
+    of a free entry.  The walk goes level by level: after each segment the
+    survivors are the assignments of every position walked so far that pass
+    every minor checked so far, one array per suffix position.  A segment's
+    minors run on a broadcast grid, the survivors as a (survivors, 1) column
+    against the segment as a (1, segment) row, so no array is larger than
+    the chunk's suffix; one flatnonzero and a divmod gather keep the pairs
+    that pass."""
+    prefix_minors, segments, tail = levels
+    for minor in prefix_minors:
+        if det_any(ops, _resolve(minor, prefix)) == 0:
             return 0
-    for v in vals:
-        if isinstance(v, np.ndarray):
-            return int(v.shape[0])
-    return 1
+    vals = list(prefix)
+    count = 1
+    for grids, minors in segments:
+        width = grids[0].size
+        grid = [v[:, None] if isinstance(v, np.ndarray) else v for v in vals]
+        grid += [g[None, :] for g in grids]
+        keep = np.ones((count, width), dtype=bool)
+        for minor in minors:
+            keep &= det_any(ops, _resolve(minor, grid)) != 0
+        picked = np.flatnonzero(keep)
+        count = picked.size
+        if count == 0:
+            return 0
+        rows, cols = np.divmod(picked, width)
+        vals = [v[rows] if isinstance(v, np.ndarray) else v for v in vals]
+        vals += [g[cols] for g in grids]
+    return count * tail
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +290,13 @@ def _cell_blocks(gf, k, n, width):
                  for idx in indices]
         sizes = [gf.q] * len(free)
         t = choose_prefix_len(sizes, width)
-        for values in chunk_values(sizes, [0] * len(free), ops.dtype, t):
+        suffix = position_arrays(sizes[t:], [0] * (len(sizes) - t), ops.dtype)
+        for prefix in prefix_values(sizes[:t], [0] * t):
+            values = prefix + suffix
             block = np.empty((len(indices), math.prod(sizes[t:])), dtype=ops.dtype)
             for row_pos, plan in enumerate(plans):
-                mat = [[values[e[1]] if e[0] == "v" else e[1] for e in row]
-                       for row in plan]
-                block[row_pos] = det_any(ops, mat)  # scalar broadcasts
+                # a scalar determinant broadcasts over the row
+                block[row_pos] = det_any(ops, _resolve(plan, values))
             yield block
 
 

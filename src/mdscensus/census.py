@@ -19,21 +19,24 @@ matrix-scan       scans the matrices [I_k | A] and accepts A exactly when
 
 grassmannian-filter  walks the echelon representatives of G(k, n), cell by
                   cell, with no torus normalization, and keeps the points
-                  whose maximal minors are all nonzero, evaluated in
-                  lexicographic multi-index order with batch
-                  short-circuiting.  A maximal minor whose other k-1 columns
-                  are pivot columns is, up to sign, one entry alone: it is
-                  read off the plan instead of evaluated, its entry runs over
-                  1..q-1, and a cell where it is a structural zero is
-                  skipped.  Only the big cell, pivots 1..k, survives, so the
-                  walk is (q-1)^(k(n-k)) points and the count is gamma.
+                  whose maximal minors are all nonzero.  Each maximal minor
+                  is planned, up to sign, as the minor left after deleting
+                  its unit pivot columns and their rows.  One that is a
+                  single entry is read off the plan instead of evaluated:
+                  its entry runs over 1..q-1, and a cell where it is a
+                  structural zero is skipped.  Only the big cell, pivots
+                  1..k, survives, so the walk is (q-1)^(k(n-k)) points and
+                  the count is gamma.
 
 Both routes hand the same scheduler a list of walks, each a minor plan
 with the sizes and offsets of its free entries: the scan one walk, the
 filter one per non-empty cell.  Every chunk yields an exact integer and the
 total is an order-independent sum, so results are bit-identical for any
-worker count.  A chunk fixes the first free entries of its walk and
-materializes the rest as value arrays of at most _vecgf.BLOCK_BYTES each.
+worker count.  A chunk fixes the first free entries of its walk, and
+_vecgf.count_all_nonzero walks the rest level by level: each minor is
+checked as soon as the last free entry it reads is walked, on the survivors
+so far against the next segment of free entries, so no array is larger than
+the chunk's suffix, at most _vecgf.BLOCK_BYTES per value array.
 A pool starts only when the walks pass POOL_MIN_WORK candidates and more
 than one worker is asked for; it never has more workers than
 os.cpu_count(), each walk is then cut into at least CHUNKS_PER_WORKER
@@ -141,12 +144,16 @@ def _cell_minor_plans(k, n, pivots):
     and, per free entry, whether it is marked nonzero; plans is None when
     some structurally-zero minor makes the cell empty of all-nonzero points.
 
-    A multi-index whose other k-1 columns are pivot columns, all but the
-    pivot p_r of row r, is a lone-entry minor: up to sign it is the entry of
-    row r at its one non-pivot column c.  Such a minor is dropped from the
-    plans and its entry marked nonzero, or, when the entry is a structural
-    zero (c < p_r), the cell is empty.  Any minor with a structurally zero
-    row r has such a column c, so these minors alone decide emptiness."""
+    A pivot column p_r in a multi-index is the unit column e_r, so up to
+    sign the maximal minor is the minor on the rows whose pivot is not in
+    the multi-index and its non-pivot columns; that smaller minor is the
+    plan, so it reads only the entries the maximal minor depends on.  When
+    it is 1 x 1, the entry of row r at its one non-pivot column c, it is a
+    lone-entry minor: it is dropped from the plans and its entry marked
+    nonzero, or, when the entry is a structural zero (c < p_r), the cell is
+    empty.  Any minor with a structurally zero row r has such a column c,
+    so these minors alone decide emptiness.  The multi-index of the pivots
+    themselves plans the empty minor, 1."""
     from .exterior import multi_indices
 
     free = cell_free_positions(pivots, k, n)
@@ -155,16 +162,15 @@ def _cell_minor_plans(k, n, pivots):
     nonzero = [False] * len(free)
     plans = []
     for idx in multi_indices(k, n):
-        others = [c for c in idx if c not in pivots]
-        if len(others) == 1:
-            r = next(r for r, p in enumerate(pivots) if p not in idx)
-            kind, payload = entry(r, others[0] - 1)
+        rows = [r for r, p in enumerate(pivots) if p not in idx]
+        cols = [c - 1 for c in idx if c not in pivots]
+        if len(rows) == 1:
+            kind, payload = entry(rows[0], cols[0])
             if kind == "c":
                 return None, tuple(nonzero)
             nonzero[payload] = True
         else:
-            plans.append(tuple(tuple(entry(r, c - 1) for c in idx)
-                               for r in range(k)))
+            plans.append(tuple(tuple(entry(r, c) for c in cols) for r in rows))
     return tuple(plans), tuple(nonzero)
 
 
@@ -205,12 +211,13 @@ def _worker_count(threads, work):
 
 def _count_chunks(p, m, walk, t, lo, hi):
     """All-nonzero candidates among chunks [lo, hi) of one walk (plan,
-    sizes, offsets) cut after its first t free entries."""
+    sizes, offsets) cut after its first t free entries; the walk's levels
+    and their segment grids are built once for all of them."""
     plan, sizes, offsets = walk
     ops = _vecgf.vector_ops(make_field(p, m))
-    return sum(_vecgf.count_all_nonzero(ops, values, plan)
-               for values in _vecgf.chunk_values(sizes, offsets, ops.dtype,
-                                                 t, lo, hi))
+    levels = _vecgf.walk_levels(plan, sizes, offsets, ops.dtype, t)
+    return sum(_vecgf.count_all_nonzero(ops, prefix, levels)
+               for prefix in _vecgf.prefix_values(sizes[:t], offsets[:t], lo, hi))
 
 
 def _count_walks(gf, walks, threads):

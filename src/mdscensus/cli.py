@@ -105,8 +105,11 @@ def _emit(payload, config):
     if config.output:
         # files omit wall-clock fields so identical configs write identical bytes
         canonical = {k: v for k, v in payload.items() if k != "elapsed_ms"}
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(renderers[config.fmt](canonical) + "\n")
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(renderers[config.fmt](canonical) + "\n")
+        except OSError as exc:
+            raise MdsError(f"cannot write {config.output}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +381,22 @@ def build_parser():
     return parser
 
 
+def _parse_q_list(text):
+    """The prime powers of --q-list; an empty list or token is refused."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tokens):
+        raise OutOfRange(f"--q-list needs comma-separated prime powers, got {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _config_from_args(args):
     extra = {}
     for key in ("method", "max_r", "exhaustive", "verify_against_census",
                 "spectrum", "dr", "dr_mode", "form", "suite", "scale"):
         if hasattr(args, key):
             extra[key] = getattr(args, key)
-    if getattr(args, "q_list", None):
-        extra["q_list"] = [int(tok) for tok in args.q_list.split(",") if tok]
+    if getattr(args, "q_list", None) is not None:
+        extra["q_list"] = _parse_q_list(args.q_list)
     # verify has no --threads: each registry entry sets its own worker count
     threads = getattr(args, "threads", 1)
     if threads < 1:

@@ -306,6 +306,30 @@ def test_walked_blocks_fit_block_bytes(monkeypatch):
         assert grids and all(g.nbytes <= _vecgf.BLOCK_BYTES for g in grids), (k, n, q)
 
 
+def test_kernel_arrays_fit_block_len(monkeypatch):
+    # the level-wise kernel evaluates a segment's minors on a survivors x
+    # segment grid, at most the chunk's suffix: every array det_any returns,
+    # the recursion included, holds at most block_len(dtype) entries
+    sizes = []
+    det_any = _vecgf.det_any
+
+    def recording(ops, m):
+        out = det_any(ops, m)
+        if isinstance(out, np.ndarray):
+            sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(_vecgf, "det_any", recording)
+    for count, k, n, q in ((count_mds_matrix_scan, 3, 7, 11),
+                           (count_mds_grassmannian_filter, 3, 6, 5),
+                           (count_mds_grassmannian_filter, 2, 6, 8)):
+        sizes.clear()
+        gf = field_of_order(q)
+        count(k, n, gf, threads=1)
+        cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
+        assert sizes and max(sizes) <= cap, (k, n, q, max(sizes, default=0))
+
+
 def test_position_arrays_match_product():
     sizes, offsets = [3, 1, 4, 2], [1, 0, 2, 5]
     grids = _vecgf.position_arrays(sizes, offsets, np.int16)

@@ -75,6 +75,20 @@ def test_asympt_with_sweep(capsys):
     assert all(row["residual"] == "0" for row in payload["rows"])
 
 
+def test_asympt_rejects_empty_q_list(capsys):
+    # an empty list or an empty token used to skip the sweep, or drop the
+    # token, and exit 0
+    for q_list in (",", "", "3,,5", "3,5,"):
+        code, out, err = run_cli(
+            capsys, "asympt", "--k", "1", "--n", "3", "--q-list", q_list
+        )
+        assert code == 1, q_list
+        assert out == "" and "--q-list" in err, q_list
+    code, out, _ = run_cli(capsys, "asympt", "--k", "1", "--n", "3", "--q-list", "3, 5")
+    assert code == 0
+    assert [row["q"] for row in json.loads(out)["rows"]] == [3, 5]
+
+
 def test_weight_both_methods(capsys):
     code, out, _ = run_cli(
         capsys, "weight", "--k", "2", "--n", "4", "--q", "2",
@@ -204,6 +218,18 @@ def test_output_file_byte_identical(tmp_path, capsys):
             "--threads", "2", "--output", str(path),
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, _, err = run_cli(
+            capsys, "count", "--k", "2", "--n", "4", "--q", "5",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
 
 
 def test_threads_do_not_change_results(capsys):

@@ -1,19 +1,25 @@
-"""Property tests of the field backend over prime powers up to about 1024.
+"""Property tests of the field backend, the census kernel and the census.
 
 Fields are drawn from every order make_field accepts up to 1024; 512 = 2^9
 and 1024 = 2^10 lie beyond MAX_DEGREE, so GF(256) is the largest binary
 field.  The draws include the odd extension fields GF(529), GF(625),
-GF(729) and GF(961), whose addition goes through Zech logarithms.  Runs are
+GF(729) and GF(961), whose addition goes through Zech logarithms.  The
+kernel is checked on small random walks against a brute-force count, and
+the census against the duality gamma(k, n) = gamma(n - k, n).  Runs are
 derandomized, so every run checks the same examples.
 """
 
+import itertools
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdscensus import _vecgf
+from mdscensus.census import count_mds_grassmannian_filter, count_mds_matrix_scan
 from mdscensus.errors import NonPrimePower, UnsupportedSize
 from mdscensus.fields import field_of_order
+from mdscensus.linalg import MatrixGF, rank
 
 
 def _orders(limit):
@@ -97,3 +103,71 @@ def test_vecops_match_scalar_ops(q, data):
         both = vector(c, ys[0])
         assert type(both) is int and both == scalar(c, ys[0])
     assert ops.neg(x).tolist() == [gf.neg(a) for a in xs]
+
+
+@st.composite
+def kernel_walks(draw):
+    """A field, a walk (sizes, offsets) of at most 5 free entries and up to
+    4 minors of order 1-3 over its free entries and constants."""
+    q = draw(st.sampled_from((7, 8, 9)))
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    offsets = [draw(st.integers(0, q - size)) for size in sizes]
+    entries = st.one_of(
+        st.tuples(st.just("v"), st.integers(0, len(sizes) - 1)),
+        st.tuples(st.just("c"), st.integers(0, q - 1)))
+    minors = []
+    for _ in range(draw(st.integers(0, 4))):
+        order = draw(st.integers(1, 3))
+        minors.append(tuple(tuple(draw(entries) for _ in range(order))
+                            for _ in range(order)))
+    return q, sizes, offsets, minors
+
+
+def _brute_force_count(gf, sizes, offsets, minors):
+    """Assignments of the walk whose minors all have full rank, one at a
+    time through the generic matrix code."""
+    count = 0
+    ranges = [range(o, o + s) for s, o in zip(sizes, offsets)]
+    for values in itertools.product(*ranges):
+        mats = [[[values[i] if kind == "v" else i for kind, i in row] for row in minor]
+                for minor in minors]
+        count += all(rank(MatrixGF.from_rows(gf, m)) == len(m) for m in mats)
+    return count
+
+
+@PROPERTY
+@given(kernel_walks())
+# a size-0 position inside the walk; free entries 2..3 after the last minor;
+# constant-only minors, one of them singular
+@example((7, [2, 0, 3], [1, 4, 0],
+          [((("v", 0),),), ((("v", 2), ("c", 1)), (("c", 3), ("v", 0)))]))
+@example((8, [3, 2, 3, 2], [5, 0, 1, 6],
+          [((("v", 0), ("v", 1)), (("c", 1), ("v", 1)))]))
+@example((9, [3, 3], [0, 6],
+          [((("c", 2), ("c", 5)), (("c", 4), ("c", 1))), ((("v", 1),),)]))
+@example((9, [3, 3], [0, 6], [((("c", 2), ("c", 4)), (("c", 2), ("c", 4)))]))
+def test_kernel_matches_brute_force_at_every_prefix(walk):
+    q, sizes, offsets, minors = walk
+    gf = field_of_order(q)
+    ops = _vecgf.vector_ops(gf)
+    expected = _brute_force_count(gf, sizes, offsets, minors)
+    for t in range(len(sizes) + 1):
+        levels = _vecgf.walk_levels(minors, sizes, offsets, ops.dtype, t)
+        got = sum(_vecgf.count_all_nonzero(ops, prefix, levels)
+                  for prefix in _vecgf.prefix_values(sizes[:t], offsets[:t]))
+        assert got == expected, t
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.integers(4, 7).flatmap(lambda n: st.tuples(st.integers(2, n - 2), st.just(n))),
+       st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+def test_census_duality(shape, q):
+    # gamma(k, n) = gamma(n - k, n): the dual of an MDS code is MDS, and the
+    # scan at n - k walks the transposed minor plan; k = 1 and n - k = 1 are
+    # left out, their scans have no minor to transpose
+    k, n = shape
+    gf = field_of_order(q)
+    gamma = count_mds_matrix_scan(k, n, gf).gamma
+    assert count_mds_matrix_scan(n - k, n, gf).gamma == gamma
+    if (q - 1) ** (k * (n - k)) <= 2**18:
+        assert count_mds_grassmannian_filter(k, n, gf).gamma == gamma
