@@ -7,6 +7,7 @@ worker process died, 130 interrupted.
 """
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -149,6 +150,8 @@ def _cmd_sections(config):
     gf = field_of_order(config.q)
     indices = multi_indices(config.k, config.n)
     max_r = len(indices) if config.extra["exhaustive"] else config.extra["max_r"]
+    if max_r < 1:
+        raise OutOfRange(f"--max-r must be at least 1, got {max_r}")
     rows = []
     for r, mask, norm, in_g in coordinate_section_rows(
         gf, config.k, config.n, max_r, budget=config.budget
@@ -252,7 +255,7 @@ def _cmd_code(config):
             for w, m in sorted(spec.items())
         ]
     dr = config.extra.get("dr")
-    if dr:
+    if dr is not None:
         value = higher_weight_search(code, dr, mode=config.extra["dr_mode"],
                                      budget=config.budget)
         payload["r"] = dr
@@ -326,7 +329,10 @@ def _add_common(sub, *, needs_q=True, needs_k=True):
     sub.add_argument("--output", default=None)
 
 
+@functools.cache
 def build_parser():
+    """The mds parser, built once per process: main parses every call with
+    it, and argparse keeps no state between parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="mds",
         description="Exact censuses of MDS codes and Grassmannian sections "

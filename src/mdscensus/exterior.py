@@ -53,6 +53,17 @@ def index_positions(k, n):
     return {idx: pos for pos, idx in enumerate(multi_indices(k, n))}
 
 
+def _index_position(k, n, index):
+    """Lexicographic position of a multi-index; ShapeMismatch unless it is a
+    strictly increasing k-subset of 1..n."""
+    try:
+        return index_positions(k, n)[tuple(index)]
+    except (KeyError, TypeError):
+        raise ShapeMismatch(
+            f"index {index!r} is not a strictly increasing {k}-subset of 1..{n}"
+        ) from None
+
+
 def merge_sign(a, b):
     """Sign of sorting the concatenation of disjoint increasing tuples a, b,
     i.e. (-1)^(number of pairs x in a, y in b with x > y); 0 on overlap."""
@@ -89,7 +100,7 @@ class _Graded:
         return all(v == 0 for v in self.coeffs)
 
     def coefficient(self, index):
-        return self.coeffs[index_positions(self.k, self.n)[tuple(index)]]
+        return self.coeffs[_index_position(self.k, self.n, index)]
 
     def add(self, other):
         self._match(other)
@@ -134,19 +145,17 @@ class _Graded:
 
     @classmethod
     def basis(cls, gf, k, n, index):
-        pos = index_positions(k, n)[tuple(index)]
         coeffs = [0] * _binom(n, k)
-        coeffs[pos] = 1
+        coeffs[_index_position(k, n, index)] = 1
         return cls(gf, k, n, coeffs)
 
     @classmethod
     def from_terms(cls, gf, k, n, terms):
         """Build from (multi-index, coefficient) pairs; repeats accumulate."""
         coeffs = [0] * _binom(n, k)
-        pos = index_positions(k, n)
         for index, c in terms:
-            key = tuple(index)
-            coeffs[pos[key]] = gf.add(coeffs[pos[key]], c)
+            pos = _index_position(k, n, index)
+            coeffs[pos] = gf.add(coeffs[pos], c)
         return cls(gf, k, n, coeffs)
 
 

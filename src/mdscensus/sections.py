@@ -3,7 +3,10 @@
 A codimension-r section is carried by a basis of its annihilator: r
 independent k-forms.  Its norm counts the Grassmann points outside the
 section, by two independent routes: a point scan, and the exact average of
-the q^(r-1) + ... + 1 annihilator form weights divided by q^(r-1).
+the q^(r-1) + ... + 1 annihilator form weights divided by q^(r-1).  Both
+make one pass over the Plucker blocks; the annihilator route reads each
+form's values off the basis forms' values on the same block, by linearity
+of the pairing.
 
 The inclusion-exclusion report walks every subset of the coordinate
 hyperplanes p_I = 0 and reassembles the number of subspaces with all
@@ -29,7 +32,6 @@ from .exterior import (
     DualForm,
     MultiVector,
     _projective_reps,
-    form_weight,
     multi_indices,
     satisfies_plucker,
 )
@@ -70,18 +72,6 @@ def coordinate_section(gf, k, n, indices):
     return LinearSection(gf, k, n, forms)
 
 
-def _ann_projective_forms(section):
-    """One representative per projective point of the annihilator span."""
-    gf = section.gf
-    basis = section.ann_basis
-    for coeffs in _projective_reps(gf, len(basis)):
-        acc = DualForm.zero(gf, section.k, section.n)
-        for c, omega in zip(coeffs, basis):
-            if c:
-                acc = acc.add(omega.scale(c))
-        yield acc
-
-
 def section_norm(section, method="point-scan", budget=None):
     """Number of Grassmann points outside the section."""
     if method == "point-scan":
@@ -107,11 +97,27 @@ def _norm_point_scan(section, budget=None):
 
 
 def _norm_annihilator_sum(section, budget=None):
-    gf = section.gf
+    """Sum of the weights of one form per projective point of Ann(L),
+    divided by q^(r-1).  One pass over the Plucker blocks: on each block the
+    basis forms are evaluated once, and the form c_1 w_1 + ... + c_r w_r
+    takes the values c_1 v_1 + ... + c_r v_r there."""
+    gf, k, n = section.gf, section.k, section.n
     r = section.codim
+    check_budget(
+        gf.q ** (k * (n - k)) * _binom(n, k), budget,
+        f"annihilator weights of a section of G({k},{n}) over GF({gf.q})",
+    )
+    ops = _vecgf.vector_ops(gf)
+    combos = list(_projective_reps(gf, r))
     total = 0
-    for omega in _ann_projective_forms(section):
-        total += form_weight(omega, "direct", budget=budget)
+    for block in _vecgf.plucker_blocks(gf, k, n):
+        values = [_vecgf.form_values(gf, omega.coeffs, block)
+                  for omega in section.ann_basis]
+        for coeffs in combos:
+            acc = 0
+            for c, v in zip(coeffs, values):
+                acc = ops.add(acc, ops.mul(c, v))
+            total += int(np.count_nonzero(acc))
     denom = gf.q ** (r - 1)
     if total % denom != 0:
         raise ExactnessViolation(

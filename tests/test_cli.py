@@ -108,6 +108,20 @@ def test_weight_malformed_form(capsys):
     assert "malformed" in err
 
 
+def test_weight_rejects_bad_indices(capsys):
+    # a repeated, unordered or out-of-range index used to end in a KeyError
+    # traceback
+    for index in ([1, 1], [1, 5], [2, 1], [1]):
+        form = json.dumps([{"index": index, "coeff": 1}])
+        code, out, err = run_cli(
+            capsys, "weight", "--k", "2", "--n", "4", "--q", "3", "--form", form
+        )
+        assert code == 1, index
+        assert out == "" and err.splitlines() == [err.strip()], index
+        assert err.startswith(f"error: index {tuple(index)!r} is not a strictly "
+                              "increasing 2-subset of 1..4"), index
+
+
 def test_code_spectrum_csv(capsys):
     code, out, _ = run_cli(
         capsys, "code", "--k", "2", "--n", "4", "--q", "2",
@@ -136,6 +150,16 @@ def test_code_dr_structured(capsys):
     assert json.loads(out)["d_r"] == "24"
 
 
+def test_code_dr_below_one_rejected(capsys):
+    # --dr 0 used to drop the d_r report and exit 0
+    for r in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "code", "--k", "2", "--n", "4", "--q", "2", "--dr", r
+        )
+        assert code == 1, r
+        assert out == "" and "subcode dimension" in err, r
+
+
 def test_incl_excl_verified(capsys):
     code, out, _ = run_cli(
         capsys, "incl-excl", "--k", "2", "--n", "4", "--q", "3",
@@ -159,6 +183,16 @@ def test_sections_csv(capsys):
     assert len(lines) == 1 + 6 + 15
     for line in lines[1:7]:
         assert line.split(",")[3] == "16"
+
+
+def test_sections_max_r_below_one_rejected(capsys):
+    # --max-r 0 used to print an empty row list and exit 0
+    for r in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "sections", "--k", "2", "--n", "4", "--q", "2", "--max-r", r
+        )
+        assert code == 1, r
+        assert out == "" and f"--max-r must be at least 1, got {r}" in err, r
 
 
 def test_table_format(capsys):
@@ -286,6 +320,26 @@ def test_run_check_fails_an_entry_past_its_budget():
     assert result.detail == "exceeded its 0.001s budget; held"
     assert result.line().startswith("[FAIL] fields/slow (")
     assert "s / budget 0.001s): a claim that holds slowly" in result.line()
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    # one parser serves every call: a value given once must not become the
+    # next call's default, and an argparse exit must not poison it
+    code, out, _ = run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3",
+                           "--method", "filter")
+    assert code == 0 and json.loads(out)["method"] == "grassmannian-filter"
+    code, out, _ = run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3")
+    assert code == 0 and json.loads(out)["method"] == "matrix-scan"
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--k", "2", "--n", "4"])
+    assert exc.value.code == 2
+    assert "--q" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3")
+    assert code == 0 and json.loads(out)["gamma"] == "8"
 
 
 def test_verify_suite_choices_match_registry():

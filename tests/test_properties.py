@@ -4,9 +4,10 @@ Fields are drawn from every order make_field accepts up to 1024; 512 = 2^9
 and 1024 = 2^10 lie beyond MAX_DEGREE, so GF(256) is the largest binary
 field.  The draws include the odd extension fields GF(529), GF(625),
 GF(729) and GF(961), whose addition goes through Zech logarithms.  The
-kernel is checked on small random walks against a brute-force count, and
-the census against the duality gamma(k, n) = gamma(n - k, n).  Runs are
-derandomized, so every run checks the same examples.
+kernel is checked on small random walks against a brute-force count, the
+census against the duality gamma(k, n) = gamma(n - k, n), and the
+contraction against the wedge it is adjoint to.  Runs are derandomized, so
+every run checks the same examples.
 """
 
 import itertools
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 from mdscensus import _vecgf
 from mdscensus.census import count_mds_grassmannian_filter, count_mds_matrix_scan
 from mdscensus.errors import NonPrimePower, UnsupportedSize
+from mdscensus.exterior import DualForm, MultiVector, interior_mult, pairing, wedge
 from mdscensus.fields import field_of_order
-from mdscensus.linalg import MatrixGF, rank
+from mdscensus.linalg import MatrixGF, _binom, rank
 
 
 def _orders(limit):
@@ -171,3 +173,28 @@ def test_census_duality(shape, q):
     assert count_mds_matrix_scan(n - k, n, gf).gamma == gamma
     if (q - 1) ** (k * (n - k)) <= 2**18:
         assert count_mds_grassmannian_filter(k, n, gf).gamma == gamma
+
+
+@st.composite
+def adjunction_triples(draw):
+    """xi in the l-th power of V, omega in the k-th power of V* and zeta in
+    the (k - l)-th power of V, for 1 <= l < k <= n <= 6 over GF(2..5)."""
+    gf = field_of_order(draw(st.sampled_from((2, 3, 4, 5))))
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, n))
+    ell = draw(st.integers(1, k - 1))
+
+    def element(cls, degree):
+        coeffs = draw(st.lists(st.integers(0, gf.q - 1), min_size=_binom(n, degree),
+                               max_size=_binom(n, degree)))
+        return cls(gf, degree, n, coeffs)
+
+    return (element(MultiVector, ell), element(DualForm, k),
+            element(MultiVector, k - ell))
+
+
+@PROPERTY
+@given(adjunction_triples())
+def test_contraction_is_adjoint_to_wedge(triple):
+    xi, omega, zeta = triple
+    assert pairing(interior_mult(xi, omega), zeta) == pairing(omega, wedge(xi, zeta))

@@ -3,9 +3,16 @@ import random
 
 import pytest
 
+from mdscensus import _vecgf
 from mdscensus.census import count_mds_matrix_scan
 from mdscensus.errors import BudgetExceeded, DimensionMismatch
-from mdscensus.exterior import DualForm, MultiVector, multi_indices, satisfies_plucker
+from mdscensus.exterior import (
+    DualForm,
+    MultiVector,
+    _projective_reps,
+    multi_indices,
+    satisfies_plucker,
+)
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.linalg import gaussian_binomial
 from mdscensus.sections import (
@@ -59,10 +66,13 @@ def test_norm_indecomposable_pencil():
 
 
 def test_norm_methods_agree_all_coordinate_sections():
-    for q, k, n in ((2, 2, 4), (2, 2, 5)):
+    # every codim over GF(2) at (2,4) and (2,5); codim <= 3 of G(2,5) for
+    # q = 3, 4, 5; codim <= 2 of G(3,6) over GF(2)
+    for q, k, n, max_r in ((2, 2, 4, 6), (2, 2, 5, 10), (3, 2, 5, 3), (4, 2, 5, 3),
+                           (5, 2, 5, 3), (2, 3, 6, 2)):
         gf = field_of_order(q)
         coords = multi_indices(k, n)
-        for r in range(1, len(coords) + 1):
+        for r in range(1, max_r + 1):
             for subset in itertools.combinations(coords, r):
                 s = coordinate_section(gf, k, n, subset)
                 assert section_norm(s, "point-scan") == section_norm(
@@ -72,11 +82,50 @@ def test_norm_methods_agree_all_coordinate_sections():
 
 def test_norm_methods_agree_random_sections():
     rng = random.Random(99)
-    for q, k, n in ((2, 2, 4), (3, 2, 4), (2, 2, 5)):
+    for q, k, n in ((2, 2, 4), (3, 2, 4), (2, 2, 5), (4, 2, 5), (5, 2, 5),
+                    (3, 3, 6), (8, 2, 4)):
         gf = field_of_order(q)
         for _ in range(25):
             s = random_section(gf, k, n, rng.randrange(1, 4), rng)
             assert section_norm(s, "point-scan") == section_norm(s, "annihilator-sum")
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+def test_annihilator_sum_makes_one_plucker_pass(monkeypatch, cap):
+    # one pass over the blocks per section, also past the cache cap, where
+    # the blocks are built on the fly and not kept
+    if cap is not None:
+        monkeypatch.setattr(_vecgf, "PLUCKER_CACHE_CAP", cap)
+    gf = field_of_order(3)
+    s = coordinate_section(gf, 2, 5, [(1, 2), (3, 4), (2, 5)])
+    expected = section_norm(s, "point-scan")
+    calls = {"plucker_blocks": 0, "_cell_blocks": 0}
+
+    def counted(name):
+        inner = getattr(_vecgf, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_vecgf, name, counted(name))
+    assert section_norm(s, "annihilator-sum") == expected
+    # under the cap the point scan left the matrix in the cache
+    assert calls == {"plucker_blocks": 1, "_cell_blocks": 0 if cap is None else 1}
+    if cap is not None:
+        assert len(list(_vecgf.plucker_blocks(gf, 2, 5))) > 1
+
+
+def test_annihilator_sum_budget():
+    gf = field_of_order(3)
+    s = coordinate_section(gf, 2, 5, [(1, 2), (3, 4)])
+    estimate = 3 ** (2 * 3) * 10  # q^(k(n-k)) C(n,k)
+    with pytest.raises(BudgetExceeded):
+        section_norm(s, "annihilator-sum", budget=estimate - 1)
+    assert section_norm(s, "annihilator-sum", budget=estimate) == section_norm(s)
 
 
 def test_dependent_annihilator_rejected():
@@ -212,9 +261,14 @@ def test_minimal_section_characterization():
 
 
 def _projective_forms(section):
-    from mdscensus.sections import _ann_projective_forms
-
-    return list(_ann_projective_forms(section))
+    """One annihilator form per projective point of Ann(L)."""
+    forms = []
+    for coeffs in _projective_reps(section.gf, section.codim):
+        acc = DualForm.zero(section.gf, section.k, section.n)
+        for c, omega in zip(coeffs, section.ann_basis):
+            acc = acc.add(omega.scale(c))
+        forms.append(acc)
+    return forms
 
 
 def test_codim_two_and_three_residuals_small():
