@@ -17,7 +17,6 @@ from .asymptotics import (
 )
 from .census import (
     CensusResult,
-    arc_count,
     count_mds,
     count_mds_grassmannian_filter,
     count_mds_matrix_scan,

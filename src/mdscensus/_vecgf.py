@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import OutOfRange
 from .linalg import _binom, cell_free_positions, gaussian_binomial
 from .exterior import multi_indices
 
@@ -261,20 +262,6 @@ def count_all_nonzero(ops, prefix, levels):
 # Cached matrix of all Plucker coordinate vectors of G(k, n).
 # ---------------------------------------------------------------------------
 
-def _cell_entry_plan(pivots, k, n, free_index):
-    """Entry resolver grid for the echelon cell: ("c", const) / ("v", idx)."""
-    pivot_cols = {p - 1: r for r, p in enumerate(pivots)}
-
-    def entry(r, col0):
-        if col0 in pivot_cols:
-            return ("c", 1 if pivot_cols[col0] == r else 0)
-        if col0 < pivots[r] - 1:
-            return ("c", 0)
-        return ("v", free_index[(r, col0)])
-
-    return entry
-
-
 def _cell_blocks(gf, k, n, width):
     """Column blocks of the Plucker matrix, cell by cell in enumeration
     order.  A cell wider than `width` columns is split by fixing its first
@@ -284,8 +271,17 @@ def _cell_blocks(gf, k, n, width):
     indices = multi_indices(k, n)
     for pivots in itertools.combinations(range(1, n + 1), k):
         free = cell_free_positions(pivots, k, n)
-        entry = _cell_entry_plan(pivots, k, n,
-                                 {pos: i for i, pos in enumerate(free)})
+        free_index = {pos: i for i, pos in enumerate(free)}
+        pivot_cols = {p - 1: r for r, p in enumerate(pivots)}
+
+        def entry(r, col0):
+            """Entry (r, col0) of the cell: ("c", const) or ("v", index)."""
+            if col0 in pivot_cols:
+                return ("c", 1 if pivot_cols[col0] == r else 0)
+            if col0 < pivots[r] - 1:
+                return ("c", 0)
+            return ("v", free_index[(r, col0)])
+
         plans = [[[entry(r, c - 1) for c in idx] for r in range(k)]
                  for idx in indices]
         sizes = [gf.q] * len(free)
@@ -316,6 +312,8 @@ def plucker_blocks(gf, k, n):
     fits PLUCKER_CACHE_CAP, else its columns in the same order as blocks
     built on the fly and not kept, each of at most PLUCKER_CACHE_CAP entries
     and of at most BLOCK_BYTES a row."""
+    if not 1 <= k <= n:
+        raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     rows = _binom(n, k)
     if gaussian_binomial(k, n, gf.q) * rows <= PLUCKER_CACHE_CAP:
         yield plucker_matrix(gf, k, n)

@@ -17,29 +17,28 @@ matrix-scan       scans the matrices [I_k | A] and accepts A exactly when
                   gamma = (q-1)^(n-1) * gamma-tilde.  Work is chunked by
                   fixing the first t free entries.
 
-grassmannian-filter  walks the echelon representatives of G(k, n), cell by
-                  cell, with no torus normalization, and keeps the points
-                  whose maximal minors are all nonzero.  Each maximal minor
-                  is planned, up to sign, as the minor left after deleting
-                  its unit pivot columns and their rows.  One that is a
-                  single entry is read off the plan instead of evaluated:
-                  its entry runs over 1..q-1, and a cell where it is a
-                  structural zero is skipped.  Only the big cell, pivots
-                  1..k, survives, so the walk is (q-1)^(k(n-k)) points and
-                  the count is gamma.
+grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
+                  normalization, and keeps the points whose maximal minors
+                  are all nonzero.  The big cell is exactly where p_(1..k)
+                  is nonzero, so it holds every point counted.  Up to sign,
+                  p_I is the minor of A on the rows r with r+1 not in I and
+                  the columns of I past k, planned from the multi-index I;
+                  one of order 0 is the constant 1 and one of order 1 a lone
+                  entry, so the k(n-k) entries run over 1..q-1 and only the
+                  minors of order >= 2 are evaluated.  The walk is
+                  (q-1)^(k(n-k)) points and the count is gamma.
 
-Both routes hand the same scheduler a list of walks, each a minor plan
-with the sizes and offsets of its free entries: the scan one walk, the
-filter one per non-empty cell.  Every chunk yields an exact integer and the
-total is an order-independent sum, so results are bit-identical for any
-worker count.  A chunk fixes the first free entries of its walk, and
+Both routes hand the same scheduler one walk, a minor plan with the sizes
+and offsets of its free entries.  Every chunk yields an exact integer and
+the total is an order-independent sum, so results are bit-identical for any
+worker count.  A chunk fixes the first free entries of the walk, and
 _vecgf.count_all_nonzero walks the rest level by level: each minor is
 checked as soon as the last free entry it reads is walked, on the survivors
 so far against the next segment of free entries, so no array is larger than
 the chunk's suffix, at most _vecgf.BLOCK_BYTES per value array.
-A pool starts only when the walks pass POOL_MIN_WORK candidates and more
+A pool starts only when the walk passes POOL_MIN_WORK candidates and more
 than one worker is asked for; it never has more workers than
-os.cpu_count(), each walk is then cut into at least CHUNKS_PER_WORKER
+os.cpu_count(), the walk is then cut into at least CHUNKS_PER_WORKER
 chunks per worker, and the chunks go out in at most 8 tasks per worker.
 """
 
@@ -54,9 +53,8 @@ from . import _vecgf
 from .budget import check_budget
 from .errors import DivisibilityViolation, OutOfRange
 from .fields import make_field
-from .linalg import cell_free_positions
 
-POOL_MIN_WORK = 2**18       # candidates the walks must pass to start a pool
+POOL_MIN_WORK = 2**18       # candidates a walk must pass to start a pool
 CHUNKS_PER_WORKER = 64
 
 
@@ -128,7 +126,7 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
     check_budget(math.prod(sizes), budget, f"matrix scan at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
     walk = (_scan_minor_plan(k, nk), sizes, [2] * len(sizes))
-    gamma_tilde, workers = _count_walks(gf, [walk], threads)
+    gamma_tilde, workers = _count_walk(gf, walk, threads)
     # k = n: the unique [n, n] code, with no column scaling to divide out
     gamma = gamma_tilde if k == n else gamma_tilde * (q - 1) ** (n - 1)
     return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
@@ -139,60 +137,39 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
 # grassmannian-filter
 # ---------------------------------------------------------------------------
 
-def _cell_minor_plans(k, n, pivots):
-    """Minor plans (one per multi-index, lexicographic) for an echelon cell
-    and, per free entry, whether it is marked nonzero; plans is None when
-    some structurally-zero minor makes the cell empty of all-nonzero points.
-
-    A pivot column p_r in a multi-index is the unit column e_r, so up to
-    sign the maximal minor is the minor on the rows whose pivot is not in
-    the multi-index and its non-pivot columns; that smaller minor is the
-    plan, so it reads only the entries the maximal minor depends on.  When
-    it is 1 x 1, the entry of row r at its one non-pivot column c, it is a
-    lone-entry minor: it is dropped from the plans and its entry marked
-    nonzero, or, when the entry is a structural zero (c < p_r), the cell is
-    empty.  Any minor with a structurally zero row r has such a column c,
-    so these minors alone decide emptiness.  The multi-index of the pivots
-    themselves plans the empty minor, 1."""
+def _filter_minor_plan(k, n):
+    """Minor plans of the big cell [I_k | A], one per multi-index I whose
+    minor has order >= 2, lexicographic.  Free entry A[r][c] is value
+    r(n-k) + c.  Each i <= k in I is the unit column e_i, so up to sign p_I
+    is the minor of A on the rows r with r+1 not in I and the columns c with
+    k+c+1 in I.  Order 0 (I = 1..k) is the constant 1 and order 1 a lone
+    entry, nonzero because the walk skips 0."""
     from .exterior import multi_indices
 
-    free = cell_free_positions(pivots, k, n)
-    free_index = {pos: i for i, pos in enumerate(free)}
-    entry = _vecgf._cell_entry_plan(pivots, k, n, free_index)
-    nonzero = [False] * len(free)
+    nk = n - k
     plans = []
     for idx in multi_indices(k, n):
-        rows = [r for r, p in enumerate(pivots) if p not in idx]
-        cols = [c - 1 for c in idx if c not in pivots]
-        if len(rows) == 1:
-            kind, payload = entry(rows[0], cols[0])
-            if kind == "c":
-                return None, tuple(nonzero)
-            nonzero[payload] = True
-        else:
-            plans.append(tuple(tuple(entry(r, c) for c in cols) for r in rows))
-    return tuple(plans), tuple(nonzero)
+        rows = [r for r in range(k) if r + 1 not in idx]
+        if len(rows) >= 2:
+            cols = [c - k - 1 for c in idx if c > k]
+            plans.append(tuple(tuple(("v", r * nk + c) for c in cols) for r in rows))
+    return tuple(plans)
 
 
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
-    """Independent oracle: walk the Grassmann points of every cell that can
-    hold an all-nonzero point, entries marked nonzero over F_q^*, and keep
-    those whose Plucker coordinates are all nonzero.  worker_count reports
-    the workers used (see _worker_count)."""
+    """Independent oracle: walk the Grassmann points of the big cell, the
+    only cell where p_(1..k) is nonzero, entries over F_q^*, and keep those
+    whose Plucker coordinates are all nonzero.  worker_count reports the
+    workers used (see _worker_count)."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
-    start = time.perf_counter()
-    walks = []
-    for pivots in itertools.combinations(range(1, n + 1), k):
-        plans, nonzero = _cell_minor_plans(k, n, pivots)
-        if plans is not None:
-            # marked entries run over 1..q-1, the others over 0..q-1
-            walks.append((plans, [q - 1 if nz else q for nz in nonzero],
-                          [1 if nz else 0 for nz in nonzero]))
-    check_budget(sum(math.prod(sizes) for _, sizes, _ in walks), budget,
+    sizes = [q - 1] * (k * (n - k))
+    check_budget(math.prod(sizes), budget,
                  f"Grassmannian filter at (k={k}, n={n}, q={q})")
-    gamma, workers = _count_walks(gf, walks, threads)
+    start = time.perf_counter()
+    walk = (_filter_minor_plan(k, n), sizes, [1] * len(sizes))
+    gamma, workers = _count_walk(gf, walk, threads)
     return _split_gamma(k, n, q, gamma, "grassmannian-filter",
                         time.perf_counter() - start, workers)
 
@@ -220,42 +197,30 @@ def _count_chunks(p, m, walk, t, lo, hi):
                for prefix in _vecgf.prefix_values(sizes[:t], offsets[:t], lo, hi))
 
 
-def _count_walks(gf, walks, threads):
-    """The all-nonzero candidates of every walk, summed, and the workers
-    used.  Each value array of a chunk fits _vecgf.BLOCK_BYTES; a pooled
-    walk is cut into at least CHUNKS_PER_WORKER chunks per worker and
+def _count_walk(gf, walk, threads):
+    """The all-nonzero candidates of one walk (plan, sizes, offsets) and the
+    workers used.  Each value array of a chunk fits _vecgf.BLOCK_BYTES; a
+    pooled walk is cut into at least CHUNKS_PER_WORKER chunks per worker and
     submitted as at most 8 tasks per worker."""
-    workers = _worker_count(threads, sum(math.prod(sizes) for _, sizes, _ in walks))
+    _, sizes, _ = walk
+    workers = _worker_count(threads, math.prod(sizes))
     cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
-    min_chunks = CHUNKS_PER_WORKER * workers if workers > 1 else 1
-    tasks = []
-    for walk in walks:
-        _, sizes, _ = walk
-        t = _vecgf.choose_prefix_len(sizes, cap, min_chunks)
-        tasks.append((walk, t, math.prod(sizes[:t])))
+    t = _vecgf.choose_prefix_len(sizes, cap,
+                                 CHUNKS_PER_WORKER * workers if workers > 1 else 1)
+    n_chunks = math.prod(sizes[:t])
     if workers == 1:
-        return sum(_count_chunks(gf.p, gf.m, walk, t, 0, n_chunks)
-                   for walk, t, n_chunks in tasks), 1
+        return _count_chunks(gf.p, gf.m, walk, t, 0, n_chunks), 1
+    step = -(-n_chunks // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        for walk, t, n_chunks in tasks:
-            step = -(-n_chunks // (8 * workers))
-            for lo in range(0, n_chunks, step):
-                futures.append(pool.submit(_count_chunks, gf.p, gf.m, walk, t,
-                                           lo, min(lo + step, n_chunks)))
+        futures = [pool.submit(_count_chunks, gf.p, gf.m, walk, t,
+                               lo, min(lo + step, n_chunks))
+                   for lo in range(0, n_chunks, step)]
         return sum(f.result() for f in futures), workers
 
 
 # ---------------------------------------------------------------------------
 # derived quantities and closed-form oracles
 # ---------------------------------------------------------------------------
-
-def arc_count(k, n, gf, threads=1, budget=None):
-    """gamma / (q-1)^(n-1): the census count with the column-scaling factor
-    divided out, counting n-point general-position configurations of
-    PG(k-1, q) normalized through a fixed frame."""
-    return count_mds_matrix_scan(k, n, gf, threads=threads, budget=budget).gamma_tilde
-
 
 def gamma_closed_form(k, n, q):
     """Exact classical count for k <= 2; None for larger k.

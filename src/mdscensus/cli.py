@@ -270,9 +270,14 @@ def _cmd_weight(config):
     gf = field_of_order(config.q)
     try:
         terms = json.loads(config.extra["form"])
-        parsed = [((tuple(t["index"])), int(t["coeff"])) for t in terms]
+        parsed = [(tuple(t["index"]), t["coeff"]) for t in terms]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise MdsError(f"malformed form description: {exc}") from exc
+    for _, coeff in parsed:
+        # JSON true and false load as bool, a subclass of int
+        if type(coeff) is not int:
+            raise MdsError(f"malformed form description: coefficient "
+                           f"{json.dumps(coeff)} is not an integer")
     omega = DualForm.from_terms(gf, config.k, config.n, parsed)
     method = config.extra["method"]
     payload = {"k": config.k, "n": config.n, "q": config.q}

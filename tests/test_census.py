@@ -8,7 +8,6 @@ import pytest
 
 from mdscensus import _vecgf, census, verify
 from mdscensus.census import (
-    arc_count,
     count_mds,
     count_mds_grassmannian_filter,
     count_mds_matrix_scan,
@@ -16,7 +15,8 @@ from mdscensus.census import (
 )
 from mdscensus.errors import BudgetExceeded
 from mdscensus.fields import field_of_order, make_field
-from mdscensus.linalg import MatrixGF, cell_free_positions, minor
+from mdscensus.exterior import plucker_embed
+from mdscensus.linalg import MatrixGF, enumerate_grassmannian, minor
 
 
 def naive_gamma(k, n, gf):
@@ -68,15 +68,15 @@ def test_cross_oracle_small():
                 assert a == b, (k, n, q)
 
 
-def test_arc_count_examples():
-    assert arc_count(2, 4, make_field(3, 1)) == 1
+def test_gamma_tilde_examples():
+    assert count_mds_matrix_scan(2, 4, make_field(3, 1)).gamma_tilde == 1
     # gamma(2,5;4) = 162 = 2 (q-1)^4: exactly two normalized 5-point frames
     # on the projective line over GF(4)
-    assert arc_count(2, 5, make_field(2, 2)) == 2
+    assert count_mds_matrix_scan(2, 5, make_field(2, 2)).gamma_tilde == 2
     for q in (2, 3, 4, 5):
         gf = field_of_order(q)
         for n in (2, 3, 4):
-            assert arc_count(1, n, gf) == 1
+            assert count_mds_matrix_scan(1, n, gf).gamma_tilde == 1
 
 
 def test_closed_forms_match_scan():
@@ -254,22 +254,33 @@ def test_worker_count_criterion_starts_a_pool(monkeypatch):
         assert CountingPool.started == 0
 
 
-def test_only_the_big_cell_survives():
-    # a free entry (r, c) is, up to sign, the maximal minor on the columns
-    # pivots - {p_r} + {c}; any cell but pivots 1..k has such a minor on a
-    # structurally zero entry, so it holds no all-nonzero point
+def test_all_nonzero_points_lie_in_the_big_cell():
+    # p_(1..k) != 0 exactly on the big cell [I_k | A], so every point the
+    # filter counts has pivots 1..k, and counting them all gives its gamma
+    for q, max_n in ((2, 6), (3, 5), (4, 4)):
+        gf = field_of_order(q)
+        for n in range(1, max_n + 1):
+            for k in range(1, n + 1):
+                found = 0
+                for point in enumerate_grassmannian(gf, k, n):
+                    if all(c != 0 for c in plucker_embed(point.matrix).coeffs):
+                        assert point.pivots == tuple(range(1, k + 1)), (k, n, q)
+                        found += 1
+                assert found == count_mds_grassmannian_filter(k, n, gf).gamma, (k, n, q)
+
+
+def test_filter_plans_no_minor_below_order_two():
+    # order 0 is the constant p_(1..k) = 1 and order 1 a lone entry, which
+    # the walk over 1..q-1 keeps nonzero; the other C(n,k) - 1 - k(n-k)
+    # multi-indices are planned, each on free entries only
     for n in range(1, 9):
         for k in range(1, n + 1):
-            survivors = []
-            for pivots in itertools.combinations(range(1, n + 1), k):
-                plans, nonzero = census._cell_minor_plans(k, n, pivots)
-                assert len(nonzero) == len(cell_free_positions(pivots, k, n))
-                if plans is not None:
-                    survivors.append(pivots)
-                    assert all(nonzero), (k, n)
-                    # the k(n-k) lone-entry minors are read off, not planned
-                    assert len(plans) == math.comb(n, k) - k * (n - k)
-            assert survivors == [tuple(range(1, k + 1))], (k, n)
+            plans = census._filter_minor_plan(k, n)
+            assert len(plans) == math.comb(n, k) - 1 - k * (n - k), (k, n)
+            for minor in plans:
+                assert len(minor) >= 2 and all(len(row) == len(minor) for row in minor)
+                assert all(kind == "v" and 0 <= i < k * (n - k)
+                           for row in minor for kind, i in row), (k, n)
 
 
 def test_walks_honour_budget():

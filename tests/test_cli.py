@@ -122,6 +122,24 @@ def test_weight_rejects_bad_indices(capsys):
                               "increasing 2-subset of 1..4"), index
 
 
+def test_weight_rejects_non_integer_coefficients(capsys):
+    # int(coeff) used to read 1.5, true and "2" as coefficients: each printed
+    # weight 81 at (2,4,3) and exited 0
+    for coeff in (1.5, True, "2", 2.0, None):
+        form = json.dumps([{"index": [1, 2], "coeff": coeff}])
+        code, out, err = run_cli(
+            capsys, "weight", "--k", "2", "--n", "4", "--q", "3", "--form", form
+        )
+        assert code == 1, coeff
+        assert out == "" and err.splitlines() == [err.strip()], coeff
+        assert err.startswith(f"error: malformed form description: coefficient "
+                              f"{json.dumps(coeff)} is not an integer"), coeff
+    form = json.dumps([{"index": [1, 2], "coeff": 2}])
+    code, out, _ = run_cli(capsys, "weight", "--k", "2", "--n", "4", "--q", "3",
+                           "--form", form)
+    assert code == 0 and json.loads(out)["weight_direct"] == "81"
+
+
 def test_code_spectrum_csv(capsys):
     code, out, _ = run_cli(
         capsys, "code", "--k", "2", "--n", "4", "--q", "2",
@@ -193,6 +211,17 @@ def test_sections_max_r_below_one_rejected(capsys):
         )
         assert code == 1, r
         assert out == "" and f"--max-r must be at least 1, got {r}" in err, r
+
+
+@pytest.mark.parametrize("command", [("sections",), ("incl-excl",), ("code",)])
+def test_plucker_commands_reject_k_out_of_range(capsys, command):
+    # k > n used to end in numpy's "need at least one array to concatenate",
+    # k = 0 in a one-point answer with exit 0
+    for k, n in (("4", "3"), ("0", "3")):
+        code, out, err = run_cli(capsys, *command, "--k", k, "--n", n, "--q", "2")
+        assert code == 1, (command, k)
+        assert out == "" and err.splitlines() == [
+            f"error: need 1 <= k <= n, got k={k}, n={n}"], (command, k)
 
 
 def test_table_format(capsys):
