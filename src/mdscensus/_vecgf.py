@@ -103,6 +103,23 @@ class VecOps:
             return x
         return self._by_digit(0, x, -1)
 
+    @functools.cached_property
+    def _inverses(self):
+        """inv[a] = a^-1 = g^(q-1-log a) from the field's log/exp tables,
+        and inv[0] = 0; built on the first inv call."""
+        gf, q = self.gf, self.q
+        out = np.zeros(q, dtype=self.dtype)
+        logs = np.array(gf._log[1:], dtype=np.int64)
+        out[1:] = np.array(gf._exp[:q - 1], dtype=self.dtype)[(-logs) % (q - 1)]
+        return out
+
+    def inv(self, x):
+        """x^-1, elementwise on an array; 0 maps to 0, so a caller that
+        divides by a zero entry gets a value it must mask."""
+        if isinstance(x, int):
+            return int(self._inverses[x])
+        return self._inverses[x]
+
 
 @functools.lru_cache(maxsize=None)
 def vector_ops(gf):
@@ -194,32 +211,137 @@ def _last_entry(minor):
                default=-1)
 
 
+def _affine_parts(minor, entry):
+    """(cofactor, at_zero) plans of a minor that reads free entry x once, at
+    row r and column c: its determinant is (-1)^(r+c) x C + D, C the
+    cofactor of x and D the determinant at x = 0.  When r + c is even the
+    rows of at_zero are swapped, which negates D, so that D / C is the one
+    value of x that makes the minor singular when C is nonzero."""
+    x = ("v", entry)
+    r = next(i for i, row in enumerate(minor) if x in row)
+    c = minor[r].index(x)
+    cofactor = tuple((*row[:c], *row[c + 1:]) for i, row in enumerate(minor) if i != r)
+    at_zero = [(*row[:c], ("c", 0), *row[c + 1:]) if i == r else row
+               for i, row in enumerate(minor)]
+    if (r + c) % 2 == 0 and len(minor) > 1:
+        at_zero[0], at_zero[1] = at_zero[1], at_zero[0]
+    return cofactor, tuple(at_zero)
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_entries(minors):
+    """(last, counted, parts) of a plan, a tuple of minors, worked out once
+    per plan: each minor's _last_entry; the last free entry any minor
+    reads, when no minor reads it twice, else None; and the (cofactor,
+    at_zero) plans of the minors through that counted entry.  Each
+    determinant through the counted entry is affine in it, so the walk
+    counts its values instead of walking them.  Kept for the life of the
+    process: a run plans few walks and sizes and counts each many times."""
+    last = tuple(_last_entry(m) for m in minors)
+    top = max(last, default=-1)
+    through = [m for m, e in zip(minors, last) if e == top]
+    x = ("v", top)
+    if top < 0 or any(sum(row.count(x) for row in m) > 1 for m in through):
+        return last, None, ()
+    return last, top, tuple(_affine_parts(m, top) for m in through)
+
+
+def walked_len(minors):
+    """How many leading free entries a walk of these minors materializes,
+    prefix included: every entry up to the last one a minor reads, except
+    that last entry when it is counted.  The entries past it only multiply
+    the count."""
+    last, counted, _ = _plan_entries(tuple(minors))
+    return max(last, default=-1) + 1 if counted is None else counted
+
+
 def walk_levels(minors, sizes, offsets, dtype, t):
     """The levels of a walk cut after its first t free entries, for
-    count_all_nonzero: (prefix minors, segments, tail).
+    count_all_nonzero: (prefix minors, segments, last level, tail).
 
-    Each minor is checked where its last free entry is walked.  The minors
+    Each minor is checked where its last free entry is reached.  The minors
     whose last entry lies in the prefix (or which read none) are checked on
-    the chunk's Python ints.  The suffix is cut into segments that end at
-    the other minors' last entries; a segment is (grids, minors), its grids
-    the odometer over its positions, built once for every chunk.  The
-    positions after the last minor form the tail: no minor reads them, so
-    they multiply the count by the product of their sizes."""
-    last = [_last_entry(m) for m in minors]
+    the chunk's Python ints.  The suffix up to the last entry any minor
+    reads is cut into segments that end at the other minors' last entries;
+    a segment is (grids, minors), its grids the odometer over its positions,
+    built once for every chunk.  When that last entry is past the prefix
+    and no minor reads it twice it is not walked but counted: the last
+    level is (size, offset, plans, rows), one (cofactor, at_zero) pair of
+    plans per minor through it (see _affine_parts) and the survivors taken
+    `rows` at a time, so that no array of the level passes block_len(dtype);
+    else the last level is None.  The positions after it form the tail: no
+    minor reads them, so they multiply the count by the product of their
+    sizes."""
+    last, counted, parts = _plan_entries(tuple(minors))
+    if counted is not None and counted < t:
+        counted = None
     prefix = [m for m, e in zip(minors, last) if e < t]
     segments = []
     start = t
-    for end in sorted({e for e in last if e >= t}):
+    for end in sorted({e for e in last if e >= t and e != counted}):
         grids = position_arrays(sizes[start:end + 1], offsets[start:end + 1], dtype)
         segments.append((grids, [m for m, e in zip(minors, last) if e == end]))
         start = end + 1
-    return prefix, segments, math.prod(sizes[start:])
+    if counted is None:
+        return prefix, segments, None, math.prod(sizes[start:])
+    if start < counted:
+        # entries the last minors read that no earlier minor ends on
+        segments.append((position_arrays(sizes[start:counted], offsets[start:counted],
+                                         dtype), []))
+    final = (sizes[counted], offsets[counted], parts,
+             max(1, block_len(dtype) // len(parts)))
+    return prefix, segments, final, math.prod(sizes[counted + 1:])
 
 
 def _resolve(minor, vals):
     """The minor's matrix: a constant as it is, free entry i as vals[i]."""
     return [[vals[payload] if kind == "v" else payload for kind, payload in row]
             for row in minor]
+
+
+def _walk_segment(ops, vals, count, grids, minors):
+    """The survivors after one segment, (count, vals): the `count` survivors
+    `vals` so far against every value of the segment's grids, kept where
+    the segment's minors are all nonzero."""
+    width = grids[0].size
+    grid = [v[:, None] if isinstance(v, np.ndarray) else v for v in vals]
+    grid += [g[None, :] for g in grids]
+    keep = np.ones((count, width), dtype=bool)
+    for minor in minors:
+        keep &= det_any(ops, _resolve(minor, grid)) != 0
+    rows, cols = np.divmod(np.flatnonzero(keep), width)
+    vals = [v[rows] if isinstance(v, np.ndarray) else v for v in vals]
+    return rows.size, vals + [g[cols] for g in grids]
+
+
+def _count_last(ops, vals, count, final):
+    """How many values of the counted entry keep every minor through it
+    nonzero, summed over the `count` survivors `vals`.  A minor with
+    cofactor C != 0 forbids the one value D / C, D from its at_zero plan
+    (see _affine_parts); with C = 0 it forbids every value when D = 0 and
+    none otherwise.  Each survivor keeps the values of the window
+    [offset, offset + size) that none of its minors forbids.  The arrays
+    hold one row per minor and one column per survivor; a minor's
+    forbidden value counts where it lies in the window and differs from
+    those of every earlier minor."""
+    size, offset, plans, rows = final
+    total = 0
+    for lo in range(0, count, rows):
+        part = [v[lo:lo + rows] if isinstance(v, np.ndarray) else v for v in vals]
+        cof = np.empty((len(plans), min(rows, count - lo)), dtype=ops.dtype)
+        at_zero = np.empty_like(cof)
+        for j, (cofactor, zero) in enumerate(plans):
+            cof[j] = det_any(ops, _resolve(cofactor, part))
+            at_zero[j] = det_any(ops, _resolve(zero, part))
+        singular = cof == 0
+        alive = ~(singular & (at_zero == 0)).any(axis=0)
+        # -1 lies outside every window: C = 0 with D != 0 forbids nothing
+        roots = np.where(singular, -1, ops.mul(at_zero, ops.inv(cof)))
+        new = (roots >= offset) & (roots < offset + size)
+        for j in range(1, len(plans)):
+            new[j] &= (roots[:j] != roots[j]).all(axis=0)
+        total += int(size * np.count_nonzero(alive) - np.count_nonzero(new & alive))
+    return total
 
 
 def count_all_nonzero(ops, prefix, levels):
@@ -232,29 +354,21 @@ def count_all_nonzero(ops, prefix, levels):
     survivors are the assignments of every position walked so far that pass
     every minor checked so far, one array per suffix position.  A segment's
     minors run on a broadcast grid, the survivors as a (survivors, 1) column
-    against the segment as a (1, segment) row, so no array is larger than
-    the chunk's suffix; one flatnonzero and a divmod gather keep the pairs
-    that pass."""
-    prefix_minors, segments, tail = levels
+    against the segment as a (1, segment) row; one flatnonzero and a divmod
+    gather keep the pairs that pass.  A counted last level is not walked:
+    _count_last counts its values from the survivors column alone."""
+    prefix_minors, segments, final, tail = levels
     for minor in prefix_minors:
         if det_any(ops, _resolve(minor, prefix)) == 0:
             return 0
     vals = list(prefix)
     count = 1
     for grids, minors in segments:
-        width = grids[0].size
-        grid = [v[:, None] if isinstance(v, np.ndarray) else v for v in vals]
-        grid += [g[None, :] for g in grids]
-        keep = np.ones((count, width), dtype=bool)
-        for minor in minors:
-            keep &= det_any(ops, _resolve(minor, grid)) != 0
-        picked = np.flatnonzero(keep)
-        count = picked.size
+        count, vals = _walk_segment(ops, vals, count, grids, minors)
         if count == 0:
             return 0
-        rows, cols = np.divmod(picked, width)
-        vals = [v[rows] if isinstance(v, np.ndarray) else v for v in vals]
-        vals += [g[cols] for g in grids]
+    if final is not None:
+        count = _count_last(ops, vals, count, final)
     return count * tail
 
 

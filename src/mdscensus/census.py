@@ -34,12 +34,19 @@ the total is an order-independent sum, so results are bit-identical for any
 worker count.  A chunk fixes the first free entries of the walk, and
 _vecgf.count_all_nonzero walks the rest level by level: each minor is
 checked as soon as the last free entry it reads is walked, on the survivors
-so far against the next segment of free entries, so no array is larger than
-the chunk's suffix, at most _vecgf.BLOCK_BYTES per value array.
+so far against the next segment of free entries.  The last free entry x of
+either plan is counted, not walked: no minor reads an entry twice, so each
+minor through x is affine in it, det = +-x C + D with C the cofactor of x
+and D the minor at x = 0.  For each survivor a minor with C != 0 forbids
+the one value x = -D / (+-C), and one with C = 0 forbids every value when
+D = 0 and none otherwise; the survivor counts the values of x that no
+minor forbids.  The chunk prefix is sized on the walked entries alone, so
+no value array passes _vecgf.BLOCK_BYTES.
 A pool starts only when the walk passes POOL_MIN_WORK candidates and more
 than one worker is asked for; it never has more workers than
 os.cpu_count(), the walk is then cut into at least CHUNKS_PER_WORKER
-chunks per worker, and the chunks go out in at most 8 tasks per worker.
+chunks per worker where its walked entries allow, and the chunks go out in
+at most 8 tasks per worker.
 """
 
 import itertools
@@ -199,13 +206,16 @@ def _count_chunks(p, m, walk, t, lo, hi):
 
 def _count_walk(gf, walk, threads):
     """The all-nonzero candidates of one walk (plan, sizes, offsets) and the
-    workers used.  Each value array of a chunk fits _vecgf.BLOCK_BYTES; a
-    pooled walk is cut into at least CHUNKS_PER_WORKER chunks per worker and
-    submitted as at most 8 tasks per worker."""
-    _, sizes, _ = walk
+    workers used.  The chunk prefix is sized on the free entries the kernel
+    walks, _vecgf.walked_len of them: the counted last entry and the tail
+    after it are never materialized.  So each chunk's walked suffix, and
+    with it every value array, fits _vecgf.BLOCK_BYTES; a pooled walk is
+    cut into at least CHUNKS_PER_WORKER chunks per worker where the walked
+    entries allow, and submitted as at most 8 tasks per worker."""
+    plan, sizes, _ = walk
     workers = _worker_count(threads, math.prod(sizes))
     cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
-    t = _vecgf.choose_prefix_len(sizes, cap,
+    t = _vecgf.choose_prefix_len(sizes[:_vecgf.walked_len(plan)], cap,
                                  CHUNKS_PER_WORKER * workers if workers > 1 else 1)
     n_chunks = math.prod(sizes[:t])
     if workers == 1:

@@ -77,6 +77,10 @@ def test_gamma_tilde_examples():
         gf = field_of_order(q)
         for n in (2, 3, 4):
             assert count_mds_matrix_scan(1, n, gf).gamma_tilde == 1
+    # gamma-tilde(3,8,q) at q = 9 and 11, where the scan and an independent
+    # column-sorted scan agreed
+    assert count_mds_matrix_scan(3, 8, field_of_order(9)).gamma_tilde == 7560
+    assert count_mds_matrix_scan(3, 8, field_of_order(11)).gamma_tilde == 389592
 
 
 def test_closed_forms_match_scan():
@@ -296,49 +300,80 @@ def test_walks_honour_budget():
             assert count(k, n, gf, budget=walk).gamma == expected, (count, k, n, q)
 
 
+# (3,7,11) and (3,8,11) scans walk 9^6 and 9^8 int64 candidates, the filter
+# 4^9 int64 points at (3,6,5) and 7^8 int16 points at (2,6,8); each counts
+# its last free entry.  At (3,8,11) sizing the chunk prefix on the walked
+# entries alone cuts after 3 entries, where the whole suffix would cut after 4
+BLOCK_SHAPES = ((count_mds_matrix_scan, 3, 7, 11),
+                (count_mds_matrix_scan, 3, 8, 11),
+                (count_mds_grassmannian_filter, 3, 6, 5),
+                (count_mds_grassmannian_filter, 2, 6, 8))
+
+
+def _record_arrays(monkeypatch, target, names, found):
+    """Wrap target.<name> for each name so that the (entries, bytes) of
+    every array it returns, alone or in a list, go to found[name]."""
+    for name in names:
+        fn = getattr(target, name)
+
+        def recording(*args, fn=fn, name=name):
+            out = fn(*args)
+            for a in out if isinstance(out, list) else [out]:
+                if isinstance(a, np.ndarray):
+                    found.setdefault(name, []).append((a.size, a.nbytes))
+            return out
+
+        monkeypatch.setattr(target, name, recording)
+
+
 def test_walked_blocks_fit_block_bytes(monkeypatch):
     # every value array a census route materializes fits BLOCK_BYTES: the
-    # scan at (3,7,11) walks 9^6 int64 candidates, the filter 4^9 int64
-    # points at (3,6,5) and 7^8 int16 points at (2,6,8)
-    grids = []
-    position_arrays = _vecgf.position_arrays
-
-    def recording(sizes, offsets, dtype):
-        out = position_arrays(sizes, offsets, dtype)
-        grids.extend(out)
-        return out
-
-    monkeypatch.setattr(_vecgf, "position_arrays", recording)
-    for count, k, n, q in ((count_mds_matrix_scan, 3, 7, 11),
-                           (count_mds_grassmannian_filter, 3, 6, 5),
-                           (count_mds_grassmannian_filter, 2, 6, 8)):
-        grids.clear()
+    # grids of the walked segments, and the cofactor inverses and forbidden
+    # values of the counted last entry
+    found = {}
+    _record_arrays(monkeypatch, _vecgf, ("position_arrays",), found)
+    _record_arrays(monkeypatch, _vecgf.VecOps, ("inv", "mul"), found)
+    for count, k, n, q in BLOCK_SHAPES:
+        found.clear()
         count(k, n, field_of_order(q), threads=1)
-        assert grids and all(g.nbytes <= _vecgf.BLOCK_BYTES for g in grids), (k, n, q)
+        assert found.keys() == {"position_arrays", "inv", "mul"}, (k, n, q)
+        largest = max(nbytes for arrays in found.values() for _, nbytes in arrays)
+        assert largest <= _vecgf.BLOCK_BYTES, (k, n, q, largest)
 
 
 def test_kernel_arrays_fit_block_len(monkeypatch):
     # the level-wise kernel evaluates a segment's minors on a survivors x
-    # segment grid, at most the chunk's suffix: every array det_any returns,
-    # the recursion included, holds at most block_len(dtype) entries
-    sizes = []
-    det_any = _vecgf.det_any
-
-    def recording(ops, m):
-        out = det_any(ops, m)
-        if isinstance(out, np.ndarray):
-            sizes.append(out.size)
-        return out
-
-    monkeypatch.setattr(_vecgf, "det_any", recording)
-    for count, k, n, q in ((count_mds_matrix_scan, 3, 7, 11),
-                           (count_mds_grassmannian_filter, 3, 6, 5),
-                           (count_mds_grassmannian_filter, 2, 6, 8)):
-        sizes.clear()
+    # segment grid, at most the chunk's walked suffix, and the minors
+    # through the counted last entry on (minors, survivors) arrays cut to
+    # block_len: every array det_any or a field op returns, the recursion,
+    # the cofactors and values at x = 0, their inverses and the forbidden
+    # values included, holds at most block_len(dtype) entries
+    found = {}
+    _record_arrays(monkeypatch, _vecgf, ("det_any",), found)
+    _record_arrays(monkeypatch, _vecgf.VecOps, ("add", "sub", "mul", "neg", "inv"),
+                   found)
+    for count, k, n, q in BLOCK_SHAPES:
+        found.clear()
         gf = field_of_order(q)
         count(k, n, gf, threads=1)
         cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
-        assert sizes and max(sizes) <= cap, (k, n, q, max(sizes, default=0))
+        assert {"det_any", "inv"} <= found.keys(), (k, n, q)
+        largest = max(size for arrays in found.values() for size, _ in arrays)
+        assert largest <= cap, (k, n, q, largest)
+
+
+def test_chunk_prefix_is_sized_on_walked_entries(monkeypatch):
+    # the counted last entry and the tail after it are never materialized:
+    # (3,8,11) walks entries 0..6 and counts entry 7, so 9^4 <= block_len
+    # walked entries fit after a prefix of 3, 729 chunks where sizing on all
+    # 8 entries would cut 6561
+    cuts = []
+    monkeypatch.setattr(census, "_count_chunks",
+                        lambda p, m, walk, t, lo, hi: cuts.append((t, lo, hi)) or 0)
+    plan = census._scan_minor_plan(3, 5)
+    assert _vecgf.walked_len(plan) == 7
+    census._count_walk(field_of_order(11), (plan, [9] * 8, [2] * 8), 1)
+    assert cuts == [(3, 0, 729)]
 
 
 def test_position_arrays_match_product():

@@ -105,6 +105,11 @@ def test_vecops_match_scalar_ops(q, data):
         both = vector(c, ys[0])
         assert type(both) is int and both == scalar(c, ys[0])
     assert ops.neg(x).tolist() == [gf.neg(a) for a in xs]
+    # exact inverses from the log/exp tables; 0 maps to 0 for the kernel
+    # to mask
+    assert ops.inv(x).tolist() == [gf.inv(a) if a else 0 for a in xs]
+    inverse = ops.inv(c)
+    assert type(inverse) is int and inverse == (gf.inv(c) if c else 0)
 
 
 @st.composite
@@ -148,6 +153,23 @@ def _brute_force_count(gf, sizes, offsets, minors):
 @example((9, [3, 3], [0, 6],
           [((("c", 2), ("c", 5)), (("c", 4), ("c", 1))), ((("v", 1),),)]))
 @example((9, [3, 3], [0, 6], [((("c", 2), ("c", 4)), (("c", 2), ("c", 4)))]))
+# the counted last entry x = v1 at (1, 1) with cofactor v0: at v0 = 0 the
+# minor is 0 whatever x is (D = 0), then never (D = -2); at v0 = 1 the
+# sign of D decides whether x = 2 or x = 5 is forbidden
+@example((7, [3, 3], [0, 2], [((("v", 0), ("c", 1)), (("c", 0), ("v", 1)))]))
+@example((7, [2, 3], [0, 1], [((("v", 0), ("c", 1)), (("c", 2), ("v", 1)))]))
+# a minor reading its last entry twice, x^2 - 1: that entry stays walked
+@example((7, [3, 3], [1, 1], [((("v", 1), ("c", 1)), (("c", 1), ("v", 1))),
+                              ((("v", 0), ("v", 1)), (("c", 1), ("c", 3)))]))
+# x = v1 at (0, 1) forbids v0^-1 in {1, 2}, outside the window 5..6
+@example((9, [2, 2], [1, 5], [((("c", 1), ("v", 1)), (("v", 0), ("c", 1)))]))
+# a counted last entry with no values
+@example((7, [3, 0], [1, 3], [((("v", 0), ("v", 1)), (("c", 1), ("c", 2)))]))
+# free entries 2..3 after the counted entry; at v0 = 1 two minors forbid
+# the same value, and [[v1]] forbids 0, outside the window
+@example((8, [3, 3, 3, 2], [1, 1, 0, 6],
+          [((("v", 0), ("c", 1)), (("c", 1), ("v", 1))),
+           ((("v", 1), ("v", 0)), (("c", 1), ("c", 1))), ((("v", 1),),)]))
 def test_kernel_matches_brute_force_at_every_prefix(walk):
     q, sizes, offsets, minors = walk
     gf = field_of_order(q)
@@ -157,7 +179,8 @@ def test_kernel_matches_brute_force_at_every_prefix(walk):
         levels = _vecgf.walk_levels(minors, sizes, offsets, ops.dtype, t)
         got = sum(_vecgf.count_all_nonzero(ops, prefix, levels)
                   for prefix in _vecgf.prefix_values(sizes[:t], offsets[:t]))
-        assert got == expected, t
+        # a Python int, so that sums over chunks never wrap
+        assert got == expected and type(got) is int, t
 
 
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
