@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .budget import check_budget
 from .errors import OutOfRange
 from .linalg import _binom, cell_free_positions, gaussian_binomial
 from .exterior import multi_indices
@@ -421,19 +422,35 @@ def plucker_matrix(gf, k, n):
     return out
 
 
-def plucker_blocks(gf, k, n):
+def plucker_blocks(gf, k, n, budget=None):
     """The one source of Plucker columns: the cached plucker_matrix when it
     fits PLUCKER_CACHE_CAP, else its columns in the same order as blocks
     built on the fly and not kept, each of at most PLUCKER_CACHE_CAP entries
-    and of at most BLOCK_BYTES a row."""
+    and of at most BLOCK_BYTES a row.  The sweep is budgeted at
+    q^(k(n-k)) * C(n, k) entries before the first block is built."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     rows = _binom(n, k)
+    check_budget(gf.q ** (k * (n - k)) * rows, budget,
+                 f"Plucker sweep of G({k},{n}) over GF({gf.q})")
     if gaussian_binomial(k, n, gf.q) * rows <= PLUCKER_CACHE_CAP:
         yield plucker_matrix(gf, k, n)
     else:
         yield from _cell_blocks(gf, k, n, min(PLUCKER_CACHE_CAP // rows,
                                               block_len(vector_ops(gf).dtype)))
+
+
+def support_size(gf, coeff_rows, blocks):
+    """The columns of the blocks on which at least one coefficient vector
+    of coeff_rows pairs nonzero: a form's weight, a section's norm, a
+    subcode's support."""
+    count = 0
+    for mat in blocks:
+        hit = np.zeros(mat.shape[1], dtype=bool)
+        for coeffs in coeff_rows:
+            hit |= form_values(gf, coeffs, mat) != 0
+        count += int(np.count_nonzero(hit))
+    return count
 
 
 def form_values(gf, coeffs, mat):

@@ -42,11 +42,11 @@ the one value x = -D / (+-C), and one with C = 0 forbids every value when
 D = 0 and none otherwise; the survivor counts the values of x that no
 minor forbids.  The chunk prefix is sized on the walked entries alone, so
 no value array passes _vecgf.BLOCK_BYTES.
-A pool starts only when the walk passes POOL_MIN_WORK candidates and more
-than one worker is asked for; it never has more workers than
-os.cpu_count(), the walk is then cut into at least CHUNKS_PER_WORKER
-chunks per worker where its walked entries allow, and the chunks go out in
-at most 8 tasks per worker.
+A pool starts only when the walk passes POOL_MIN_WORK candidates, more
+than one worker is asked for and the walk is cut into more than one chunk;
+it never has more workers than os.cpu_count(), the walk is then cut into
+at least CHUNKS_PER_WORKER chunks per worker where its walked entries
+allow, and the chunks go out in at most 8 tasks per worker.
 """
 
 import itertools
@@ -206,19 +206,20 @@ def _count_chunks(p, m, walk, t, lo, hi):
 
 def _count_walk(gf, walk, threads):
     """The all-nonzero candidates of one walk (plan, sizes, offsets) and the
-    workers used.  The chunk prefix is sized on the free entries the kernel
-    walks, _vecgf.walked_len of them: the counted last entry and the tail
-    after it are never materialized.  So each chunk's walked suffix, and
-    with it every value array, fits _vecgf.BLOCK_BYTES; a pooled walk is
-    cut into at least CHUNKS_PER_WORKER chunks per worker where the walked
-    entries allow, and submitted as at most 8 tasks per worker."""
+    workers used, one when the walk is one chunk.  The chunk prefix is
+    sized on the free entries the kernel walks, _vecgf.walked_len of them:
+    the counted last entry and the tail after it are never materialized.
+    So each chunk's walked suffix, and with it every value array, fits
+    _vecgf.BLOCK_BYTES; a pooled walk is cut into at least CHUNKS_PER_WORKER
+    chunks per worker where the walked entries allow, and submitted as at
+    most 8 tasks per worker."""
     plan, sizes, _ = walk
     workers = _worker_count(threads, math.prod(sizes))
     cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
     t = _vecgf.choose_prefix_len(sizes[:_vecgf.walked_len(plan)], cap,
                                  CHUNKS_PER_WORKER * workers if workers > 1 else 1)
     n_chunks = math.prod(sizes[:t])
-    if workers == 1:
+    if workers == 1 or n_chunks == 1:
         return _count_chunks(gf.p, gf.m, walk, t, 0, n_chunks), 1
     step = -(-n_chunks // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,8 +18,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .budget import check_budget
 from .errors import (
     DegreeMismatch,
@@ -351,22 +349,13 @@ def _contraction_rows(gf, k, n, coeffs):
     return rows
 
 
-def _contraction_matrix(omega):
-    """Rows indexed by e_1..e_n; row i holds the coefficients of the
-    contraction of omega by e_i."""
-    return MatrixGF.from_rows(
-        omega.gf, _contraction_rows(omega.gf, omega.k, omega.n, omega.coeffs)
-    )
-
-
 def _kernel_matrix(omega):
     """Echelonized basis of {v : iota_v omega = 0}."""
     gf, n = omega.gf, omega.n
-    t = _contraction_matrix(omega)
-    # v lies in the kernel iff sum_i v_i * row_i = 0: left null space of t
-    t_transpose = MatrixGF.from_rows(
-        gf, [[t.entry(i, j) for i in range(t.rows)] for j in range(t.cols)]
-    )
+    rows = _contraction_rows(gf, omega.k, n, omega.coeffs)
+    # v lies in the kernel iff sum_i v_i * row_i = 0: left null space of the
+    # contraction rows
+    t_transpose = MatrixGF.from_rows(gf, zip(*rows))
     v_omega = kernel_basis(t_transpose)
     if not v_omega.rows:
         return MatrixGF(gf, 0, n, ())
@@ -417,13 +406,11 @@ def form_weight(omega, method="direct", budget=None):
 
 
 def _weight_direct(omega, budget=None):
-    gf, k, n = omega.gf, omega.k, omega.n
-    check_budget(gf.q ** (k * (n - k)) * _binom(n, k), budget,
-                 f"weight sweep of G({k},{n}) over GF({gf.q})")
     from . import _vecgf
 
-    return sum(int(np.count_nonzero(_vecgf.form_values(gf, omega.coeffs, block)))
-               for block in _vecgf.plucker_blocks(gf, k, n))
+    gf, k, n = omega.gf, omega.k, omega.n
+    return _vecgf.support_size(gf, [omega.coeffs],
+                               _vecgf.plucker_blocks(gf, k, n, budget))
 
 
 def _all_vectors(gf, n):

@@ -31,9 +31,6 @@ from .errors import (
 ORDER_CAP = 2**20
 MAX_DEGREE = 8
 
-# Type alias documenting the public contract: field elements are ints.
-FieldElem = int
-
 
 def is_prime(n):
     if n < 2:
@@ -152,8 +149,9 @@ def smallest_irreducible(p, m):
     """Lexicographically smallest monic irreducible of degree m over GF(p).
 
     Candidates x^m + c_{m-1}x^{m-1} + ... + c_0 are ordered by comparing
-    coefficients from the highest degree down, i.e. (c_{m-1}, ..., c_0)
-    counts up like a base-p number.
+    coefficients from the constant term up, i.e. (c_0, ..., c_{m-1}) counts
+    up like a base-p number with c_0 the most significant digit: GF(8)
+    gets x^3 + x^2 + 1, not x^3 + x + 1.
     """
     if m == 1:
         return (0, 1)  # the polynomial x
@@ -385,19 +383,6 @@ class GF:
 
     # -- misc -----------------------------------------------------------------
 
-    def modulus_string(self):
-        terms = []
-        for d in range(self.m, -1, -1):
-            c = self.modulus[d] if d < len(self.modulus) else 0
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                xt = "x" if d == 1 else f"x^{d}"
-                terms.append(xt if c == 1 else f"{c}{xt}")
-        return " + ".join(terms) if terms else "0"
-
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -419,8 +404,8 @@ def make_field(p, m=1):
     """Field GF(p**m) with the smallest monic irreducible modulus of degree m.
 
     Deterministic across runs: the modulus is the lexicographically smallest
-    irreducible candidate (coefficients compared from the highest degree
-    down); for m = 1 it is x.
+    irreducible candidate (coefficients compared from the constant term up,
+    see smallest_irreducible); for m = 1 it is x.
     """
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")

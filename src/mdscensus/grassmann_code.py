@@ -48,7 +48,7 @@ def build_code(k, n, gf, budget=None):
     length = gaussian_binomial(k, n, gf.q)
     dimension = _binom(n, k)
     check_budget(length * dimension, budget, f"code build at (k={k}, n={n}, q={gf.q})")
-    blocks = list(_vecgf.plucker_blocks(gf, k, n))
+    blocks = list(_vecgf.plucker_blocks(gf, k, n, budget))
     generator = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
     generator.flags.writeable = False
     nonzero = generator != 0
@@ -87,7 +87,7 @@ def codeword_weight(code, omega):
 
 def _batched_weights(code, coeff_rows):
     """Weights of many codewords at once via the vectorized backend."""
-    return [int(np.count_nonzero(_vecgf.form_values(code.gf, coeffs, code.generator)))
+    return [_vecgf.support_size(code.gf, [coeffs], [code.generator])
             for coeffs in coeff_rows]
 
 
@@ -206,10 +206,7 @@ def standard_two_form(gf, n, r):
 def subcode_weight(code, forms):
     """Support size of the subcode spanned by the given forms: columns where
     at least one spanning form evaluates nonzero."""
-    hit = np.zeros(code.length, dtype=bool)
-    for f in forms:
-        hit |= _vecgf.form_values(code.gf, f.coeffs, code.generator) != 0
-    return int(np.count_nonzero(hit))
+    return _vecgf.support_size(code.gf, [f.coeffs for f in forms], [code.generator])
 
 
 def higher_weight_search(code, r, mode="exhaustive", budget=None):

@@ -8,9 +8,11 @@ make one pass over the Plucker blocks; the annihilator route reads each
 form's values off the basis forms' values on the same block, by linearity
 of the pairing.
 
-The inclusion-exclusion report walks every subset of the coordinate
-hyperplanes p_I = 0 and reassembles the number of subspaces with all
-Plucker coordinates nonzero, which must equal the census count.
+The inclusion-exclusion report counts, for each r, the pairs of a point
+and an r-subset of the coordinate hyperplanes p_I = 0 that misses it,
+from the points' support patterns, and reassembles the number of
+subspaces with all Plucker coordinates nonzero, which must equal the
+census count.  The patterns are 64-bit masks, so C(n, k) <= 64.
 """
 
 import itertools
@@ -22,7 +24,6 @@ import numpy as np
 from . import _vecgf
 from .budget import check_budget
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     ExactnessViolation,
     OutOfRange,
@@ -83,17 +84,8 @@ def section_norm(section, method="point-scan", budget=None):
 
 def _norm_point_scan(section, budget=None):
     gf, k, n = section.gf, section.k, section.n
-    check_budget(
-        gf.q ** (k * (n - k)) * _binom(n, k), budget,
-        f"section point scan on G({k},{n}) over GF({gf.q})",
-    )
-    count = 0
-    for block in _vecgf.plucker_blocks(gf, k, n):
-        hit = np.zeros(block.shape[1], dtype=bool)
-        for omega in section.ann_basis:
-            hit |= _vecgf.form_values(gf, omega.coeffs, block) != 0
-        count += int(np.count_nonzero(hit))
-    return count
+    return _vecgf.support_size(gf, [omega.coeffs for omega in section.ann_basis],
+                               _vecgf.plucker_blocks(gf, k, n, budget))
 
 
 def _norm_annihilator_sum(section, budget=None):
@@ -103,14 +95,10 @@ def _norm_annihilator_sum(section, budget=None):
     takes the values c_1 v_1 + ... + c_r v_r there."""
     gf, k, n = section.gf, section.k, section.n
     r = section.codim
-    check_budget(
-        gf.q ** (k * (n - k)) * _binom(n, k), budget,
-        f"annihilator weights of a section of G({k},{n}) over GF({gf.q})",
-    )
     ops = _vecgf.vector_ops(gf)
     combos = list(_projective_reps(gf, r))
     total = 0
-    for block in _vecgf.plucker_blocks(gf, k, n):
+    for block in _vecgf.plucker_blocks(gf, k, n, budget):
         values = [_vecgf.form_values(gf, omega.coeffs, block)
                   for omega in section.ann_basis]
         for coeffs in combos:
@@ -161,9 +149,6 @@ def section_cardinality(gf, k, n, spanning, budget=None):
 # Inclusion-exclusion over coordinate sections.
 # ---------------------------------------------------------------------------
 
-MAX_COORDS_FOR_SWEEP = 12
-
-
 @dataclass(frozen=True)
 class InclusionExclusionReport:
     k: int
@@ -179,15 +164,17 @@ def support_mask_counts(gf, k, n, budget=None):
     """How many Grassmann points have each nonzero-coordinate pattern.
 
     Returns {bitmask over lexicographic coordinate positions: point count},
-    masks increasing.
+    masks increasing.  A mask is one uint64 word, so more than 64
+    coordinates are refused before any block is built.
     """
-    check_budget(gf.q ** (k * (n - k)) * _binom(n, k), budget,
-                 f"support masks of G({k},{n}) over GF({gf.q})")
+    big_n = _binom(n, k)
+    if big_n > 64:
+        raise OutOfRange(f"support masks hold 64 coordinates, G({k},{n}) has {big_n}")
     counter = Counter()
-    for block in _vecgf.plucker_blocks(gf, k, n):
-        masks = np.zeros(block.shape[1], dtype=np.int64)
+    for block in _vecgf.plucker_blocks(gf, k, n, budget):
+        masks = np.zeros(block.shape[1], dtype=np.uint64)
         for i, row in enumerate(block):
-            masks |= (row != 0).astype(np.int64) << i
+            masks |= (row != 0).astype(np.uint64) << np.uint64(i)
         values, counts = np.unique(masks, return_counts=True)
         counter.update(dict(zip(values.tolist(), counts.tolist())))
     return dict(sorted(counter.items()))
@@ -202,25 +189,22 @@ def coordinate_norm_from_masks(mask_counts, total, subset_mask):
 
 def inclusion_exclusion(k, n, gf, budget=None):
     """Reassemble the count of all-coordinates-nonzero subspaces from the
-    alternating sum over coordinate-section unions."""
+    alternating sum over coordinate-section unions.
+
+    E_r sums ||L_S|| over the r-subsets S of coordinates.  A point lies
+    outside L_S unless S is among its zero coordinates, so counting pairs
+    (point, S) gives E_r = C(N, r) |G(k,n)| - sum over patterns of
+    count * C(zeros, r): one pass over the support patterns, no subset
+    walk."""
     big_n = _binom(n, k)
-    if big_n > MAX_COORDS_FOR_SWEEP:
-        raise BudgetExceeded(2**big_n, 2**MAX_COORDS_FOR_SWEEP,
-                             f"2^{big_n} coordinate subsets")
     total = gaussian_binomial(k, n, gf.q)
-    masks = support_mask_counts(gf, k, n, budget=budget)
-    e_terms = []
-    for r in range(1, big_n + 1):
-        term = 0
-        for subset in itertools.combinations(range(big_n), r):
-            subset_mask = 0
-            for i in subset:
-                subset_mask |= 1 << i
-            term += coordinate_norm_from_masks(masks, total, subset_mask)
-        e_terms.append(term)
-    gamma = 0
-    for r, term in enumerate(e_terms, start=1):
-        gamma += term if r % 2 == 1 else -term
+    by_zeros = Counter()
+    for mask, count in support_mask_counts(gf, k, n, budget=budget).items():
+        by_zeros[big_n - mask.bit_count()] += count
+    e_terms = [_binom(big_n, r) * total
+               - sum(count * _binom(z, r) for z, count in by_zeros.items())
+               for r in range(1, big_n + 1)]
+    gamma = sum(term if r % 2 else -term for r, term in enumerate(e_terms, start=1))
     c1, c2 = structured_counts(k, n)
     return InclusionExclusionReport(
         k=k, n=n, q=gf.q,

@@ -210,6 +210,9 @@ def test_small_filter_starts_no_pool(monkeypatch):
     res = count_mds_grassmannian_filter(2, 5, make_field(3, 1), threads=4)
     assert res.gamma == gamma_closed_form(2, 5, 3)
     assert res.worker_count == 1
+    # 4^10 points, past POOL_MIN_WORK, but no minor reads an entry: one chunk
+    res = count_mds_grassmannian_filter(1, 11, make_field(5, 1), threads=2)
+    assert (res.gamma, res.worker_count) == (4**10, 1)
 
 
 def test_pool_never_exceeds_cpu_count(monkeypatch):

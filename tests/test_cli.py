@@ -4,7 +4,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from mdscensus import cli, verify
+from mdscensus import _vecgf, cli, verify
 from mdscensus.cli import main
 from mdscensus.errors import OutOfRange
 
@@ -222,6 +222,20 @@ def test_plucker_commands_reject_k_out_of_range(capsys, command):
         assert code == 1, (command, k)
         assert out == "" and err.splitlines() == [
             f"error: need 1 <= k <= n, got k={k}, n={n}"], (command, k)
+
+
+@pytest.mark.parametrize("command", [("sections", "--max-r", "2"), ("incl-excl",)])
+def test_plucker_commands_refuse_past_64_coordinates(capsys, monkeypatch, command):
+    # G(4,8) has 70 coordinates: int64 masks dropped positions 64..69 and
+    # read position 63 as the sign bit, so sections printed wrong norms
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a Plucker block was built")
+
+    monkeypatch.setattr(_vecgf, "plucker_blocks", no_blocks)
+    code, out, err = run_cli(capsys, *command, "--k", "4", "--n", "8", "--q", "2")
+    assert code == 1
+    assert out == "" and err.splitlines() == [
+        "error: support masks hold 64 coordinates, G(4,8) has 70"]
 
 
 def test_table_format(capsys):

@@ -43,6 +43,23 @@ def test_gf9_modulus_matches_root_search_oracle():
     assert gf.modulus == (1, 0, 1)  # frozen from the oracle: x^2 + 1
 
 
+@pytest.mark.parametrize("p, m", [(2, 3), (5, 2), (3, 3)])
+def test_modulus_is_smallest_with_constant_term_most_significant(p, m):
+    # below degree 4 a monic polynomial is irreducible iff it has no root;
+    # candidates (c_0, ..., c_{m-1}, 1) count up with c_0 the top digit
+    def rootless(poly):
+        return all(sum(c * x**i for i, c in enumerate(poly)) % p
+                   for x in range(p))
+
+    expected = next(low + (1,) for low in itertools.product(range(p), repeat=m)
+                    if rootless(low + (1,)))
+    assert make_field(p, m).modulus == expected
+    pinned = {(2, 3): (1, 0, 1, 1),   # x^3 + x^2 + 1, not x^3 + x + 1
+              (5, 2): (1, 1, 1),      # x^2 + x + 1, not x^2 + 2
+              (3, 3): (1, 0, 2, 1)}   # x^3 + 2x^2 + 1, not x^3 + 2x + 1
+    assert expected == pinned[p, m]
+
+
 def test_make_field_rejects_bad_parameters():
     with pytest.raises(NonPrimeCharacteristic):
         make_field(4, 1)

@@ -136,8 +136,8 @@ def test_rank_deficient_generator_raises(monkeypatch):
     real = _vecgf.plucker_blocks
 
     def damaged(row, source):
-        def blocks(gf, k, n):
-            for block in real(gf, k, n):
+        def blocks(gf, k, n, budget=None):
+            for block in real(gf, k, n, budget):
                 block = block.copy()
                 block[row] = 0 if source is None else block[source]
                 yield block

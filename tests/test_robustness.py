@@ -19,6 +19,7 @@ from mdscensus.fields import field_of_order, make_field
 from mdscensus.grassmann_code import build_code
 from mdscensus.sections import (
     LinearSection,
+    coordinate_norm_from_masks,
     coordinate_section,
     section_norm,
     support_mask_counts,
@@ -40,10 +41,10 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _run_python(*argv):
+def _run_python(*argv, paths=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p
+        p for p in (str(PACKAGE_DIR.parent), *paths, env.get("PYTHONPATH")) if p
     )
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
@@ -64,6 +65,17 @@ def test_verify_under_optimize_flag():
     total = len(verify.select("all", "quick"))
     assert proc.stdout.splitlines()[-1] == f"OK: {total}/{total} checks passed"
     assert proc.stdout.count("[PASS] ") == total
+
+
+def test_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps package functions by name (support_mask_counts,
+    # inclusion_exclusion, section_norm, form_values, ...): a rename must
+    # fail here, not only in the traced benchmark
+    perfbench = PACKAGE_DIR.parent.parent / "perfbench"
+    proc = _run_python("-c", "import tracer; tracer.install(tracer.Tracer()); "
+                       "print('installed')", paths=(str(perfbench),))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "installed"
 
 
 def test_cli_imports_the_registry_lazily():
@@ -154,3 +166,17 @@ def test_over_cap_blocks_match_cached_matrix(monkeypatch):
             assert all(row.nbytes <= block_bytes for b in blocks for row in b)
             assert np.array_equal(np.concatenate(blocks, axis=1), cached)
             assert _over_cap_values(gf, k, n, forms, sections) == expected, (k, n, gf.q)
+
+
+def test_support_masks_count_bit_63(monkeypatch):
+    # a synthetic 64-row block: int64 masks read bit 63 as the sign bit
+    block = np.zeros((64, 5), dtype=np.int64)
+    block[63, [0, 1, 4]] = 1
+    block[0, 1] = 2
+    block[:, 2] = 1
+    block[62, 3] = 1
+    monkeypatch.setattr(_vecgf, "plucker_blocks", lambda gf, k, n, budget=None: [block])
+    masks = support_mask_counts(make_field(3, 1), 1, 64)
+    assert masks == {2**62: 1, 2**63: 2, 2**63 + 1: 1, 2**64 - 1: 1}
+    assert coordinate_norm_from_masks(masks, 5, 1 << 63) == 4
+    assert coordinate_norm_from_masks(masks, 5, 1 << 62) == 2

@@ -10,6 +10,7 @@ from mdscensus.exterior import (
     DualForm,
     MultiVector,
     _projective_reps,
+    form_weight,
     multi_indices,
     satisfies_plucker,
 )
@@ -18,6 +19,7 @@ from mdscensus.linalg import gaussian_binomial
 from mdscensus.sections import (
     LinearSection,
     coordinate_ann_in_grassmannian,
+    coordinate_norm_from_masks,
     coordinate_section,
     inclusion_exclusion,
     section_cardinality,
@@ -119,13 +121,24 @@ def test_annihilator_sum_makes_one_plucker_pass(monkeypatch, cap):
         assert len(list(_vecgf.plucker_blocks(gf, 2, 5))) > 1
 
 
-def test_annihilator_sum_budget():
+PLUCKER_ORACLES = {
+    "form-weight": lambda s, budget: form_weight(s.ann_basis[0], "direct", budget),
+    "point-scan": lambda s, budget: section_norm(s, "point-scan", budget),
+    "annihilator-sum": lambda s, budget: section_norm(s, "annihilator-sum", budget),
+    "support-masks": lambda s, budget: support_mask_counts(s.gf, s.k, s.n, budget),
+}
+
+
+@pytest.mark.parametrize("oracle", list(PLUCKER_ORACLES))
+def test_plucker_oracle_budget(oracle):
+    # every oracle is budgeted by _vecgf.plucker_blocks, at one estimate
+    run = PLUCKER_ORACLES[oracle]
     gf = field_of_order(3)
     s = coordinate_section(gf, 2, 5, [(1, 2), (3, 4)])
     estimate = 3 ** (2 * 3) * 10  # q^(k(n-k)) C(n,k)
     with pytest.raises(BudgetExceeded):
-        section_norm(s, "annihilator-sum", budget=estimate - 1)
-    assert section_norm(s, "annihilator-sum", budget=estimate) == section_norm(s)
+        run(s, estimate - 1)
+    assert run(s, estimate) == run(s, None)
 
 
 def test_dependent_annihilator_rejected():
@@ -178,10 +191,30 @@ def test_inclusion_exclusion_projective_line():
         assert rep.gamma_reconstructed == q - 1
 
 
-def test_inclusion_exclusion_budget_gate():
-    gf = make_field(2, 1)
-    with pytest.raises(BudgetExceeded):
-        inclusion_exclusion(3, 7, gf)  # C(7,3) = 35 coordinates
+def test_inclusion_exclusion_past_old_cap():
+    # 35, 13 and 15 coordinates: past the 12 that the 2^N subset walk allowed
+    for k, n, q, gamma in ((3, 7, 2, 0), (1, 13, 2, 1), (2, 6, 5, 6144)):
+        gf = field_of_order(q)
+        rep = inclusion_exclusion(k, n, gf)
+        assert rep.gamma_reconstructed == count_mds_matrix_scan(k, n, gf).gamma == gamma
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_e_terms_match_subset_walk(q):
+    # E_r is by definition the sum of ||L_S|| over the r-subsets S of
+    # coordinates; inclusion_exclusion counts it from the support patterns
+    gf = field_of_order(q)
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            big_n = len(multi_indices(k, n))
+            if big_n > 10:
+                continue
+            total = gaussian_binomial(k, n, q)
+            masks = support_mask_counts(gf, k, n)
+            walked = [sum(coordinate_norm_from_masks(masks, total, sum(1 << i for i in s))
+                          for s in itertools.combinations(range(big_n), r))
+                      for r in range(1, big_n + 1)]
+            assert list(inclusion_exclusion(k, n, gf).e_terms) == walked, (k, n)
 
 
 def test_first_term_counts_cells():
