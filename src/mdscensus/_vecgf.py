@@ -19,7 +19,7 @@ import numpy as np
 
 from .budget import check_budget
 from .errors import OutOfRange
-from .linalg import _binom, cell_free_positions, gaussian_binomial
+from .linalg import _binom, _cell_matrix_template, gaussian_binomial
 from .exterior import multi_indices
 
 PLUCKER_CACHE_CAP = 2**24  # max entries of the cached matrix and of each block
@@ -385,21 +385,13 @@ def _cell_blocks(gf, k, n, width):
     ops = vector_ops(gf)
     indices = multi_indices(k, n)
     for pivots in itertools.combinations(range(1, n + 1), k):
-        free = cell_free_positions(pivots, k, n)
-        free_index = {pos: i for i, pos in enumerate(free)}
-        pivot_cols = {p - 1: r for r, p in enumerate(pivots)}
-
-        def entry(r, col0):
-            """Entry (r, col0) of the cell: ("c", const) or ("v", index)."""
-            if col0 in pivot_cols:
-                return ("c", 1 if pivot_cols[col0] == r else 0)
-            if col0 < pivots[r] - 1:
-                return ("c", 0)
-            return ("v", free_index[(r, col0)])
-
-        plans = [[[entry(r, c - 1) for c in idx] for r in range(k)]
+        # the cell's entries row-major, ("c", const) or ("v", free index)
+        template = _cell_matrix_template(pivots, k, n)
+        free = itertools.count()
+        cell = [("v", next(free)) if x is None else ("c", x) for x in template]
+        plans = [[[cell[r * n + c - 1] for c in idx] for r in range(k)]
                  for idx in indices]
-        sizes = [gf.q] * len(free)
+        sizes = [gf.q] * template.count(None)
         t = choose_prefix_len(sizes, width)
         suffix = position_arrays(sizes[t:], [0] * (len(sizes) - t), ops.dtype)
         for prefix in prefix_values(sizes[:t], [0] * t):

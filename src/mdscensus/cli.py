@@ -321,10 +321,9 @@ _HANDLERS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, needs_q=True, needs_k=True):
-    if needs_k:
-        sub.add_argument("--k", type=int, required=True)
-        sub.add_argument("--n", type=int, required=True)
+def _add_common(sub, *, needs_q=True):
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--n", type=int, required=True)
     if needs_q:
         sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--threads", type=int, default=1)

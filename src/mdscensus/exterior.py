@@ -413,24 +413,6 @@ def _weight_direct(omega, budget=None):
                                _vecgf.plucker_blocks(gf, k, n, budget))
 
 
-def _all_vectors(gf, n):
-    return itertools.product(gf.elements(), repeat=n)
-
-
-def _span_set(gf, matrix):
-    """All vectors in the row space (small dimensions only)."""
-    vectors = {(0,) * matrix.cols}
-    for i in range(matrix.rows):
-        row = matrix.row(i)
-        additions = []
-        for scale in range(1, gf.q):
-            scaled = tuple(gf.mul(scale, v) for v in row)
-            for base in vectors:
-                additions.append(tuple(gf.add(a, b) for a, b in zip(base, scaled)))
-        vectors.update(additions)
-    return vectors
-
-
 def _unchecked_dot(gf):
     """sum_i a_i * b_i over gf without per-element checks: integers mod p on
     prime fields, the field's unchecked table operations on the others."""
@@ -521,20 +503,22 @@ def _weight_recursive(omega, budget=None):
 # ---------------------------------------------------------------------------
 
 def pi_alpha(alpha, budget=None):
-    """The set of (alpha.k + 1)-subspaces of GF(q)^n containing alpha."""
+    """The set of (alpha.k + 1)-subspaces of GF(q)^n containing alpha: the
+    span of alpha and v for one v per projective point of GF(q)^n, those
+    inside alpha left out.  The budget counts the (q^n - 1)/(q - 1) points."""
     gf = alpha.matrix.gf
     n = alpha.n
     k = alpha.k + 1
     if k > n:
         raise DimensionMismatch(f"no {k}-subspaces in dimension {n}")
-    check_budget(gf.q**n, budget, "vector sweep for pi_alpha")
+    check_budget((gf.q**n - 1) // (gf.q - 1), budget, "projective sweep for pi_alpha")
     base_rows = [list(alpha.matrix.row(i)) for i in range(alpha.k)]
-    span = _span_set(gf, alpha.matrix)
     out = set()
-    for v in _all_vectors(gf, n):
-        if v in span:
+    for v in _projective_reps(gf, n):
+        try:
+            out.add(point_from_rows(gf, base_rows + [list(v)]))
+        except ShapeMismatch:  # v lies in alpha
             continue
-        out.add(point_from_rows(gf, base_rows + [list(v)]))
     return out
 
 

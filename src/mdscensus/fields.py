@@ -16,6 +16,7 @@ processes; make_field() is cached and deterministic.
 """
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -32,23 +33,8 @@ ORDER_CAP = 2**20
 MAX_DEGREE = 8
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n):
-    """The distinct prime factors of n >= 1, increasing."""
+    """The distinct prime factors of n, increasing; none when n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -60,6 +46,10 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n):
+    return _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +107,8 @@ def _poly_divmod(a, b, p):
 
 def _monic_polys(p, degree):
     """All monic polynomials of the given degree, low coefficients in odometer order."""
-    total = p**degree
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
-        yield tuple(coeffs)
+    for high in itertools.product(range(p), repeat=degree):
+        yield high[::-1] + (1,)
 
 
 def is_irreducible(poly, p):
@@ -155,17 +138,8 @@ def smallest_irreducible(p, m):
     """
     if m == 1:
         return (0, 1)  # the polynomial x
-    for code in range(p**m):
-        coeffs = [0] * m
-        c = code
-        for pos in range(m - 1, -1, -1):
-            coeffs[pos] = c % p
-            c //= p
-        # coeffs[pos] holds c_pos; build little-endian with leading 1
-        cand = tuple(coeffs) + (1,)
-        if is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    return next(low + (1,) for low in itertools.product(range(p), repeat=m)
+                if is_irreducible(low + (1,), p))
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +191,9 @@ class GF:
 
     # -- polynomial reference arithmetic (builds the tables) ------------------
 
-    def _poly_of(self, a):
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return _poly_trim(out)
-
-    def _enc_of(self, poly):
-        out = 0
-        for c in reversed(poly):
-            out = out * self.p + c
-        return out
-
     def _mul_raw(self, a, b):
-        prod = _poly_mul(self._poly_of(a), self._poly_of(b), self.p)
-        return self._enc_of(_poly_mod(prod, self.modulus, self.p))
+        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
+        return self.encode(_poly_mod(prod, self.modulus, self.p))
 
     def _add_raw(self, a, b):
         p = self.p
@@ -418,22 +379,13 @@ def make_field(p, m=1):
 
 def factor_prime_power(q):
     """Split q into (p, m) with p prime and p**m == q; reject other q."""
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise NonPrimePower(f"{q} is not a prime power")
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+    p = primes[0]
+    m = 1
+    while p**m < q:
         m += 1
-    if rest != 1:
-        raise NonPrimePower(f"{q} is not a prime power")
     return p, m
 
 

@@ -85,31 +85,24 @@ def codeword_weight(code, omega):
     return weight
 
 
-def _batched_weights(code, coeff_rows):
-    """Weights of many codewords at once via the vectorized backend."""
-    return [_vecgf.support_size(code.gf, [coeffs], [code.generator])
-            for coeffs in coeff_rows]
-
-
 def _block_histogram(ops, gen, q):
     """Number of codewords of each weight, the zero word included, over all
-    q^dimension coefficient vectors.  The last t generator rows are combined
-    once into a block of at most SPECTRUM_BLOCK entries; the prefix words
-    over the other rows are walked depth first, one row add each, and every
-    prefix word is added to the whole block at once."""
+    q^dimension coefficient vectors.  The generator rows past the first t,
+    t from choose_prefix_len, are combined once into a block of at most
+    SPECTRUM_BLOCK entries; the prefix words over the first t rows are
+    walked depth first, one row add each, and every prefix word is added to
+    the whole block at once."""
     dimension, length = gen.shape
-    t = 0
-    while t < dimension and q ** (t + 1) * length <= SPECTRUM_BLOCK:
-        t += 1
+    t = _vecgf.choose_prefix_len([q] * dimension, SPECTRUM_BLOCK // length)
     # the nonzero multiples c * row of every generator row
     multiples = [[ops.mul(c, row) for c in range(1, q)] for row in gen]
     block = np.zeros((1, length), dtype=ops.dtype)
-    for scaled in multiples[dimension - t:]:
+    for scaled in multiples[t:]:
         block = np.concatenate([block] + [ops.add(block, m) for m in scaled])
     hist = np.zeros(length + 1, dtype=np.int64)
 
     def walk(depth, word):
-        if depth == dimension - t:
+        if depth == t:
             weights = np.count_nonzero(ops.add(block, word), axis=1)
             hist[:] += np.bincount(weights, minlength=length + 1)
             return
@@ -123,24 +116,22 @@ def _block_histogram(ops, gen, q):
 
 def _packed_histogram(gen):
     """The GF(2) case of _block_histogram on bit-packed rows: each row is
-    packed into 64-bit words (zero padding bits weigh nothing), the last t
-    rows are combined once into a block of at most SPECTRUM_BLOCK words,
-    and the prefix words over the other rows are walked in Gray-code order,
-    one XOR per word; weights are popcounts."""
+    packed into 64-bit words (zero padding bits weigh nothing), the rows
+    past the first t are combined once into a block of at most
+    SPECTRUM_BLOCK words, and the prefix words over the first t rows are
+    walked in Gray-code order, one XOR per word; weights are popcounts."""
     dimension, length = gen.shape
     width = -(-length // 64)
     bits = np.zeros((dimension, 64 * width), dtype=bool)
     bits[:, :length] = gen != 0
     rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    t = 0
-    while t < dimension and 2 ** (t + 1) * width <= SPECTRUM_BLOCK:
-        t += 1
+    t = _vecgf.choose_prefix_len([2] * dimension, SPECTRUM_BLOCK // width)
     block = np.zeros((1, width), dtype=np.uint64)
-    for row in rows[dimension - t:]:
+    for row in rows[t:]:
         block = np.concatenate([block, block ^ row])
     hist = np.zeros(length + 1, dtype=np.int64)
     word = np.zeros(width, dtype=np.uint64)
-    for i in range(2 ** (dimension - t)):
+    for i in range(2**t):
         if i:
             word ^= rows[(i & -i).bit_length() - 1]  # the bit that flips
         weights = np.bitwise_count(block ^ word).sum(axis=1)
@@ -172,14 +163,14 @@ def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=N
         if not sample_count or sample_count < 1:
             raise OutOfRange("sample mode needs a positive draw count")
         rng = random.Random(seed)
-        block = []
+        weights = Counter()
         for _ in range(sample_count):
             while True:
                 coeffs = tuple(rng.randrange(q) for _ in range(code.dimension))
                 if any(coeffs):
                     break
-            block.append(coeffs)
-        return dict(Counter(_batched_weights(code, block)))
+            weights[_vecgf.support_size(gf, [coeffs], [code.generator])] += 1
+        return dict(weights)
     raise OutOfRange(f"unknown spectrum mode {mode!r}")
 
 

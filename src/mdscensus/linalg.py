@@ -296,7 +296,9 @@ def cell_free_positions(pivots, k, n):
 
 
 def _cell_matrix_template(pivots, k, n):
-    """Flat row-major template with 0/1 constants and None at free slots."""
+    """Flat row-major template with 0/1 constants and None at free slots,
+    the free slots in cell_free_positions order: the one echelon-cell layout
+    of enumerate_grassmannian and of the Plucker blocks."""
     data = [0] * (k * n)
     for r, p in enumerate(pivots):
         data[r * n + (p - 1)] = 1

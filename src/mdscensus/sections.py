@@ -217,12 +217,16 @@ def inclusion_exclusion(k, n, gf, budget=None):
 
 def coordinate_section_rows(gf, k, n, max_r, budget=None):
     """Rows (r, subset bitmask, ||L||, annihilator-inside-Grassmannian flag)
-    for every coordinate subset of size <= max_r; deterministic order."""
+    for every coordinate subset of size <= max_r; deterministic order.  The
+    budget counts the subsets before the Plucker pass."""
     big_n = _binom(n, k)
+    sizes = range(1, min(max_r, big_n) + 1)
+    check_budget(sum(_binom(big_n, r) for r in sizes), budget,
+                 f"coordinate sections of G({k},{n}) up to size {max_r}")
     total = gaussian_binomial(k, n, gf.q)
     masks = support_mask_counts(gf, k, n, budget=budget)
     indices = multi_indices(k, n)
-    for r in range(1, min(max_r, big_n) + 1):
+    for r in sizes:
         for subset in itertools.combinations(range(big_n), r):
             subset_mask = 0
             for i in subset:

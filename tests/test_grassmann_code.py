@@ -199,12 +199,6 @@ def test_codeword_weight_shape_mismatch():
         codeword_weight(code, DualForm.basis(gf, 2, 5, (1, 2)))
 
 
-def test_spectrum_2_4_2():
-    gf = make_field(2, 1)
-    code = build_code(2, 4, gf)
-    assert weight_spectrum(code) == {16: 35, 20: 28}
-
-
 def test_spectrum_2_5_2():
     gf = make_field(2, 1)
     code = build_code(2, 5, gf)
