@@ -1,12 +1,17 @@
 """Vectorized GF(q) arithmetic for the hot enumeration kernels.
 
 Values are either plain Python ints (constants) or numpy arrays over a
-shared candidate axis; constant algebra stays in Python so structurally-zero
-determinants never touch an array.  Every field has a backend: prime fields
-compute componentwise mod p on int64 arrays; extension fields multiply by
-gathering from the field's own log/exp tables (log 0 is a sentinel whose
-sums all land in a zero tail of the exp array) and add by XOR of the
-encodings when p = 2, base-p digit by digit when p is odd.
+shared candidate axis; constant algebra stays in Python, through the
+field's scalar operations, so structurally-zero determinants never touch
+an array.  On every field whose q x q index fits int16, q <= 181, values
+are int16 and each array operation is one gather T[x * q + y] from a flat
+q x q table (addition stays XOR when p = 2).  The tables are built once per
+field by running the wide operations on the q x q grid; on larger fields
+those wide operations are the arithmetic: componentwise mod p on int64
+arrays for prime fields, and on extension fields multiplication by
+gathering from the field's log/exp tables (log 0 is a sentinel whose sums
+all land in a zero tail of the exp array), addition by XOR of the
+encodings when p = 2 and base-p digit by digit when p is odd.
 
 Everything here is exact integer arithmetic; numpy is only a carrier.
 """
@@ -27,24 +32,48 @@ BLOCK_BYTES = 2**16        # max bytes of one value array of a walked block
 
 
 class VecOps:
-    """Scalar-or-array field operations for one GF context."""
+    """Scalar-or-array field operations for one GF context.
+
+    Two Python ints combine through the field's scalar operations.  On a
+    table field (q * q - 1 fits int16) an array operation is one gather from
+    the flat int16 table _add, _sub, _mul, _neg or _div, indexed x * q + y;
+    a table left None (addition, subtraction and negation when p = 2, and
+    every table past q = 181) falls back to the wide operation."""
 
     def __init__(self, gf):
         self.gf = gf
-        self.q = gf.q
+        self.q = q = gf.q
+        self._add = self._sub = self._mul = self._neg = self._div = None
         if gf.m == 1:
             self.prime = gf.p
             self.dtype = np.int64
-            return
-        self.prime = None
-        q = gf.q
-        # sums of two logs reach 2 * zero, which must fit the dtype
-        self.dtype = np.int16 if 4 * q < 2**15 else np.int32
-        zero = 2 * q - 3  # one past the largest sum of two nonzero logs
-        self.log = np.array([zero] + gf._log[1:], dtype=self.dtype)
-        self.exp = np.zeros(2 * zero + 1, dtype=self.dtype)
-        self.exp[:zero] = gf._exp[:zero]
-        self.place_values = [gf.p**i for i in range(gf.m)]
+        else:
+            self.prime = None
+            # sums of two logs reach 2 * zero, which must fit the dtype
+            self.dtype = np.int16 if 4 * q < 2**15 else np.int32
+            zero = 2 * q - 3  # one past the largest sum of two nonzero logs
+            self.log = np.array([zero] + gf._log[1:], dtype=self.dtype)
+            self.exp = np.zeros(2 * zero + 1, dtype=self.dtype)
+            self.exp[:zero] = gf._exp[:zero]
+            self.place_values = [gf.p**i for i in range(gf.m)]
+        if q * q - 1 <= np.iinfo(np.int16).max:
+            self._build_tables()
+
+    def _build_tables(self):
+        """T[x * q + y] = x op y for every pair, from the wide operations run
+        once on the q x q grid; the quotient's y = 0 column holds -1.  When
+        p = 2 addition and subtraction stay XOR and negation the identity."""
+        q = self.q
+        x, y = np.indices((q, q), dtype=self.dtype).reshape(2, -1)
+        self._mul = self._wide_mul(x, y).astype(np.int16)
+        self._div = self._wide_quotient(x, y).astype(np.int16)
+        if self.gf.p != 2:
+            self._add = self._wide_add(x, y).astype(np.int16)
+            self._sub = self._wide_sub(x, y).astype(np.int16)
+            self._neg = self._wide_neg(y[:q]).astype(np.int16)
+        self.dtype = np.int16
+
+    # -- wide operations: the arithmetic past q = 181, and the table builder
 
     def _log_of(self, x):
         return self.gf._log[x] if isinstance(x, int) else self.log[x]
@@ -58,73 +87,105 @@ class VecOps:
             out = out + (x // pw + sign * (y // pw)) % p * pw
         return out
 
-    def mul(self, x, y):
-        if isinstance(x, int):
-            if x == 0:
-                return 0
-            if x == 1:
-                return y
-        if isinstance(y, int):
-            if y == 0:
-                return 0
-            if y == 1:
-                return x
+    def _wide_mul(self, x, y):
         if self.prime is not None:
             return (x * y) % self.prime
-        if isinstance(x, int) and isinstance(y, int):
-            return self.gf._umul(x, y)
         return self.exp[self._log_of(x) + self._log_of(y)]
 
-    def add(self, x, y):
-        if isinstance(x, int) and x == 0:
-            return y
-        if isinstance(y, int) and y == 0:
-            return x
+    def _wide_add(self, x, y):
+        if self.gf.p == 2:
+            return x ^ y
         if self.prime is not None:
             return (x + y) % self.prime
-        if self.gf.p == 2:
-            return x ^ y
         return self._by_digit(x, y, 1)
 
-    def sub(self, x, y):
-        if isinstance(y, int) and y == 0:
-            return x
-        if self.prime is not None:
-            return (x - y) % self.prime
+    def _wide_sub(self, x, y):
         if self.gf.p == 2:
             return x ^ y
+        if self.prime is not None:
+            return (x - y) % self.prime
         return self._by_digit(x, y, -1)
 
-    def neg(self, x):
-        if isinstance(x, int) and x == 0:
-            return 0
-        if self.prime is not None:
-            return (-x) % self.prime
+    def _wide_neg(self, x):
         if self.gf.p == 2:
             return x
+        if self.prime is not None:
+            return (-x) % self.prime
         return self._by_digit(0, x, -1)
 
     @functools.cached_property
     def _inverses(self):
         """inv[a] = a^-1 = g^(q-1-log a) from the field's log/exp tables,
-        and inv[0] = 0; built on the first inv call."""
+        and inv[0] = 0; built on the first wide quotient."""
         gf, q = self.gf, self.q
         out = np.zeros(q, dtype=self.dtype)
         logs = np.array(gf._log[1:], dtype=np.int64)
         out[1:] = np.array(gf._exp[:q - 1], dtype=self.dtype)[(-logs) % (q - 1)]
         return out
 
-    def inv(self, x):
-        """x^-1, elementwise on an array; 0 maps to 0, so a caller that
-        divides by a zero entry gets a value it must mask."""
+    def _wide_quotient(self, x, y):
+        return np.where(y == 0, -1, self._wide_mul(x, self._inverses[y]))
+
+    # -- the operations
+
+    def mul(self, x, y):
         if isinstance(x, int):
-            return int(self._inverses[x])
-        return self._inverses[x]
+            if x == 0:
+                return 0
+            if x == 1:
+                return y
+            if isinstance(y, int):
+                return self.gf._umul(x, y)
+        elif isinstance(y, int):
+            if y == 0:
+                return 0
+            if y == 1:
+                return x
+        if self._mul is None:
+            return self._wide_mul(x, y)
+        return self._mul.take(x * self.q + y)
+
+    def add(self, x, y):
+        if isinstance(x, int):
+            if x == 0:
+                return y
+            if isinstance(y, int):
+                return self.gf._uadd(x, y)
+        elif isinstance(y, int) and y == 0:
+            return x
+        if self._add is None:
+            return self._wide_add(x, y)
+        return self._add.take(x * self.q + y)
+
+    def sub(self, x, y):
+        if isinstance(y, int):
+            if y == 0:
+                return x
+            if isinstance(x, int):
+                return self.gf._usub(x, y)
+        if self._sub is None:
+            return self._wide_sub(x, y)
+        return self._sub.take(x * self.q + y)
+
+    def neg(self, x):
+        if isinstance(x, int):
+            return self.gf._uneg(x)
+        if self._neg is None:
+            return self._wide_neg(x)
+        return self._neg.take(x)
+
+    def quotient(self, x, y):
+        """x / y elementwise on arrays, and -1 where y = 0: a value outside
+        every range of field encodings, which a caller that divides by a
+        zero entry can tell apart."""
+        if self._div is None:
+            return self._wide_quotient(x, y)
+        return self._div.take(x * self.q + y)
 
 
 @functools.lru_cache(maxsize=None)
 def vector_ops(gf):
-    """The field's VecOps, built once per field."""
+    """The field's VecOps, built once per field, its tables included."""
     return VecOps(gf)
 
 
@@ -309,7 +370,12 @@ def _walk_segment(ops, vals, count, grids, minors):
     grid += [g[None, :] for g in grids]
     keep = np.ones((count, width), dtype=bool)
     for minor in minors:
-        keep &= det_any(ops, _resolve(minor, grid)) != 0
+        m = _resolve(minor, grid)
+        if len(m) == 2:
+            # ad - bc != 0, with no subtraction
+            keep &= ops.mul(m[0][0], m[1][1]) != ops.mul(m[0][1], m[1][0])
+        else:
+            keep &= det_any(ops, m) != 0
     rows, cols = np.divmod(np.flatnonzero(keep), width)
     vals = [v[rows] if isinstance(v, np.ndarray) else v for v in vals]
     return rows.size, vals + [g[cols] for g in grids]
@@ -319,12 +385,13 @@ def _count_last(ops, vals, count, final):
     """How many values of the counted entry keep every minor through it
     nonzero, summed over the `count` survivors `vals`.  A minor with
     cofactor C != 0 forbids the one value D / C, D from its at_zero plan
-    (see _affine_parts); with C = 0 it forbids every value when D = 0 and
-    none otherwise.  Each survivor keeps the values of the window
-    [offset, offset + size) that none of its minors forbids.  The arrays
-    hold one row per minor and one column per survivor; a minor's
-    forbidden value counts where it lies in the window and differs from
-    those of every earlier minor."""
+    (see _affine_parts), all of them from one ops.quotient; with C = 0 it
+    forbids every value when D = 0 and none otherwise, and the quotient's
+    -1 there lies outside every window.  Each survivor keeps the values of
+    the window [offset, offset + size) that none of its minors forbids.
+    The arrays hold one row per minor and one column per survivor; a
+    minor's forbidden value counts where it lies in the window and differs
+    from those of every earlier minor."""
     size, offset, plans, rows = final
     total = 0
     for lo in range(0, count, rows):
@@ -334,11 +401,12 @@ def _count_last(ops, vals, count, final):
         for j, (cofactor, zero) in enumerate(plans):
             cof[j] = det_any(ops, _resolve(cofactor, part))
             at_zero[j] = det_any(ops, _resolve(zero, part))
-        singular = cof == 0
-        alive = ~(singular & (at_zero == 0)).any(axis=0)
-        # -1 lies outside every window: C = 0 with D != 0 forbids nothing
-        roots = np.where(singular, -1, ops.mul(at_zero, ops.inv(cof)))
-        new = (roots >= offset) & (roots < offset + size)
+        # encodings are >= 0, so C | D is 0 exactly where C = D = 0
+        alive = (cof | at_zero).all(axis=0)
+        roots = ops.quotient(at_zero, cof)
+        new = roots >= offset
+        if offset + size < ops.q:  # roots are < q: a window up to q needs no top
+            new &= roots < offset + size
         for j in range(1, len(plans)):
             new[j] &= (roots[:j] != roots[j]).all(axis=0)
         total += int(size * np.count_nonzero(alive) - np.count_nonzero(new & alive))

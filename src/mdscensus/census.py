@@ -40,8 +40,13 @@ minor through x is affine in it, det = +-x C + D with C the cofactor of x
 and D the minor at x = 0.  For each survivor a minor with C != 0 forbids
 the one value x = -D / (+-C), and one with C = 0 forbids every value when
 D = 0 and none otherwise; the survivor counts the values of x that no
-minor forbids.  The chunk prefix is sized on the walked entries alone, so
-no value array passes _vecgf.BLOCK_BYTES.
+minor forbids.  A walked order-2 minor is tested as ad != bc, with no
+subtraction, and the forbidden values of a chunk come from one quotient
+that reads -1, a value outside every window, where C = 0.  On fields up
+to q = 181 each of these field operations is one gather from a q x q
+int16 table; larger fields compute mod p, or by log/exp and base-p
+digits.  The chunk prefix is sized on the walked entries alone, so no
+value array passes _vecgf.BLOCK_BYTES.
 A pool starts only when the walk passes POOL_MIN_WORK candidates, more
 than one worker is asked for and the walk is cut into more than one chunk;
 it never has more workers than os.cpu_count(), the walk is then cut into

@@ -9,7 +9,10 @@ operation takes one path: integers mod p on prime fields; on extension
 fields multiplication, inversion and powers through the log/exp tables,
 addition by XOR of the encodings when p = 2 and by Zech logarithms when p
 is odd.  The polynomial arithmetic (_mul_raw, _add_raw) stays as the
-reference the tables are built and tested from.
+reference the tables are built and tested from.  Array arithmetic lives in
+_vecgf: on fields up to q = 181 each operation is one gather from a q x q
+int16 table; mod p, log/exp gathers and base-p digits do the array
+arithmetic only on larger fields, and build those tables.
 
 Fields are immutable after construction and safe to share across worker
 processes; make_field() is cached and deterministic.

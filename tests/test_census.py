@@ -303,14 +303,19 @@ def test_walks_honour_budget():
             assert count(k, n, gf, budget=walk).gamma == expected, (count, k, n, q)
 
 
-# (3,7,11) and (3,8,11) scans walk 9^6 and 9^8 int64 candidates, the filter
-# 4^9 int64 points at (3,6,5) and 7^8 int16 points at (2,6,8); each counts
-# its last free entry.  At (3,8,11) sizing the chunk prefix on the walked
-# entries alone cuts after 3 entries, where the whole suffix would cut after 4
+# (3,7,11) and (3,8,11) scans walk 9^6 and 9^8 int16 candidates, the filter
+# 4^9 int16 points at (3,6,5) and 7^8 at (2,6,8), all through the q x q
+# tables; the (2,5,191) and (2,5,243) scans walk 189^2 and 241^2 candidates
+# past the table range, int64 mod 191 and int16 log/exp with base-3 digits.
+# Each counts its last free entry.  At (3,8,11) sizing the chunk prefix on
+# the walked entries alone cuts after 3 entries, where the whole suffix
+# would cut after 4
 BLOCK_SHAPES = ((count_mds_matrix_scan, 3, 7, 11),
                 (count_mds_matrix_scan, 3, 8, 11),
                 (count_mds_grassmannian_filter, 3, 6, 5),
-                (count_mds_grassmannian_filter, 2, 6, 8))
+                (count_mds_grassmannian_filter, 2, 6, 8),
+                (count_mds_matrix_scan, 2, 5, 191),
+                (count_mds_matrix_scan, 2, 5, 243))
 
 
 def _record_arrays(monkeypatch, target, names, found):
@@ -331,15 +336,15 @@ def _record_arrays(monkeypatch, target, names, found):
 
 def test_walked_blocks_fit_block_bytes(monkeypatch):
     # every value array a census route materializes fits BLOCK_BYTES: the
-    # grids of the walked segments, and the cofactor inverses and forbidden
-    # values of the counted last entry
+    # grids of the walked segments, the products and the forbidden values
+    # of the counted last entry, one quotient on table fields and past them
     found = {}
     _record_arrays(monkeypatch, _vecgf, ("position_arrays",), found)
-    _record_arrays(monkeypatch, _vecgf.VecOps, ("inv", "mul"), found)
+    _record_arrays(monkeypatch, _vecgf.VecOps, ("quotient", "mul"), found)
     for count, k, n, q in BLOCK_SHAPES:
         found.clear()
         count(k, n, field_of_order(q), threads=1)
-        assert found.keys() == {"position_arrays", "inv", "mul"}, (k, n, q)
+        assert found.keys() == {"position_arrays", "quotient", "mul"}, (k, n, q)
         largest = max(nbytes for arrays in found.values() for _, nbytes in arrays)
         assert largest <= _vecgf.BLOCK_BYTES, (k, n, q, largest)
 
@@ -349,18 +354,18 @@ def test_kernel_arrays_fit_block_len(monkeypatch):
     # segment grid, at most the chunk's walked suffix, and the minors
     # through the counted last entry on (minors, survivors) arrays cut to
     # block_len: every array det_any or a field op returns, the recursion,
-    # the cofactors and values at x = 0, their inverses and the forbidden
-    # values included, holds at most block_len(dtype) entries
+    # the cofactors and values at x = 0 and their quotients, the forbidden
+    # values, included, holds at most block_len(dtype) entries
     found = {}
     _record_arrays(monkeypatch, _vecgf, ("det_any",), found)
-    _record_arrays(monkeypatch, _vecgf.VecOps, ("add", "sub", "mul", "neg", "inv"),
-                   found)
+    _record_arrays(monkeypatch, _vecgf.VecOps,
+                   ("add", "sub", "mul", "neg", "quotient"), found)
     for count, k, n, q in BLOCK_SHAPES:
         found.clear()
         gf = field_of_order(q)
         count(k, n, gf, threads=1)
         cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
-        assert {"det_any", "inv"} <= found.keys(), (k, n, q)
+        assert {"det_any", "quotient"} <= found.keys(), (k, n, q)
         largest = max(size for arrays in found.values() for size, _ in arrays)
         assert largest <= cap, (k, n, q, largest)
 
@@ -395,10 +400,11 @@ def test_position_arrays_match_product():
 
 def test_routes_match_closed_forms_at_edge_fields():
     # q = 2, where the scan's free entries have no value left; q = 9, an odd
-    # extension field; GF(529), an odd extension field above 256
+    # extension field; GF(181), the largest field with q x q tables, and
+    # GF(191), the next order; GF(529), an odd extension field above 256
     cases = [(k, n, 2) for k in (1, 2) for n in range(k, 7)]
     cases += [(k, n, 9) for k in (1, 2) for n in range(k, 6)]
-    cases += [(1, 3, 529), (2, 3, 529)]
+    cases += [(k, 3, q) for q in (181, 191, 529) for k in (1, 2)]
     for k, n, q in cases:
         gf = field_of_order(q)
         scan = count_mds_matrix_scan(k, n, gf).gamma

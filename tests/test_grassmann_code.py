@@ -84,7 +84,8 @@ def test_generator_columns_are_plucker_vectors():
 
 
 def test_exhaustive_spectrum_matches_codeword_weights():
-    # GF(4) and GF(8) take the int16 log/exp path, GF(2) and GF(3) int64 mod p
+    # GF(3) adds through the q x q tables, GF(4) and GF(8) by XOR, and all
+    # three multiply through the tables; GF(2) takes the bit-packed walk
     for k, n, q in ((2, 4, 2), (2, 4, 3), (2, 4, 4), (1, 3, 8)):
         gf = field_of_order(q)
         code = build_code(k, n, gf)

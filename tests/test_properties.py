@@ -105,18 +105,19 @@ def test_vecops_match_scalar_ops(q, data):
         both = vector(c, ys[0])
         assert type(both) is int and both == scalar(c, ys[0])
     assert ops.neg(x).tolist() == [gf.neg(a) for a in xs]
-    # exact inverses from the log/exp tables; 0 maps to 0 for the kernel
-    # to mask
-    assert ops.inv(x).tolist() == [gf.inv(a) if a else 0 for a in xs]
-    inverse = ops.inv(c)
-    assert type(inverse) is int and inverse == (gf.inv(c) if c else 0)
+    # exact quotients; -1 where the divisor is 0, outside every window of
+    # field values the kernel counts in
+    assert ops.quotient(x, y).tolist() == [
+        gf.div(a, b) if b else -1 for a, b in zip(xs, ys)]
 
 
 @st.composite
 def kernel_walks(draw):
     """A field, a walk (sizes, offsets) of at most 5 free entries and up to
-    4 minors of order 1-3 over its free entries and constants."""
-    q = draw(st.sampled_from((7, 8, 9)))
+    4 minors of order 1-3 over its free entries and constants.  GF(7),
+    GF(8) and GF(9) compute through the q x q tables, GF(191) and GF(243)
+    past them, mod p and by log/exp with base-3 digits."""
+    q = draw(st.sampled_from((7, 8, 9, 191, 243)))
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     offsets = [draw(st.integers(0, q - size)) for size in sizes]
     entries = st.one_of(

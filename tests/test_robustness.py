@@ -157,7 +157,7 @@ def test_over_cap_blocks_match_cached_matrix(monkeypatch):
     # or 20, so every shape takes several blocks
     cap = 320
     monkeypatch.setattr(_vecgf, "PLUCKER_CACHE_CAP", cap)
-    # then 48 bytes a block row: 6 int64 or 24 int16 columns
+    # then 48 bytes a block row: 24 int16 columns
     for block_bytes in (_vecgf.BLOCK_BYTES, 48):
         monkeypatch.setattr(_vecgf, "BLOCK_BYTES", block_bytes)
         for gf, k, n, forms, sections, cached, expected in cases:
