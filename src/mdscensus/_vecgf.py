@@ -218,36 +218,20 @@ def det_any(ops, m):
 
 
 def position_arrays(sizes, offsets, dtype):
-    """Mixed-radix odometer grids: one array per position, first position
-    slowest; position i runs over offsets[i], ..., offsets[i] + sizes[i] - 1.
-    A size of 0 gives empty grids."""
-    total = math.prod(sizes)
-    if total == 0:
-        return [np.empty(0, dtype=dtype) for _ in sizes]
-    base = np.arange(total, dtype=np.int64)
-    out = []
-    for i, (size, offset) in enumerate(zip(sizes, offsets)):
-        period = math.prod(sizes[i + 1:])
-        out.append(((base // period) % size + offset).astype(dtype))
-    return out
-
-
-def digits(value, sizes):
-    """The odometer reading of `value` in the mixed radix `sizes`, first
-    position slowest."""
-    out = [0] * len(sizes)
-    for pos in range(len(sizes) - 1, -1, -1):
-        value, out[pos] = divmod(value, sizes[pos])
-    return out
+    """Mixed-radix odometer grids in C order, the rows of np.indices: one
+    array per position, first position slowest; position i runs over
+    offsets[i], ..., offsets[i] + sizes[i] - 1.  A size of 0 gives empty
+    grids."""
+    grid = np.indices(sizes, dtype).reshape(len(sizes), math.prod(sizes))
+    grid += np.array(offsets, dtype=dtype)[:, None]
+    return list(grid)
 
 
 def prefix_values(sizes, offsets, lo=0, hi=None):
-    """Odometer readings lo..hi-1 (default: all) over `sizes`, position i
-    running from offsets[i], as lists of Python ints."""
-    if hi is None:
-        hi = math.prod(sizes)
-    for chunk in range(lo, hi):
-        yield [d + o for d, o in zip(digits(chunk, sizes), offsets)]
+    """Odometer readings lo..hi-1 (default: all) over `sizes` in the same C
+    order, position i running from offsets[i], as tuples of Python ints."""
+    ranges = [range(o, o + s) for s, o in zip(sizes, offsets)]
+    return itertools.islice(itertools.product(*ranges), lo, hi)
 
 
 def block_len(dtype):
@@ -463,7 +447,7 @@ def _cell_blocks(gf, k, n, width):
         t = choose_prefix_len(sizes, width)
         suffix = position_arrays(sizes[t:], [0] * (len(sizes) - t), ops.dtype)
         for prefix in prefix_values(sizes[:t], [0] * t):
-            values = prefix + suffix
+            values = list(prefix) + suffix
             block = np.empty((len(indices), math.prod(sizes[t:])), dtype=ops.dtype)
             for row_pos, plan in enumerate(plans):
                 # a scalar determinant broadcasts over the row

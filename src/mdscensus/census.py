@@ -14,8 +14,7 @@ matrix-scan       scans the matrices [I_k | A] and accepts A exactly when
                   and column 0 is A[r][c] - 1, so their (k-1)(n-k-1) free
                   entries run over 2..q-1 in odometer order and those minors
                   are never evaluated; the count is gamma-tilde, and
-                  gamma = (q-1)^(n-1) * gamma-tilde.  Work is chunked by
-                  fixing the first t free entries.
+                  gamma = (q-1)^(n-1) * gamma-tilde.
 
 grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
                   normalization, and keeps the points whose maximal minors
@@ -31,8 +30,12 @@ grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
 Both routes hand the same scheduler one walk, a minor plan with the sizes
 and offsets of its free entries.  Every chunk yields an exact integer and
 the total is an order-independent sum, so results are bit-identical for any
-worker count.  A chunk fixes the first free entries of the walk, and
-_vecgf.count_all_nonzero walks the rest level by level: each minor is
+worker count.  Work is chunked by fixing the first t free entries of the
+walk: chunk i is the i-th reading of those entries in C order, the order
+of itertools.product and np.indices (last entry fastest), so chunks
+[lo, hi) are one slice of _vecgf.prefix_values.  The chunk's prefix
+values are Python ints, and _vecgf.count_all_nonzero walks the rest
+level by level on _vecgf.position_arrays grids: each minor is
 checked as soon as the last free entry it reads is walked, on the survivors
 so far against the next segment of free entries.  The last free entry x of
 either plan is counted, not walked: no minor reads an entry twice, so each
@@ -64,7 +67,6 @@ from dataclasses import dataclass
 from . import _vecgf
 from .budget import check_budget
 from .errors import DivisibilityViolation, OutOfRange
-from .fields import make_field
 
 POOL_MIN_WORK = 2**18       # candidates a walk must pass to start a pool
 CHUNKS_PER_WORKER = 64
@@ -82,17 +84,12 @@ class CensusResult:
     worker_count: int
 
 
-def _split_gamma(k, n, q, gamma, method, elapsed, workers):
-    if k == n:
-        # the full space is the unique [n, n] code; the (q-1)^(n-1) column
-        # normalization that turns codes into arcs degenerates here
-        return CensusResult(k, n, q, gamma, gamma, method, elapsed, workers)
-    denom = (q - 1) ** (n - 1)
-    if gamma % denom != 0:
-        raise DivisibilityViolation(
-            f"gamma={gamma} not divisible by (q-1)^(n-1)={denom} at (k={k}, n={n}, q={q})"
-        )
-    return CensusResult(k, n, q, gamma, gamma // denom, method, elapsed, workers)
+def _column_scalings(k, n, q):
+    """(q-1)^(n-1), the ratio gamma / gamma-tilde: the column scalings left
+    once the diagonal scalars are divided out.  1 when k = n, where the
+    full space is the unique [n, n] code and that normalization
+    degenerates."""
+    return 1 if k == n else (q - 1) ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +136,7 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
     start = time.perf_counter()
     walk = (_scan_minor_plan(k, nk), sizes, [2] * len(sizes))
     gamma_tilde, workers = _count_walk(gf, walk, threads)
-    # k = n: the unique [n, n] code, with no column scaling to divide out
-    gamma = gamma_tilde if k == n else gamma_tilde * (q - 1) ** (n - 1)
+    gamma = gamma_tilde * _column_scalings(k, n, q)
     return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
                         time.perf_counter() - start, workers)
 
@@ -182,7 +178,12 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     start = time.perf_counter()
     walk = (_filter_minor_plan(k, n), sizes, [1] * len(sizes))
     gamma, workers = _count_walk(gf, walk, threads)
-    return _split_gamma(k, n, q, gamma, "grassmannian-filter",
+    denom = _column_scalings(k, n, q)
+    if gamma % denom != 0:
+        raise DivisibilityViolation(
+            f"gamma={gamma} not divisible by (q-1)^(n-1)={denom} at (k={k}, n={n}, q={q})"
+        )
+    return CensusResult(k, n, q, gamma, gamma // denom, "grassmannian-filter",
                         time.perf_counter() - start, workers)
 
 
@@ -198,12 +199,13 @@ def _worker_count(threads, work):
     return max(1, min(threads, os.cpu_count() or 1))
 
 
-def _count_chunks(p, m, walk, t, lo, hi):
+def _count_chunks(gf, walk, t, lo, hi):
     """All-nonzero candidates among chunks [lo, hi) of one walk (plan,
     sizes, offsets) cut after its first t free entries; the walk's levels
-    and their segment grids are built once for all of them."""
+    and their segment grids are built once for all of them.  A pooled call
+    gets gf through its pickle, make_field(p, m) in the worker."""
     plan, sizes, offsets = walk
-    ops = _vecgf.vector_ops(make_field(p, m))
+    ops = _vecgf.vector_ops(gf)
     levels = _vecgf.walk_levels(plan, sizes, offsets, ops.dtype, t)
     return sum(_vecgf.count_all_nonzero(ops, prefix, levels)
                for prefix in _vecgf.prefix_values(sizes[:t], offsets[:t], lo, hi))
@@ -225,10 +227,10 @@ def _count_walk(gf, walk, threads):
                                  CHUNKS_PER_WORKER * workers if workers > 1 else 1)
     n_chunks = math.prod(sizes[:t])
     if workers == 1 or n_chunks == 1:
-        return _count_chunks(gf.p, gf.m, walk, t, 0, n_chunks), 1
+        return _count_chunks(gf, walk, t, 0, n_chunks), 1
     step = -(-n_chunks // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_count_chunks, gf.p, gf.m, walk, t,
+        futures = [pool.submit(_count_chunks, gf, walk, t,
                                lo, min(lo + step, n_chunks))
                    for lo in range(0, n_chunks, step)]
         return sum(f.result() for f in futures), workers

@@ -11,11 +11,10 @@ import functools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 
 from .budget import effective_budget
 from .errors import BudgetExceeded, MdsError, OutOfRange
-from .fields import field_of_order
+from .fields import factor_prime_power, field_of_order
 from .linalg import gaussian_binomial
 
 EXIT_OK = 0
@@ -23,19 +22,6 @@ EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_WORKER_DIED = 3
 EXIT_INTERRUPTED = 130
-
-
-@dataclass
-class RunConfig:
-    command: str
-    k: int = 0
-    n: int = 0
-    q: int = 0
-    threads: int = 1
-    budget: int = None
-    fmt: str = "json"
-    output: str = None
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -97,32 +83,32 @@ def _render_table(payload):
     return "\n".join(lines)
 
 
-def _emit(payload, config):
+def _emit(payload, args):
     renderers = {"json": _render_json, "csv": _render_csv, "table": _render_table}
-    if config.fmt not in renderers:
-        raise MdsError(f"unknown format {config.fmt!r}")
-    text = renderers[config.fmt](payload)
+    if args.fmt not in renderers:
+        raise MdsError(f"unknown format {args.fmt!r}")
+    text = renderers[args.fmt](payload)
     print(text)
-    if config.output:
+    if args.output:
         # files omit wall-clock fields so identical configs write identical bytes
         canonical = {k: v for k, v in payload.items() if k != "elapsed_ms"}
         try:
-            with open(config.output, "w", encoding="utf-8") as handle:
-                handle.write(renderers[config.fmt](canonical) + "\n")
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(renderers[args.fmt](canonical) + "\n")
         except OSError as exc:
-            raise MdsError(f"cannot write {config.output}: {exc.strerror}") from exc
+            raise MdsError(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_count(config):
+def _cmd_count(args):
     from .census import count_mds
 
-    gf = field_of_order(config.q)
-    res = count_mds(config.k, config.n, gf, method=config.extra["method"],
-                    threads=config.threads, budget=config.budget)
+    gf = field_of_order(args.q)
+    res = count_mds(args.k, args.n, gf, method=args.method,
+                    threads=args.threads, budget=args.budget)
     return {
         "k": res.k,
         "n": res.n,
@@ -134,27 +120,28 @@ def _cmd_count(config):
     }
 
 
-def _cmd_grassmann_count(config):
+def _cmd_grassmann_count(args):
+    factor_prime_power(args.q)
     return {
-        "k": config.k,
-        "n": config.n,
-        "q": config.q,
-        "count": str(gaussian_binomial(config.k, config.n, config.q)),
+        "k": args.k,
+        "n": args.n,
+        "q": args.q,
+        "count": str(gaussian_binomial(args.k, args.n, args.q)),
     }
 
 
-def _cmd_sections(config):
+def _cmd_sections(args):
     from .exterior import multi_indices
     from .sections import coordinate_section_rows
 
-    gf = field_of_order(config.q)
-    indices = multi_indices(config.k, config.n)
-    max_r = len(indices) if config.extra["exhaustive"] else config.extra["max_r"]
+    gf = field_of_order(args.q)
+    indices = multi_indices(args.k, args.n)
+    max_r = len(indices) if args.exhaustive else args.max_r
     if max_r < 1:
         raise OutOfRange(f"--max-r must be at least 1, got {max_r}")
     rows = []
     for r, mask, norm, in_g in coordinate_section_rows(
-        gf, config.k, config.n, max_r, budget=config.budget
+        gf, args.k, args.n, max_r, budget=args.budget
     ):
         names = ";".join(
             ".".join(str(i) for i in indices[pos])
@@ -165,14 +152,14 @@ def _cmd_sections(config):
             {"r": r, "subset_id": mask, "indices": names,
              "norm": str(norm), "ann_in_grassmannian": int(in_g)}
         )
-    return {"k": config.k, "n": config.n, "q": config.q, "rows": rows}
+    return {"k": args.k, "n": args.n, "q": args.q, "rows": rows}
 
 
-def _cmd_incl_excl(config):
+def _cmd_incl_excl(args):
     from .sections import inclusion_exclusion
 
-    gf = field_of_order(config.q)
-    rep = inclusion_exclusion(config.k, config.n, gf, budget=config.budget)
+    gf = field_of_order(args.q)
+    rep = inclusion_exclusion(args.k, args.n, gf, budget=args.budget)
     payload = {
         "k": rep.k,
         "n": rep.n,
@@ -182,21 +169,21 @@ def _cmd_incl_excl(config):
         "c1_by_r": {str(r): v for r, v in rep.c1_by_r.items()},
         "c2_by_r": {str(r): v for r, v in rep.c2_by_r.items()},
     }
-    if config.extra.get("verify_against_census"):
+    if args.verify_against_census:
         from .census import count_mds_matrix_scan
 
-        gamma = count_mds_matrix_scan(config.k, config.n, gf,
-                                      threads=config.threads,
-                                      budget=config.budget).gamma
+        gamma = count_mds_matrix_scan(args.k, args.n, gf,
+                                      threads=args.threads,
+                                      budget=args.budget).gamma
         payload["census_gamma"] = str(gamma)
         payload["match"] = rep.gamma_reconstructed == gamma
     return payload
 
 
-def _cmd_asympt(config):
+def _cmd_asympt(args):
     from .asymptotics import convergence, params
 
-    p = params(config.k, config.n)
+    p = params(args.k, args.n)
     payload = {
         "k": p.k,
         "n": p.n,
@@ -206,10 +193,9 @@ def _cmd_asympt(config):
         "b1": str(p.b1),
         "b2": str(p.b2),
     }
-    q_list = config.extra.get("q_list")
-    if q_list:
-        rep = convergence(config.k, config.n, q_list, threads=config.threads,
-                          budget=config.budget)
+    if args.q_list:
+        rep = convergence(args.k, args.n, args.q_list, threads=args.threads,
+                          budget=args.budget)
         payload["verdict"] = rep.verdict()
         payload["max_normalized_residual"] = str(rep.max_normalized)
         payload["rows"] = [
@@ -225,22 +211,22 @@ def _cmd_asympt(config):
     return payload
 
 
-def _cmd_code(config):
+def _cmd_code(args):
     from .grassmann_code import build_code, higher_weight_search, weight_spectrum
 
-    gf = field_of_order(config.q)
-    code = build_code(config.k, config.n, gf, budget=config.budget)
+    gf = field_of_order(args.q)
+    code = build_code(args.k, args.n, gf, budget=args.budget)
     payload = {
-        "k": config.k,
-        "n": config.n,
-        "q": config.q,
+        "k": args.k,
+        "n": args.n,
+        "q": args.q,
         "length": str(code.length),
         "dimension": code.dimension,
     }
-    spectrum_arg = config.extra.get("spectrum")
+    spectrum_arg = args.spectrum
     if spectrum_arg:
         if spectrum_arg == "exhaustive":
-            spec = weight_spectrum(code, mode="exhaustive", budget=config.budget)
+            spec = weight_spectrum(code, mode="exhaustive", budget=args.budget)
         else:
             parts = spectrum_arg.split(":")
             if len(parts) != 3 or parts[0] != "sample":
@@ -249,27 +235,26 @@ def _cmd_code(config):
                     f"got {spectrum_arg!r}"
                 )
             spec = weight_spectrum(code, mode="sample", sample_count=int(parts[1]),
-                                   seed=int(parts[2]), budget=config.budget)
+                                   seed=int(parts[2]), budget=args.budget)
         payload["rows"] = [
             {"weight": str(w), "multiplicity": str(m)}
             for w, m in sorted(spec.items())
         ]
-    dr = config.extra.get("dr")
-    if dr is not None:
-        value = higher_weight_search(code, dr, mode=config.extra["dr_mode"],
-                                     budget=config.budget)
-        payload["r"] = dr
+    if args.dr is not None:
+        value = higher_weight_search(code, args.dr, mode=args.dr_mode,
+                                     budget=args.budget)
+        payload["r"] = args.dr
         payload["d_r"] = str(value)
-        payload["search_mode"] = config.extra["dr_mode"]
+        payload["search_mode"] = args.dr_mode
     return payload
 
 
-def _cmd_weight(config):
+def _cmd_weight(args):
     from .exterior import DualForm, form_weight
 
-    gf = field_of_order(config.q)
+    gf = field_of_order(args.q)
     try:
-        terms = json.loads(config.extra["form"])
+        terms = json.loads(args.form)
         parsed = [(tuple(t["index"]), t["coeff"]) for t in terms]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise MdsError(f"malformed form description: {exc}") from exc
@@ -278,24 +263,24 @@ def _cmd_weight(config):
         if type(coeff) is not int:
             raise MdsError(f"malformed form description: coefficient "
                            f"{json.dumps(coeff)} is not an integer")
-    omega = DualForm.from_terms(gf, config.k, config.n, parsed)
-    method = config.extra["method"]
-    payload = {"k": config.k, "n": config.n, "q": config.q}
+    omega = DualForm.from_terms(gf, args.k, args.n, parsed)
+    method = args.method
+    payload = {"k": args.k, "n": args.n, "q": args.q}
     if method in ("direct", "both"):
-        payload["weight_direct"] = str(form_weight(omega, "direct", budget=config.budget))
+        payload["weight_direct"] = str(form_weight(omega, "direct", budget=args.budget))
     if method in ("recursive", "both"):
         payload["weight_recursive"] = str(
-            form_weight(omega, "recursive", budget=config.budget)
+            form_weight(omega, "recursive", budget=args.budget)
         )
     if method == "both" and payload["weight_direct"] != payload["weight_recursive"]:
         raise MdsError("direct and recursive weights disagree; this is a bug")
     return payload
 
 
-def _cmd_verify(config):
+def _cmd_verify(args):
     from .verify import run_check, select
 
-    entries = select(config.extra["suite"], config.extra["scale"])
+    entries = select(args.suite, args.scale)
     passed = 0
     for entry in entries:
         result = run_check(entry)
@@ -303,7 +288,7 @@ def _cmd_verify(config):
         print(result.line(), flush=True)
     all_ok = passed == len(entries)
     print(f"{'OK' if all_ok else 'FAILED'}: {passed}/{len(entries)} checks passed")
-    return None if all_ok else EXIT_INVALID
+    return EXIT_OK if all_ok else EXIT_INVALID
 
 
 _HANDLERS = {
@@ -391,56 +376,32 @@ def build_parser():
     return parser
 
 
-def _parse_q_list(text):
-    """The prime powers of --q-list; an empty list or token is refused."""
-    tokens = [tok.strip() for tok in text.split(",")]
-    if not all(tokens):
-        raise OutOfRange(f"--q-list needs comma-separated prime powers, got {text!r}")
-    return [int(tok) for tok in tokens]
-
-
-def _config_from_args(args):
-    extra = {}
-    for key in ("method", "max_r", "exhaustive", "verify_against_census",
-                "spectrum", "dr", "dr_mode", "form", "suite", "scale"):
-        if hasattr(args, key):
-            extra[key] = getattr(args, key)
-    if getattr(args, "q_list", None) is not None:
-        extra["q_list"] = _parse_q_list(args.q_list)
+def _check_args(args):
+    """Validate --threads, resolve --budget and split --q-list into its
+    prime powers, in place on the parsed arguments; an empty list or token
+    is refused."""
     # verify has no --threads: each registry entry sets its own worker count
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise OutOfRange(f"--threads must be at least 1, got {threads}")
-    budget = getattr(args, "budget", None)
-    return RunConfig(
-        command=args.command,
-        k=getattr(args, "k", 0),
-        n=getattr(args, "n", 0),
-        q=getattr(args, "q", 0),
-        threads=threads,
-        budget=effective_budget(budget) if budget is not None else None,
-        fmt=getattr(args, "fmt", "json"),
-        output=getattr(args, "output", None),
-        extra=extra,
-    )
-
-
-def run(config):
-    """Dispatch a RunConfig; returns the process exit code."""
-    if config.command == "verify":
-        status = _cmd_verify(config)
-        return EXIT_OK if status is None else status
-    handler = _HANDLERS[config.command]
-    payload = handler(config)
-    _emit(payload, config)
-    return EXIT_OK
+    if getattr(args, "budget", None) is not None:
+        args.budget = effective_budget(args.budget)
+    if getattr(args, "q_list", None) is not None:
+        tokens = [tok.strip() for tok in args.q_list.split(",")]
+        if not all(tokens):
+            raise OutOfRange(
+                f"--q-list needs comma-separated prime powers, got {args.q_list!r}")
+        args.q_list = [int(tok) for tok in tokens]
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
+        _check_args(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        _emit(_HANDLERS[args.command](args), args)
+        return EXIT_OK
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -532,18 +532,8 @@ def pi_gamma(gamma, budget=None):
     out = set()
     for c in _projective_reps(gf, kk):
         # kernel of the functional c on the row space, lifted to V
-        coeff_rows = MatrixGF.from_rows(gf, [list(c)])
-        ker = kernel_basis(coeff_rows)  # (kk-1) x kk
-        rows = []
-        for i in range(ker.rows):
-            combo = [0] * gamma.n
-            for j in range(kk):
-                cj = ker.entry(i, j)
-                if cj:
-                    grow = gamma.matrix.row(j)
-                    combo = [gf.add(a, gf.mul(cj, b)) for a, b in zip(combo, grow)]
-            rows.append(combo)
-        out.add(point_from_rows(gf, rows))
+        ker = kernel_basis(MatrixGF.from_rows(gf, [list(c)]))  # (kk-1) x kk
+        out.add(point_from_rows(gf, ker.mul(gamma.matrix).row_list()))
     return out
 
 

@@ -77,35 +77,20 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_mod(a, mod, p):
-    # mod is monic
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        if lead:
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * mod[i]) % p
-        a.pop()
-    return _poly_trim(a)
-
-
 def _poly_divmod(a, b, p):
     # b nonzero, not necessarily monic
-    a = list(a)
+    rem = list(a)
     db = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
-    quo = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        lead = a[-1] * inv_lead % p
-        shift = len(a) - 1 - db
-        quo[shift] = lead
+    quo = []
+    while len(rem) > db:
+        lead = rem.pop() * inv_lead % p
+        quo.append(lead)
         if lead:
-            for i in range(db + 1):
-                a[shift + i] = (a[shift + i] - lead * b[i]) % p
-        a.pop()
-    return _poly_trim(quo), _poly_trim(a)
+            shift = len(rem) - db
+            for i in range(db):
+                rem[shift + i] = (rem[shift + i] - lead * b[i]) % p
+    return _poly_trim(quo[::-1]), _poly_trim(rem)
 
 
 def _monic_polys(p, degree):
@@ -196,7 +181,7 @@ class GF:
 
     def _mul_raw(self, a, b):
         prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.encode(_poly_mod(prod, self.modulus, self.p))
+        return self.encode(_poly_divmod(prod, self.modulus, self.p)[1])
 
     def _add_raw(self, a, b):
         p = self.p

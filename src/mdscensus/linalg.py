@@ -7,6 +7,7 @@ order (last free position cycles fastest).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .budget import check_budget
@@ -48,10 +49,6 @@ class MatrixGF:
     def identity(cls, gf, n):
         return cls(gf, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zero(cls, gf, rows, cols):
-        return cls(gf, rows, cols, (0,) * (rows * cols))
-
     def entry(self, i, j):
         return self.data[i * self.cols + j]
 
@@ -70,14 +67,14 @@ class MatrixGF:
         if self.cols != other.rows or self.gf != other.gf:
             raise ShapeMismatch("incompatible shapes for matrix product")
         gf = self.gf
+        rows = [other.row(t) for t in range(other.rows)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = 0
-                for t in range(self.cols):
-                    acc = gf.add(acc, gf.mul(ri[t], other.entry(t, j)))
-                out.append(acc)
+            acc = [0] * other.cols
+            for c, row in zip(self.row(i), rows):
+                if c:
+                    acc = [gf.add(x, gf.mul(c, y)) for x, y in zip(acc, row)]
+            out += acc
         return MatrixGF(gf, self.rows, other.cols, out)
 
     def __eq__(self, other):
@@ -334,9 +331,5 @@ def enumerate_grassmannian(gf, k, n, budget=None):
 
 
 def _binom(n, k):
-    if not 0 <= k <= n:
-        return 0
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - i + 1) // i
-    return out
+    """C(n, k), and 0 outside 0 <= k <= n."""
+    return math.comb(n, k) if 0 <= k <= n else 0

@@ -377,7 +377,7 @@ def test_chunk_prefix_is_sized_on_walked_entries(monkeypatch):
     # 8 entries would cut 6561
     cuts = []
     monkeypatch.setattr(census, "_count_chunks",
-                        lambda p, m, walk, t, lo, hi: cuts.append((t, lo, hi)) or 0)
+                        lambda gf, walk, t, lo, hi: cuts.append((t, lo, hi)) or 0)
     plan = census._scan_minor_plan(3, 5)
     assert _vecgf.walked_len(plan) == 7
     census._count_walk(field_of_order(11), (plan, [9] * 8, [2] * 8), 1)
@@ -391,9 +391,13 @@ def test_position_arrays_match_product():
                                         for s, o in zip(sizes, offsets))))
     assert list(zip(*(g.tolist() for g in grids))) == expected
     assert all(g.dtype == np.int16 for g in grids)
-    for i, row in enumerate(expected):
-        assert [d + o for d, o in zip(_vecgf.digits(i, sizes), offsets)] == list(row)
-    # a position with no values leaves nothing to walk
+    for lo in range(len(expected) + 1):
+        for hi in (lo, lo + 1, len(expected)):
+            assert list(_vecgf.prefix_values(sizes, offsets, lo, hi)) == expected[lo:hi]
+    # no positions: one empty prefix; a position with no values in the
+    # middle leaves nothing to walk
+    assert list(_vecgf.prefix_values([], [])) == [()]
+    assert list(_vecgf.prefix_values([2, 0, 3], [1, 1, 1])) == []
     assert [g.size for g in _vecgf.position_arrays([3, 0, 2], [2, 2, 2], np.int64)] == [0, 0, 0]
     assert _vecgf.position_arrays([], [], np.int64) == []
 

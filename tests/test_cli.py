@@ -57,6 +57,16 @@ def test_grassmann_count(capsys):
     assert json.loads(out)["count"] == "35"
 
 
+def test_grassmann_count_rejects_non_prime_powers(capsys):
+    # the count used to print 1591, 1 and 70 for q = 6, 0 and -3, and to
+    # die in gaussian_binomial with a ZeroDivisionError at q = 1
+    for q in ("6", "1", "0", "-3"):
+        code, out, err = run_cli(capsys, "grassmann-count", "--k", "2", "--n", "4",
+                                 "--q", q)
+        assert code == 1, q
+        assert out == "" and err == f"error: {q} is not a prime power\n", q
+
+
 def test_asympt_coefficients(capsys):
     code, out, _ = run_cli(capsys, "asympt", "--k", "3", "--n", "10")
     assert code == 0

@@ -5,7 +5,13 @@ import pytest
 
 from mdscensus.errors import BudgetExceeded, DegreeMismatch, ShapeMismatch, ZeroInput
 from mdscensus.fields import field_of_order, make_field
-from mdscensus.linalg import MatrixGF, enumerate_grassmannian, point_from_rows, rank
+from mdscensus.linalg import (
+    MatrixGF,
+    enumerate_grassmannian,
+    kernel_basis,
+    point_from_rows,
+    rank,
+)
 from mdscensus.exterior import (
     DualForm,
     MultiVector,
@@ -345,6 +351,35 @@ def test_pi_alpha_pi_gamma_sizes():
     gamma = point_from_rows(gf, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     down = pi_gamma(gamma)
     assert len(down) == 7
+
+
+def _pi_gamma_by_row_combination(gamma):
+    """pi_gamma's definition written out: for each functional c on the row
+    space, first nonzero coordinate 1, the kernel of c lifted to GF(q)^n
+    by combining gamma's rows entry by entry."""
+    gf, kk = gamma.matrix.gf, gamma.k
+    out = set()
+    for c in itertools.product(gf.elements(), repeat=kk):
+        if next((x for x in c if x), None) != 1:
+            continue
+        ker = kernel_basis(MatrixGF.from_rows(gf, [list(c)]))
+        rows = []
+        for i in range(ker.rows):
+            combo = [0] * gamma.n
+            for j in range(kk):
+                cj = ker.entry(i, j)
+                combo = [gf.add(a, gf.mul(cj, b))
+                         for a, b in zip(combo, gamma.matrix.row(j))]
+            rows.append(combo)
+        out.add(point_from_rows(gf, rows))
+    return out
+
+
+def test_pi_gamma_matches_row_combination():
+    for k, n, q in ((3, 4, 2), (3, 4, 3), (2, 4, 4)):
+        gf = field_of_order(q)
+        for gamma in enumerate_grassmannian(gf, k, n):
+            assert pi_gamma(gamma) == _pi_gamma_by_row_combination(gamma), (k, n, q)
 
 
 def test_pi_alpha_members_contain_alpha():

@@ -22,11 +22,23 @@ from mdscensus.grassmann_code import (
     codeword_weight,
     higher_weight_search,
     higher_weight_value,
-    standard_two_form,
     subcode_weight,
-    two_form_weight_value,
     weight_spectrum,
 )
+
+
+def two_form_weight_value(n, q, r):
+    """Weight of the rank-2r two-form e^1^e^2 + e^3^e^4 + ... on GF(q)^n."""
+    delta = 2 * (n - 2)
+    return sum(q ** (delta - 2 * i) for i in range(r))
+
+
+def standard_two_form(gf, n, r):
+    """e^1^e^2 + e^3^e^4 + ... + e^(2r-1)^e^(2r) as a DualForm."""
+    if 2 * r > n:
+        raise OutOfRange(f"rank-{2 * r} form needs dimension >= {2 * r}")
+    terms = [((2 * i + 1, 2 * i + 2), 1) for i in range(r)]
+    return DualForm.from_terms(gf, 2, n, terms)
 
 
 def test_build_code_shapes():
