@@ -41,7 +41,6 @@ from .fields import GF, field_of_order, make_field
 from .grassmann_code import (
     GrassmannCode,
     build_code,
-    codeword_weight,
     higher_weight_search,
     weight_spectrum,
 )

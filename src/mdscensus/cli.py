@@ -136,12 +136,11 @@ def _cmd_sections(args):
 
     gf = field_of_order(args.q)
     indices = multi_indices(args.k, args.n)
-    max_r = len(indices) if args.exhaustive else args.max_r
-    if max_r < 1:
-        raise OutOfRange(f"--max-r must be at least 1, got {max_r}")
+    if args.max_r < 1:
+        raise OutOfRange(f"--max-r must be at least 1, got {args.max_r}")
     rows = []
     for r, mask, norm, in_g in coordinate_section_rows(
-        gf, args.k, args.n, max_r, budget=args.budget
+        gf, args.k, args.n, args.max_r, budget=args.budget
     ):
         names = ";".join(
             ".".join(str(i) for i in indices[pos])
@@ -338,8 +337,8 @@ def build_parser():
 
     p = subs.add_parser("sections", help="norms of coordinate sections")
     _add_common(p)
-    p.add_argument("--max-r", type=int, default=2)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--max-r", type=int, default=2,
+                   help="largest subset size; C(n, k) or more takes them all")
 
     p = subs.add_parser("incl-excl", help="inclusion-exclusion reconstruction")
     _add_common(p)

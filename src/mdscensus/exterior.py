@@ -32,6 +32,7 @@ from .linalg import (
     MatrixGF,
     kernel_basis,
     minor,
+    point_from_matrix,
     point_from_rows,
     rref,
     _binom,
@@ -351,34 +352,23 @@ def _contraction_rows(gf, k, n, coeffs):
 
 def _kernel_matrix(omega):
     """Echelonized basis of {v : iota_v omega = 0}."""
-    gf, n = omega.gf, omega.n
-    rows = _contraction_rows(gf, omega.k, n, omega.coeffs)
+    gf, k, n = omega.gf, omega.k, omega.n
+    rows = _contraction_rows(gf, k, n, omega.coeffs)
     # v lies in the kernel iff sum_i v_i * row_i = 0: left null space of the
-    # contraction rows
-    t_transpose = MatrixGF.from_rows(gf, zip(*rows))
-    v_omega = kernel_basis(t_transpose)
-    if not v_omega.rows:
-        return MatrixGF(gf, 0, n, ())
-    red, _ = rref(v_omega)
-    return red
+    # contraction rows, n columns wide even for a 0-form's empty rows
+    t_transpose = MatrixGF(gf, _binom(n, k - 1), n, itertools.chain(*zip(*rows)))
+    return rref(kernel_basis(t_transpose))[0]
 
 
 def form_profile(omega):
     """Kernel subspace, its annihilator, and the decomposability flag."""
     if omega.is_zero():
         raise ZeroInput("profile of the zero form")
-    gf, n = omega.gf, omega.n
     v_omega = _kernel_matrix(omega)
-    if v_omega.rows:
-        u_omega = kernel_basis(v_omega)
-    else:
-        u_omega = MatrixGF.identity(gf, n)
-    if u_omega.rows:
-        u_omega, _ = rref(u_omega)
     return FormProfile(
         form=omega,
         v_omega=v_omega,
-        u_omega=u_omega,
+        u_omega=rref(kernel_basis(v_omega))[0],
         decomposable=satisfies_plucker(omega),
     )
 
@@ -533,7 +523,7 @@ def pi_gamma(gamma, budget=None):
     for c in _projective_reps(gf, kk):
         # kernel of the functional c on the row space, lifted to V
         ker = kernel_basis(MatrixGF.from_rows(gf, [list(c)]))  # (kk-1) x kk
-        out.add(point_from_rows(gf, ker.mul(gamma.matrix).row_list()))
+        out.add(point_from_matrix(ker.mul(gamma.matrix)))
     return out
 
 

@@ -5,7 +5,8 @@ coordinates C(n, k); column j of the generator matrix is the Plucker vector
 of the j-th enumerated point.  Codewords are identified with k-forms, and a
 codeword's Hamming weight equals the number of points on which the form
 pairs nonzero, so the weight machinery of the exterior module applies
-verbatim.
+verbatim: spectra are checked against form_weight(omega, "recursive"),
+which reads no Plucker matrix.
 """
 
 import random
@@ -57,32 +58,6 @@ def build_code(k, n, gf, budget=None):
         raise RankDeficient("the Plucker embedding generator lost row rank")
     return GrassmannCode(gf=gf, k=k, n=n, length=length, dimension=dimension,
                          generator=generator)
-
-
-def codeword_weight(code, omega):
-    """Hamming weight of the codeword of the form omega, streamed across the
-    generator columns with scalar field ops.  Where build_code took the
-    cached Plucker matrix, the columns are the ones form_weight(omega,
-    "direct") pairs with, so form_weight(omega, "recursive") is the
-    independent check."""
-    if not isinstance(omega, DualForm):
-        raise ShapeMismatch("codewords are indexed by DualForms")
-    if omega.gf != code.gf or (omega.k, omega.n) != (code.k, code.n):
-        raise ShapeMismatch("form does not match the code parameters")
-    gf = code.gf
-    support = [
-        (c, code.generator[i].tolist()) for i, c in enumerate(omega.coeffs) if c
-    ]
-    if not support:
-        return 0
-    weight = 0
-    for j in range(code.length):
-        acc = 0
-        for c, row in support:
-            acc = gf.add(acc, gf.mul(c, row[j]))
-        if acc:
-            weight += 1
-    return weight
 
 
 def _block_histogram(ops, gen, q):
@@ -146,7 +121,8 @@ def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=N
     at q = 2 (see _block_histogram and _packed_histogram); sample draws
     sample_count coefficient vectors from a seeded Mersenne Twister
     (random.Random(seed)), rejecting the zero vector, so sampled spectra
-    are reproducible bit for bit.
+    are reproducible bit for bit.  The budget counts codewords: the
+    q^dimension words of exhaustive, the sample_count draws of sample.
     """
     gf = code.gf
     q = gf.q
@@ -162,6 +138,7 @@ def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=N
     if mode == "sample":
         if not sample_count or sample_count < 1:
             raise OutOfRange("sample mode needs a positive draw count")
+        check_budget(sample_count, budget, "sampled codeword sweep")
         rng = random.Random(seed)
         weights = Counter()
         for _ in range(sample_count):
@@ -182,7 +159,13 @@ def higher_weight_value(k, n, q, r):
 
 def subcode_weight(code, forms):
     """Support size of the subcode spanned by the given forms: columns where
-    at least one spanning form evaluates nonzero."""
+    at least one spanning form evaluates nonzero.  Each form must be a
+    DualForm over the code's field and (k, n)."""
+    for f in forms:
+        if not isinstance(f, DualForm):
+            raise ShapeMismatch("codewords are indexed by DualForms")
+        if f.gf != code.gf or (f.k, f.n) != (code.k, code.n):
+            raise ShapeMismatch("form does not match the code parameters")
     return _vecgf.support_size(code.gf, [f.coeffs for f in forms], [code.generator])
 
 

@@ -95,11 +95,15 @@ class MatrixGF:
 def _rref_rows(gf, rows, ncols):
     """In-place reduced row echelon form on a list of row lists.
 
-    Returns (pivot_columns, rank); rows below the rank are zeroed.
+    Returns (pivot_columns, scale); rows below the rank are zeroed.  scale
+    is the product of the pivots, negated once per row swap: the
+    determinant of a square matrix of full rank, which the reduction takes
+    to the identity.
     """
     mul, sub, inv = gf.mul, gf.sub, gf.inv
     nrows = len(rows)
     pivots = []
+    scale = 1
     r = 0
     for c in range(ncols):
         pivot = None
@@ -109,8 +113,11 @@ def _rref_rows(gf, rows, ncols):
                 break
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            scale = gf.neg(scale)
         lead = rows[r][c]
+        scale = mul(scale, lead)
         if lead != 1:
             s = inv(lead)
             rows[r] = [mul(s, v) for v in rows[r]]
@@ -121,24 +128,26 @@ def _rref_rows(gf, rows, ncols):
                 rows[i] = [sub(ri[t], mul(f, rr[t])) for t in range(ncols)]
         pivots.append(c)
         r += 1
-    return pivots, r
+    return pivots, scale
 
 
 def rref(matrix):
-    """Unique reduced row echelon form and rank; row space preserved."""
+    """Unique reduced row echelon form and rank; row space and shape
+    preserved."""
     rows = matrix.row_list()
-    _, rank = _rref_rows(matrix.gf, rows, matrix.cols)
-    return MatrixGF.from_rows(matrix.gf, rows), rank
+    pivots, _ = _rref_rows(matrix.gf, rows, matrix.cols)
+    return (MatrixGF(matrix.gf, matrix.rows, matrix.cols,
+                     itertools.chain.from_iterable(rows)), len(pivots))
 
 
 def rank(matrix):
-    rows = matrix.row_list()
-    _, r = _rref_rows(matrix.gf, rows, matrix.cols)
-    return r
+    pivots, _ = _rref_rows(matrix.gf, matrix.row_list(), matrix.cols)
+    return len(pivots)
 
 
 def kernel_basis(matrix):
-    """Rows spanning {x : matrix @ x = 0}, echelonized (deterministic)."""
+    """Rows spanning {x : matrix @ x = 0}, echelonized (deterministic); the
+    result has matrix.cols columns, rows or none."""
     gf = matrix.gf
     rows = matrix.row_list()
     pivots, _ = _rref_rows(gf, rows, matrix.cols)
@@ -152,11 +161,12 @@ def kernel_basis(matrix):
         for r, pc in enumerate(pivots):
             vec[pc] = gf.neg(rows[r][free])
         basis.append(vec)
-    return MatrixGF.from_rows(gf, basis) if basis else MatrixGF(gf, 0, matrix.cols, ())
+    return MatrixGF(gf, len(basis), matrix.cols, itertools.chain.from_iterable(basis))
 
 
 def det(matrix):
-    """Determinant by elimination; closed forms for sizes up to 3."""
+    """Determinant: closed forms for sizes up to 3, past that the scale of
+    the row reduction (see _rref_rows), or 0 below full rank."""
     if matrix.rows != matrix.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     gf = matrix.gf
@@ -175,29 +185,8 @@ def det(matrix):
         t2 = mul(b, sub(mul(e, j), mul(g, h)))
         t3 = mul(c, sub(mul(e, i), mul(f, h)))
         return gf.add(sub(t1, t2), t3)
-    # general case: track the sign of row swaps during elimination
-    rows = matrix.row_list()
-    out = 1
-    negate = False
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            negate = not negate
-        lead = rows[c][c]
-        out = mul(out, lead)
-        s = gf.inv(lead)
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = mul(s, rows[r][c])
-                rows[r] = [sub(rows[r][t], mul(f, rows[c][t])) for t in range(n)]
-    return gf.neg(out) if negate else out
+    pivots, scale = _rref_rows(gf, matrix.row_list(), n)
+    return scale if len(pivots) == n else 0
 
 
 def minor(matrix, col_set):
@@ -269,7 +258,12 @@ class GrassmannPoint:
 
 def point_from_rows(gf, rows):
     """Canonical GrassmannPoint spanned by the given row vectors."""
-    m = MatrixGF.from_rows(gf, rows)
+    return point_from_matrix(MatrixGF.from_rows(gf, rows))
+
+
+def point_from_matrix(m):
+    """Canonical GrassmannPoint spanned by the rows of m, in m.cols
+    dimensions even when m has no rows."""
     red, rk = rref(m)
     if rk != m.rows:
         raise ShapeMismatch("rows are linearly dependent")

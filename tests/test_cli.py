@@ -169,6 +169,16 @@ def test_code_sampled_spectrum_deterministic(capsys):
     assert out1 == out2
 
 
+def test_code_sampled_spectrum_refused_by_draw_count(capsys):
+    # the 200000 draws used to run past --budget 1000 and exit 0
+    code, out, err = run_cli(capsys, "code", "--k", "2", "--n", "4", "--q", "2",
+                             "--spectrum", "sample:200000:1", "--budget", "1000")
+    assert code == 2
+    assert out == "" and err.splitlines() == [
+        "refused: estimated work 200000 for sampled codeword sweep "
+        "exceeds budget 1000"]
+
+
 def test_code_dr_structured(capsys):
     code, out, _ = run_cli(
         capsys, "code", "--k", "2", "--n", "4", "--q", "2", "--dr", "2",
@@ -224,14 +234,14 @@ def test_sections_max_r_below_one_rejected(capsys):
 
 
 def test_sections_refused_by_subset_count(capsys, monkeypatch):
-    # --exhaustive on G(3,7) asks for all 2^35 - 1 coordinate subsets: the
+    # --max-r 35 on G(3,7) asks for all 2^35 - 1 coordinate subsets: the
     # subset count is checked against the budget before the Plucker pass
     def no_blocks(*args, **kwargs):
         raise AssertionError("a Plucker block was built")
 
     monkeypatch.setattr(_vecgf, "plucker_blocks", no_blocks)
     code, out, err = run_cli(capsys, "sections", "--k", "3", "--n", "7", "--q", "2",
-                             "--exhaustive", "--budget", "1000000")
+                             "--max-r", "35", "--budget", "1000000")
     assert code == 2
     assert out == "" and err.splitlines() == [
         "refused: estimated work 34359738367 for coordinate sections of G(3,7) "

@@ -240,9 +240,9 @@ def test_profile_higher_degree():
 
 def test_profile_dimension_sum_and_fact1():
     # dim V + dim U = n; decomposable iff dim V = n - k; otherwise
-    # dim U >= k + 2
+    # dim U >= k + 2; a nonzero 0-form used to read dim V = 0
     rng = random.Random(77)
-    for q, k, n in ((2, 2, 4), (2, 2, 5), (3, 2, 4), (2, 3, 6)):
+    for q, k, n in ((2, 2, 4), (2, 2, 5), (3, 2, 4), (2, 3, 6), (3, 0, 3)):
         gf = field_of_order(q)
         for _ in range(40):
             omega = random_form(gf, k, n, rng)
@@ -380,6 +380,13 @@ def test_pi_gamma_matches_row_combination():
         gf = field_of_order(q)
         for gamma in enumerate_grassmannian(gf, k, n):
             assert pi_gamma(gamma) == _pi_gamma_by_row_combination(gamma), (k, n, q)
+
+
+def test_pi_gamma_of_a_line_is_its_zero_subspace():
+    # the 0-subspace used to be reported in dimension n = 0
+    gf = make_field(3, 1)
+    (point,) = pi_gamma(point_from_rows(gf, [[1, 2, 0, 1]]))
+    assert (point.k, point.n, point.pivots) == (0, 4, ())
 
 
 def test_pi_alpha_members_contain_alpha():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mdscensus import _vecgf, grassmann_code
-from mdscensus.errors import OutOfRange, RankDeficient, ShapeMismatch
+from mdscensus.errors import BudgetExceeded, OutOfRange, RankDeficient, ShapeMismatch
 from mdscensus.exterior import (
     DualForm,
     form_weight,
@@ -19,7 +19,6 @@ from mdscensus.fields import field_of_order, make_field
 from mdscensus.linalg import enumerate_grassmannian
 from mdscensus.grassmann_code import (
     build_code,
-    codeword_weight,
     higher_weight_search,
     higher_weight_value,
     subcode_weight,
@@ -39,6 +38,19 @@ def standard_two_form(gf, n, r):
         raise OutOfRange(f"rank-{2 * r} form needs dimension >= {2 * r}")
     terms = [((2 * i + 1, 2 * i + 2), 1) for i in range(r)]
     return DualForm.from_terms(gf, 2, n, terms)
+
+
+def recursive_spectrum(gf, k, n):
+    """Weight -> multiplicity over the nonzero k-forms on GF(q)^n, the
+    reference for the spectra: form_weight(omega, "recursive") reads no
+    Plucker matrix.  A form and its nonzero multiples weigh the same, so
+    each projective class (first nonzero coefficient 1) is weighed once and
+    counted q - 1 times."""
+    words = Counter()
+    for coeffs in itertools.product(range(gf.q), repeat=math.comb(n, k)):
+        if next((c for c in coeffs if c), 0) == 1:
+            words[form_weight(DualForm(gf, k, n, coeffs), "recursive")] += gf.q - 1
+    return dict(words)
 
 
 def test_build_code_shapes():
@@ -62,10 +74,10 @@ def test_build_code_projective_line_family():
 def test_codeword_weight_examples():
     gf = make_field(2, 1)
     code = build_code(2, 4, gf)
-    assert codeword_weight(code, DualForm.basis(gf, 2, 4, (1, 2))) == 16
+    assert subcode_weight(code, [DualForm.basis(gf, 2, 4, (1, 2))]) == 16
     omega = DualForm.from_terms(gf, 2, 4, [((1, 2), 1), ((3, 4), 1)])
-    assert codeword_weight(code, omega) == 20
-    assert codeword_weight(code, DualForm.zero(gf, 2, 4)) == 0
+    assert subcode_weight(code, [omega]) == 20
+    assert subcode_weight(code, [DualForm.zero(gf, 2, 4)]) == 0
 
 
 def test_codeword_weight_matches_form_weight():
@@ -79,7 +91,7 @@ def test_codeword_weight_matches_form_weight():
             if not any(coeffs):
                 continue
             omega = DualForm(gf, k, n, coeffs)
-            weight = codeword_weight(code, omega)
+            weight = subcode_weight(code, [omega])
             assert weight == form_weight(omega, "direct")
             # the direct sweep reads the same Plucker matrix as the code
             assert weight == form_weight(omega, "recursive")
@@ -101,12 +113,7 @@ def test_exhaustive_spectrum_matches_codeword_weights():
     for k, n, q in ((2, 4, 2), (2, 4, 3), (2, 4, 4), (1, 3, 8)):
         gf = field_of_order(q)
         code = build_code(k, n, gf)
-        words = Counter(
-            codeword_weight(code, DualForm(gf, k, n, coeffs))
-            for coeffs in itertools.product(range(q), repeat=code.dimension)
-            if any(coeffs)
-        )
-        assert weight_spectrum(code) == dict(words), (k, n, q)
+        assert weight_spectrum(code) == recursive_spectrum(gf, k, n), (k, n, q)
 
 
 def test_packed_walk_prefix_covers_most_rows(monkeypatch):
@@ -115,13 +122,9 @@ def test_packed_walk_prefix_covers_most_rows(monkeypatch):
     gf = make_field(2, 1)
     code = build_code(2, 5, gf)
     monkeypatch.setattr(grassmann_code, "SPECTRUM_BLOCK", 6)
-    words = Counter(
-        codeword_weight(code, DualForm(gf, 2, 5, coeffs))
-        for coeffs in itertools.product(range(2), repeat=code.dimension)
-        if any(coeffs)
-    )
+    words = recursive_spectrum(gf, 2, 5)
     assert sum(words.values()) == 1023
-    assert weight_spectrum(code) == dict(words)
+    assert weight_spectrum(code) == words
 
 
 def _alternating_rank_count(n, q, r):
@@ -205,11 +208,18 @@ def test_macwilliams_dual_distribution():
         assert sum(dual) == q ** (code.length - code.dimension)
 
 
-def test_codeword_weight_shape_mismatch():
+def test_subcode_weight_shape_mismatch():
+    # a form of another (k, n) or field used to be read against the code's
+    # columns: 0 for the first form below, 16 for the GF(3) one
     gf = make_field(2, 1)
     code = build_code(2, 4, gf)
+    for form in (DualForm.basis(gf, 2, 5, (4, 5)),
+                 DualForm.basis(make_field(3, 1), 2, 4, (1, 2)),
+                 DualForm.basis(gf, 1, 4, (1,))):
+        with pytest.raises(ShapeMismatch):
+            subcode_weight(code, [DualForm.basis(gf, 2, 4, (1, 2)), form])
     with pytest.raises(ShapeMismatch):
-        codeword_weight(code, DualForm.basis(gf, 2, 5, (1, 2)))
+        subcode_weight(code, [(1, 0, 0, 0, 0, 0)])
 
 
 def test_spectrum_2_5_2():
@@ -233,14 +243,13 @@ def test_spectrum_support_prediction_k2():
 def test_minimum_weight_words_are_decomposable():
     for q, n in ((2, 4), (2, 5)):
         gf = field_of_order(q)
-        code = build_code(2, n, gf)
         delta = 2 * (n - 2)
         width = len(multi_indices(2, n))
         for coeffs in itertools.product(range(q), repeat=width):
             if not any(coeffs):
                 continue
             omega = DualForm(gf, 2, n, coeffs)
-            w = codeword_weight(code, omega)
+            w = form_weight(omega, "recursive")
             assert w >= q**delta
             assert (w == q**delta) == satisfies_plucker(omega)
 
@@ -264,6 +273,15 @@ def test_sampled_spectrum_reproducible():
     c = weight_spectrum(code, mode="sample", sample_count=200, seed=12)
     assert sum(a.values()) == sum(c.values()) == 200
     assert set(a) <= {64, 80}
+
+
+def test_sampled_spectrum_counts_draws_against_budget():
+    # the draws used to run whatever the budget
+    code = build_code(2, 4, make_field(2, 1))
+    with pytest.raises(BudgetExceeded):
+        weight_spectrum(code, mode="sample", sample_count=200, budget=199)
+    spec = weight_spectrum(code, mode="sample", sample_count=200, budget=200)
+    assert sum(spec.values()) == 200
 
 
 def test_subcode_weight_identity():
@@ -295,7 +313,7 @@ def test_subcode_weight_identity():
             for c, f in zip(coeffs, forms):
                 if c:
                     acc = acc.add(f.scale(c))
-            total += codeword_weight(code, acc)
+            total += form_weight(acc, "recursive")
         denom = 2**r - 2 ** (r - 1)
         assert total % denom == 0
         assert union_weight == total // denom

@@ -102,7 +102,7 @@ def test_det_matches_leibniz_oracle():
     rng = random.Random(11)
     for q in (2, 3, 4):
         gf = field_of_order(q)
-        for size in (1, 2, 3, 4):
+        for size in (1, 2, 3, 4, 5):
             for _ in range(20):
                 m = MatrixGF(
                     gf, size, size, tuple(rng.randrange(q) for _ in range(size * size))
@@ -256,6 +256,19 @@ def test_kernel_basis():
             for c in range(m.cols):
                 acc = gf.add(acc, gf.mul(m.entry(r, c), v[c]))
             assert acc == 0
+
+
+def test_empty_matrices_keep_their_shape():
+    # rref of a matrix with no rows used to come back 0 x 0
+    gf = make_field(3, 1)
+    no_rows = MatrixGF(gf, 0, 4, ())
+    no_cols = MatrixGF(gf, 4, 0, ())
+    assert rref(no_rows) == (no_rows, 0)
+    assert rref(no_cols) == (no_cols, 0)
+    assert kernel_basis(no_rows) == MatrixGF.identity(gf, 4)
+    assert kernel_basis(no_cols) == MatrixGF(gf, 0, 0, ())
+    full = MatrixGF.from_rows(gf, [[1, 2], [0, 1]])
+    assert kernel_basis(full) == MatrixGF(gf, 0, 2, ())
 
 
 def _span(gf, matrix):

@@ -41,6 +41,26 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_modules_read_every_import():
+    # a module-level import that its module never reads is a leftover of a
+    # deletion; __init__.py imports to re-export
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found.extend(
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in read
+        )
+    assert found == []
+
+
 def _run_python(*argv, paths=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
