@@ -17,7 +17,7 @@ from fractions import Fraction
 from .budget import effective_budget
 from .census import count_mds_matrix_scan, gamma_closed_form
 from .errors import DivisibilityViolation, ExactnessViolation, OutOfRange
-from .fields import field_of_order
+from .fields import check_field_size, factor_prime_power, field_of_order
 from .linalg import _binom
 
 
@@ -70,7 +70,14 @@ def a2_closed_form(k, n):
 
 def predicted_gamma(k, n, q):
     """Three-term truncation q^delta + (1-N) q^(delta-1) + a2 q^(delta-2)."""
-    p = params(k, n)
+    return _prediction(params(k, n), q)
+
+
+def _prediction(p, q):
+    """predicted_gamma from the family's params: in integers when
+    delta >= 2, else in Fractions, which must come out whole."""
+    if p.delta >= 2:
+        return q ** (p.delta - 2) * (q * q + (1 - p.big_n) * q + p.a2)
     value = (
         Fraction(q) ** p.delta
         + (1 - p.big_n) * Fraction(q) ** (p.delta - 1)
@@ -78,7 +85,7 @@ def predicted_gamma(k, n, q):
     )
     if value.denominator != 1:
         raise ExactnessViolation(
-            f"three-term prediction at (k={k}, n={n}, q={q}) is not an integer"
+            f"three-term prediction at (k={p.k}, n={p.n}, q={q}) is not an integer"
         )
     return int(value)
 
@@ -155,7 +162,9 @@ def convergence(k, n, q_list, threads=1, budget=None):
         raise OutOfRange("empty field-size list")
     q_list = sorted(set(int(q) for q in q_list))
     for q in q_list:
-        field_of_order(q)  # validates prime powers early
+        # refuse what field_of_order would, before any scan; building the
+        # fields here would cost tables that most sweeps never read
+        check_field_size(*factor_prime_power(q))
     p = params(k, n)
     budget = effective_budget(budget)
     if k <= 2:
@@ -164,7 +173,7 @@ def convergence(k, n, q_list, threads=1, budget=None):
         gammas = {q: _exact_gamma(k, n, q, threads, budget) for q in q_list}
     rows = []
     for q in q_list:
-        predicted = predicted_gamma(k, n, q)
+        predicted = _prediction(p, q)
         residual = gammas[q] - predicted
         normalized = Fraction(residual, q ** (p.delta - 3)) if p.delta >= 3 else Fraction(residual)
         rows.append(

@@ -9,7 +9,9 @@ index of I.
 Weights of forms (the number of Grassmann points on which a form pairs
 nonzero) can be computed two ways: a direct sweep of the Grassmannian, and
 a recursion that contracts the form along one vector per projective point
-and averages the quotient-form weights.  The two are kept as independent
+and averages the quotient-form weights.  The recursion stops at 2-forms,
+which count their nonzero quotient 1-forms, each of weight q^(m-1) on
+GF(q)^m; a 1-form takes that closed form.  The two are kept as independent
 code paths and cross-checked in the test suite.
 """
 
@@ -382,12 +384,15 @@ def form_weight(omega, method="direct", budget=None):
 
     direct: sweep the Grassmannian.  recursive: contract along one vector
     per projective point, recurse on the quotient forms, and divide by
-    (q^k - 1) / (q - 1); base case of 1-forms counted directly.
+    (q^k - 1) / (q - 1); 1-forms in closed form, 2-forms count their
+    nonzero quotients.
     """
     if not isinstance(omega, DualForm):
         raise ShapeMismatch("form_weight takes a DualForm")
     if omega.is_zero():
         raise ZeroInput("weight of the zero form")
+    if not 1 <= omega.k <= omega.n:
+        raise OutOfRange(f"need 1 <= k <= n, got k={omega.k}, n={omega.n}")
     if method == "direct":
         return _weight_direct(omega, budget)
     if method == "recursive":
@@ -434,7 +439,7 @@ def _complement_positions(k, n):
 
 def _weight_recursive(omega, budget=None):
     """Sum the weights of the quotient forms iota_u omega on V/<u> over the
-    nonzero u, and divide by q^k - 1; 1-forms count their points directly.
+    nonzero u, and divide by q^k - 1.
 
     The quotient form scales with u and its weight does not, so only one
     representative u per projective point is walked (_projective_reps) and
@@ -442,16 +447,23 @@ def _weight_recursive(omega, budget=None):
     quotient and adds nothing.  Each contraction is sum_i u_i * row_i over
     the rows of the contraction matrix, formed once per form; dropping the
     coordinates through u's pivot gives the quotient on the complement of
-    that basis direction.  Quotient weights are memoized in a dict that
-    lives for this call only.  No vectorized code is used, so this route
-    stays independent of the direct sweep.  The budget counts the
-    (q^n - 1)/(q - 1) projective points of the top-level walk.
+    that basis direction.  The recursion ends one level early: a nonzero
+    1-form on GF(q)^m is nonzero on q^(m-1) projective points, so a 1-form
+    returns that closed form, and a 2-form counts the u whose quotient
+    1-form is nonzero and takes q^(n-2) for each.  Weights of quotient
+    forms of degree >= 2 are memoized in a dict that lives for this call
+    only.  No vectorized code is used, so this route stays independent of
+    the direct sweep.  The budget counts the (q^n - 1)/(q - 1) projective
+    points of the top-level walk.
     """
     gf = omega.gf
-    check_budget((gf.q**omega.n - 1) // (gf.q - 1), budget,
-                 f"recursive weight on G({omega.k},{omega.n}) over GF({gf.q})")
+    q = gf.q
+    check_budget((q**omega.n - 1) // (q - 1), budget,
+                 f"recursive weight on G({omega.k},{omega.n}) over GF({q})")
+    if omega.k == 1:
+        return q ** (omega.n - 1)
     dot = _unchecked_dot(gf)
-    memo = {}  # (k, coeffs) -> weight; n - k is the same at every depth
+    memo = {}  # (k, coeffs) -> weight, k >= 2; n - k is the same at every depth
     reps = {}
 
     def projective(n):
@@ -463,21 +475,22 @@ def _weight_recursive(omega, budget=None):
         key = (k, coeffs)
         if key in memo:
             return memo[key]
-        if k == 1:
-            # the coordinate vector of a line's representative is its own
-            # embedding
-            memo[key] = sum(1 for v in projective(n) if dot(coeffs, v))
-            return memo[key]
         columns = tuple(zip(*_contraction_rows(gf, k, n, coeffs)))
         keep = _complement_positions(k - 1, n)
-        total = 0
-        for u in projective(n):
-            # u's pivot is its first nonzero coordinate, normalized to 1
-            quotient = tuple(dot(u, columns[j]) for j in keep[u.index(1)])
-            if any(quotient):
-                total += weight(k - 1, n - 1, quotient)
-        total *= gf.q - 1
-        denom = gf.q**k - 1
+        # u's pivot is its first nonzero coordinate, normalized to 1
+        if k == 2:
+            # each nonzero quotient 1-form on V/<u> has weight q^(n-2)
+            total = q ** (n - 2) * sum(
+                1 for u in projective(n)
+                if any(dot(u, columns[j]) for j in keep[u.index(1)]))
+        else:
+            total = 0
+            for u in projective(n):
+                quotient = tuple(dot(u, columns[j]) for j in keep[u.index(1)])
+                if any(quotient):
+                    total += weight(k - 1, n - 1, quotient)
+        total *= q - 1
+        denom = q**k - 1
         if total % denom != 0:
             raise DivisibilityViolation(
                 f"recursive weight sum {total} not divisible by q^k - 1 = {denom}"

@@ -356,13 +356,20 @@ def make_field(p, m=1):
     irreducible candidate (coefficients compared from the constant term up,
     see smallest_irreducible); for m = 1 it is x.
     """
+    check_field_size(p, m)
+    return GF(p, m, smallest_irreducible(p, m))
+
+
+def check_field_size(p, m):
+    """Refuse what make_field() cannot build, without building a table: a
+    characteristic that is not prime, a degree outside 1..MAX_DEGREE, an
+    order past ORDER_CAP."""
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if not 1 <= m <= MAX_DEGREE:
         raise UnsupportedSize(f"extension degree {m} outside 1..{MAX_DEGREE}")
     if p**m > ORDER_CAP:
         raise UnsupportedSize(f"field order {p**m} exceeds cap {ORDER_CAP}")
-    return GF(p, m, smallest_irreducible(p, m))
 
 
 def factor_prime_power(q):

@@ -10,7 +10,7 @@ from mdscensus.asymptotics import (
     predicted_gamma,
 )
 from mdscensus.census import gamma_closed_form
-from mdscensus.errors import NonPrimePower, OutOfRange
+from mdscensus.errors import NonPrimePower, OutOfRange, UnsupportedSize
 from mdscensus.linalg import _binom
 
 
@@ -144,3 +144,21 @@ def test_convergence_rejects_non_prime_power():
         convergence(1, 3, [2, 6])
     with pytest.raises(OutOfRange):
         convergence(1, 3, [])
+
+
+def test_convergence_refuses_unbuildable_fields_without_building(monkeypatch):
+    from mdscensus import asymptotics
+
+    built = []
+    real = asymptotics.field_of_order
+    monkeypatch.setattr(asymptotics, "field_of_order",
+                        lambda q: built.append(q) or real(q))
+    # the k <= 2 sweep scans only the validation fields
+    convergence(2, 4, [2, 3, 7, 64])
+    assert sorted(set(built)) == [2, 3, 4, 5]
+    built.clear()
+    for q_list, message in (([2, 3, 2**20], "extension degree 20 outside 1..8"),
+                            ([2, 1031**2], f"field order {1031**2} exceeds cap")):
+        with pytest.raises(UnsupportedSize, match=message):
+            convergence(2, 4, q_list)
+    assert built == []

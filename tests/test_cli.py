@@ -99,6 +99,15 @@ def test_asympt_rejects_empty_q_list(capsys):
     assert [row["q"] for row in json.loads(out)["rows"]] == [3, 5]
 
 
+def test_asympt_refuses_fields_it_cannot_build(capsys):
+    # at k = 2 only q = 2..5 are scanned, so no field of the list is built;
+    # the sweep must still refuse an order past the degree limit
+    code, out, err = run_cli(capsys, "asympt", "--k", "2", "--n", "4",
+                             "--q-list", "2,3,1048576")
+    assert code == 1
+    assert out == "" and err == "error: extension degree 20 outside 1..8\n"
+
+
 def test_weight_both_methods(capsys):
     code, out, _ = run_cli(
         capsys, "weight", "--k", "2", "--n", "4", "--q", "2",
@@ -108,6 +117,16 @@ def test_weight_both_methods(capsys):
     payload = json.loads(out)
     assert payload["weight_direct"] == "20"
     assert payload["weight_recursive"] == "20"
+
+
+def test_weight_zero_degree_refused_by_both_methods(capsys):
+    # --method recursive used to end in a ZeroDivisionError traceback
+    form = json.dumps([{"index": [], "coeff": 1}])
+    for method in ("direct", "recursive", "both"):
+        code, out, err = run_cli(capsys, "weight", "--k", "0", "--n", "3", "--q", "3",
+                                 "--form", form, "--method", method)
+        assert code == 1, method
+        assert out == "" and err == "error: need 1 <= k <= n, got k=0, n=3\n", method
 
 
 def test_weight_malformed_form(capsys):

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from mdscensus.errors import BudgetExceeded, DegreeMismatch, ShapeMismatch, ZeroInput
+from mdscensus.errors import (
+    BudgetExceeded,
+    DegreeMismatch,
+    OutOfRange,
+    ShapeMismatch,
+    ZeroInput,
+)
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.linalg import (
     MatrixGF,
@@ -271,13 +277,45 @@ def test_weight_methods_agree_random():
 
 def test_recursive_weight_on_extension_fields():
     # the recursion's dot product adds by XOR on GF(4) and GF(8), by Zech
-    # logarithms on GF(9) and GF(529)
+    # logarithms on GF(9) and GF(25); 1-forms take a closed form and never
+    # reach the dot product, so every case here is a 2-form
     rng = random.Random(29)
-    for q, k, n, trials in ((4, 2, 4, 6), (8, 2, 3, 6), (9, 2, 3, 6), (529, 1, 2, 3)):
+    for q, k, n, trials in ((4, 2, 4, 6), (8, 2, 3, 6), (9, 2, 3, 6), (25, 2, 3, 3)):
         gf = field_of_order(q)
         for _ in range(trials):
             omega = random_form(gf, k, n, rng)
             assert form_weight(omega, "recursive") == form_weight(omega, "direct")
+
+
+def test_one_form_weight_is_q_to_the_n_minus_one():
+    # a nonzero functional on GF(q)^n vanishes on a hyperplane, so it is
+    # nonzero on q^n - q^(n-1) vectors, q^(n-1) projective points
+    for q in (2, 3, 4):
+        gf = field_of_order(q)
+        for n in range(1, 5):
+            for coeffs in itertools.product(range(q), repeat=n):
+                if any(coeffs):
+                    assert form_weight(DualForm(gf, 1, n, coeffs)) == q ** (n - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_recursive_weight_on_every_two_form(q):
+    # every nonzero 2-form on GF(q)^4: 63 forms at q = 2, 728 at q = 3, so
+    # the counted level of the recursion sees every quotient it can
+    gf = field_of_order(q)
+    for coeffs in itertools.product(range(q), repeat=6):
+        if any(coeffs):
+            omega = DualForm(gf, 2, 4, coeffs)
+            assert form_weight(omega, "recursive") == form_weight(omega, "direct")
+
+
+@pytest.mark.parametrize("method", ["direct", "recursive"])
+def test_weight_degree_out_of_range(method):
+    # the recursion used to divide by q^0 - 1 on a 0-form
+    gf = make_field(3, 1)
+    omega = DualForm(gf, 0, 3, (1,))
+    with pytest.raises(OutOfRange, match=r"^need 1 <= k <= n, got k=0, n=3$"):
+        form_weight(omega, method)
 
 
 def test_recursive_weight_never_touches_vecgf(monkeypatch):
