@@ -470,14 +470,14 @@ def plucker_blocks(gf, k, n, budget=None):
     """The one source of Plucker columns: the cached plucker_matrix when it
     fits PLUCKER_CACHE_CAP, else its columns in the same order as blocks
     built on the fly and not kept, each of at most PLUCKER_CACHE_CAP entries
-    and of at most BLOCK_BYTES a row.  The sweep is budgeted at
-    q^(k(n-k)) * C(n, k) entries before the first block is built."""
+    and of at most BLOCK_BYTES a row.  The sweep is budgeted at its
+    |G(k, n)| * C(n, k) entries before the first block is built."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     rows = _binom(n, k)
-    check_budget(gf.q ** (k * (n - k)) * rows, budget,
-                 f"Plucker sweep of G({k},{n}) over GF({gf.q})")
-    if gaussian_binomial(k, n, gf.q) * rows <= PLUCKER_CACHE_CAP:
+    entries = gaussian_binomial(k, n, gf.q) * rows
+    check_budget(entries, budget, f"Plucker sweep of G({k},{n}) over GF({gf.q})")
+    if entries <= PLUCKER_CACHE_CAP:
         yield plucker_matrix(gf, k, n)
     else:
         yield from _cell_blocks(gf, k, n, min(PLUCKER_CACHE_CAP // rows,

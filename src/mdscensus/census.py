@@ -50,11 +50,12 @@ to q = 181 each of these field operations is one gather from a q x q
 int16 table; larger fields compute mod p, or by log/exp and base-p
 digits.  The chunk prefix is sized on the walked entries alone, so no
 value array passes _vecgf.BLOCK_BYTES.
-A pool starts only when the walk passes POOL_MIN_WORK candidates, more
-than one worker is asked for and the walk is cut into more than one chunk;
-it never has more workers than os.cpu_count(), the walk is then cut into
-at least CHUNKS_PER_WORKER chunks per worker where its walked entries
-allow, and the chunks go out in at most 8 tasks per worker.
+The scheduler measures a walk by its walked candidates alone, the product
+of the sizes of the free entries the kernel materializes.  A pool starts
+only when that passes POOL_MIN_WORK, more than one worker is asked for and
+the walk is cut into more than one chunk; it never has more workers than
+os.cpu_count(), and the walk is then cut into at least 8 chunks per worker
+where its walked entries allow, which go out in at most 8 tasks per worker.
 """
 
 import itertools
@@ -66,10 +67,10 @@ from dataclasses import dataclass
 
 from . import _vecgf
 from .budget import check_budget
-from .errors import DivisibilityViolation, OutOfRange
+from .errors import DivisibilityViolation, ExactnessViolation, OutOfRange
+from .exterior import multi_indices
 
-POOL_MIN_WORK = 2**18       # candidates a walk must pass to start a pool
-CHUNKS_PER_WORKER = 64
+POOL_MIN_WORK = 2**19       # walked candidates a walk must pass to start a pool
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,6 @@ def _filter_minor_plan(k, n):
     is the minor of A on the rows r with r+1 not in I and the columns c with
     k+c+1 in I.  Order 0 (I = 1..k) is the constant 1 and order 1 a lone
     entry, nonzero because the walk skips 0."""
-    from .exterior import multi_indices
-
     nk = n - k
     plans = []
     for idx in multi_indices(k, n):
@@ -192,7 +191,7 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
 # ---------------------------------------------------------------------------
 
 def _worker_count(threads, work):
-    """Workers for `work` candidates: one up to POOL_MIN_WORK, else
+    """Workers for `work` walked candidates: one up to POOL_MIN_WORK, else
     `threads`, capped at os.cpu_count()."""
     if threads <= 1 or work <= POOL_MIN_WORK:
         return 1
@@ -213,22 +212,23 @@ def _count_chunks(gf, walk, t, lo, hi):
 
 def _count_walk(gf, walk, threads):
     """The all-nonzero candidates of one walk (plan, sizes, offsets) and the
-    workers used, one when the walk is one chunk.  The chunk prefix is
-    sized on the free entries the kernel walks, _vecgf.walked_len of them:
-    the counted last entry and the tail after it are never materialized.
-    So each chunk's walked suffix, and with it every value array, fits
-    _vecgf.BLOCK_BYTES; a pooled walk is cut into at least CHUNKS_PER_WORKER
-    chunks per worker where the walked entries allow, and submitted as at
-    most 8 tasks per worker."""
+    workers used, one when the walk is one chunk.  Every decision reads the
+    free entries the kernel walks, _vecgf.walked_len of them: the counted
+    last entry and the tail after it are never materialized.  Their
+    product decides the workers; the chunk prefix is cut from them, so each
+    chunk's walked suffix, and with it every value array, fits
+    _vecgf.BLOCK_BYTES, and a pooled walk has at least one chunk for each
+    of its 8 tasks per worker where the walked entries allow."""
     plan, sizes, _ = walk
-    workers = _worker_count(threads, math.prod(sizes))
+    walked = sizes[:_vecgf.walked_len(plan)]
+    workers = _worker_count(threads, math.prod(walked))
+    tasks = 8 * workers if workers > 1 else 1
     cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
-    t = _vecgf.choose_prefix_len(sizes[:_vecgf.walked_len(plan)], cap,
-                                 CHUNKS_PER_WORKER * workers if workers > 1 else 1)
+    t = _vecgf.choose_prefix_len(walked, cap, tasks)
     n_chunks = math.prod(sizes[:t])
     if workers == 1 or n_chunks == 1:
         return _count_chunks(gf, walk, t, 0, n_chunks), 1
-    step = -(-n_chunks // (8 * workers))
+    step = -(-n_chunks // tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_count_chunks, gf, walk, t,
                                lo, min(lo + step, n_chunks))
@@ -271,8 +271,6 @@ def count_mds(k, n, gf, method="scan", threads=1, budget=None):
         a = count_mds_matrix_scan(k, n, gf, threads=threads, budget=budget)
         b = count_mds_grassmannian_filter(k, n, gf, threads=threads, budget=budget)
         if a.gamma != b.gamma:
-            from .errors import ExactnessViolation
-
             raise ExactnessViolation(
                 f"matrix-scan gamma={a.gamma} differs from filter gamma={b.gamma}"
             )

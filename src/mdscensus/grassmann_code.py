@@ -48,7 +48,6 @@ def build_code(k, n, gf, budget=None):
     among its columns up to scaling; a rank-deficient one never passes."""
     length = gaussian_binomial(k, n, gf.q)
     dimension = _binom(n, k)
-    check_budget(length * dimension, budget, f"code build at (k={k}, n={n}, q={gf.q})")
     blocks = list(_vecgf.plucker_blocks(gf, k, n, budget))
     generator = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
     generator.flags.writeable = False

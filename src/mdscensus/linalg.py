@@ -92,13 +92,13 @@ class MatrixGF:
         return f"MatrixGF({self.gf!r}, [{body}])"
 
 
-def _rref_rows(gf, rows, ncols):
-    """In-place reduced row echelon form on a list of row lists.
+def _echelon_rows(gf, rows, ncols):
+    """In-place forward elimination on a list of row lists: each pivot
+    clears the rows below it, and rows below the rank end up zero.
 
-    Returns (pivot_columns, scale); rows below the rank are zeroed.  scale
-    is the product of the pivots, negated once per row swap: the
-    determinant of a square matrix of full rank, which the reduction takes
-    to the identity.
+    Returns (pivot_columns, scale).  scale is the product of the pivots,
+    negated once per row swap: the determinant of a square matrix of full
+    rank.
     """
     mul, sub, inv = gf.mul, gf.sub, gf.inv
     nrows = len(rows)
@@ -116,32 +116,52 @@ def _rref_rows(gf, rows, ncols):
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
             scale = gf.neg(scale)
-        lead = rows[r][c]
+        rr = rows[r]
+        lead = rr[c]
         scale = mul(scale, lead)
-        if lead != 1:
-            s = inv(lead)
-            rows[r] = [mul(s, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [sub(ri[t], mul(f, rr[t])) for t in range(ncols)]
+        s = inv(lead)
+        for i in range(r + 1, nrows):
+            if rows[i][c]:
+                # both rows are zero before column c
+                f = mul(s, rows[i][c])
+                rows[i] = rows[i][:c] + [sub(a, mul(f, b))
+                                         for a, b in zip(rows[i][c:], rr[c:])]
         pivots.append(c)
         r += 1
     return pivots, scale
+
+
+def _reduce_rows(gf, rows, pivots):
+    """In-place backward half on rows in echelon form with these pivot
+    columns: scale each pivot row to 1 and clear above each pivot, which
+    leaves the unique reduced row echelon form."""
+    mul, sub = gf.mul, gf.sub
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        if rows[r][c] != 1:
+            s = gf.inv(rows[r][c])
+            rows[r] = [mul(s, v) for v in rows[r]]
+        rr = rows[r]
+        for i in range(r):
+            if rows[i][c]:
+                # the pivot row is zero before column c
+                f = rows[i][c]
+                rows[i] = rows[i][:c] + [sub(a, mul(f, b))
+                                         for a, b in zip(rows[i][c:], rr[c:])]
 
 
 def rref(matrix):
     """Unique reduced row echelon form and rank; row space and shape
     preserved."""
     rows = matrix.row_list()
-    pivots, _ = _rref_rows(matrix.gf, rows, matrix.cols)
+    pivots, _ = _echelon_rows(matrix.gf, rows, matrix.cols)
+    _reduce_rows(matrix.gf, rows, pivots)
     return (MatrixGF(matrix.gf, matrix.rows, matrix.cols,
                      itertools.chain.from_iterable(rows)), len(pivots))
 
 
 def rank(matrix):
-    pivots, _ = _rref_rows(matrix.gf, matrix.row_list(), matrix.cols)
+    pivots, _ = _echelon_rows(matrix.gf, matrix.row_list(), matrix.cols)
     return len(pivots)
 
 
@@ -150,7 +170,8 @@ def kernel_basis(matrix):
     result has matrix.cols columns, rows or none."""
     gf = matrix.gf
     rows = matrix.row_list()
-    pivots, _ = _rref_rows(gf, rows, matrix.cols)
+    pivots, _ = _echelon_rows(gf, rows, matrix.cols)
+    _reduce_rows(gf, rows, pivots)
     pivot_set = set(pivots)
     basis = []
     for free in range(matrix.cols):
@@ -166,7 +187,7 @@ def kernel_basis(matrix):
 
 def det(matrix):
     """Determinant: closed forms for sizes up to 3, past that the scale of
-    the row reduction (see _rref_rows), or 0 below full rank."""
+    the forward elimination (see _echelon_rows), or 0 below full rank."""
     if matrix.rows != matrix.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     gf = matrix.gf
@@ -185,7 +206,7 @@ def det(matrix):
         t2 = mul(b, sub(mul(e, j), mul(g, h)))
         t3 = mul(c, sub(mul(e, i), mul(f, h)))
         return gf.add(sub(t1, t2), t3)
-    pivots, scale = _rref_rows(gf, matrix.row_list(), n)
+    pivots, scale = _echelon_rows(gf, matrix.row_list(), n)
     return scale if len(pivots) == n else 0
 
 

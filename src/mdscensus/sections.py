@@ -36,7 +36,7 @@ from .exterior import (
     multi_indices,
     satisfies_plucker,
 )
-from .linalg import MatrixGF, _binom, gaussian_binomial, rank
+from .linalg import MatrixGF, _binom, gaussian_binomial, rank, rref
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,9 @@ def section_cardinality(gf, k, n, spanning, budget=None):
             raise ShapeMismatch("spanning entries must be MultiVectors")
         if lam.gf != gf or (lam.k, lam.n) != (k, n):
             raise ShapeMismatch("spanning vector in the wrong space")
-    coeff_matrix = MatrixGF.from_rows(gf, [list(v.coeffs) for v in spanning])
-    d = rank(coeff_matrix)
-    check_budget(gf.q**d, budget, "projective sweep of a section")
     # reduce to an independent spanning set
-    from .linalg import rref
-
-    reduced, _ = rref(coeff_matrix)
+    reduced, d = rref(MatrixGF.from_rows(gf, [list(v.coeffs) for v in spanning]))
+    check_budget(gf.q**d, budget, "projective sweep of a section")
     basis = [
         MultiVector(gf, k, n, reduced.row(i)) for i in range(d)
     ]

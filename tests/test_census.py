@@ -158,14 +158,29 @@ def test_scan_fallback_extension_field():
         assert res.worker_count == 1
 
 
-def test_pooled_scan_matches_serial():
-    # 9^6 normalized candidates: past census.POOL_MIN_WORK, so a pool starts
+def test_pooled_scan_matches_serial(monkeypatch):
+    # the (3,7,11) scan walks 9^5 candidates, past this POOL_MIN_WORK, so a
+    # pool starts
+    monkeypatch.setattr(census, "POOL_MIN_WORK", 2**15)
     gf = make_field(11, 1)
     serial = count_mds_matrix_scan(3, 7, gf, threads=1)
     pooled = count_mds_matrix_scan(3, 7, gf, threads=2)
     assert pooled.gamma == serial.gamma
     assert pooled.gamma_tilde == serial.gamma_tilde
     assert (serial.worker_count, pooled.worker_count) == (1, 2)
+
+
+def test_scan_below_walked_threshold_starts_no_pool(monkeypatch):
+    # (3,7,11) and (2,7,67) scans run over 9^6 and 65^4 candidates but walk
+    # 9^5 and 65^3, under census.POOL_MIN_WORK: serially they finish in
+    # milliseconds, less than a pool takes to start
+    shapes = ((3, 7, make_field(11, 1)), (2, 7, make_field(67, 1)))
+    serial = [count_mds_matrix_scan(k, n, gf) for k, n, gf in shapes]
+    monkeypatch.setattr(census, "ProcessPoolExecutor", NoPool)
+    for (k, n, gf), expected in zip(shapes, serial):
+        res = count_mds_matrix_scan(k, n, gf, threads=2)
+        assert (res.gamma, res.gamma_tilde) == (expected.gamma, expected.gamma_tilde)
+        assert res.worker_count == 1
 
 
 def test_one_block_scan_starts_no_pool(monkeypatch):
@@ -210,13 +225,15 @@ def test_small_filter_starts_no_pool(monkeypatch):
     res = count_mds_grassmannian_filter(2, 5, make_field(3, 1), threads=4)
     assert res.gamma == gamma_closed_form(2, 5, 3)
     assert res.worker_count == 1
-    # 4^10 points, past POOL_MIN_WORK, but no minor reads an entry: one chunk
+    # 4^10 points, but no minor reads an entry: nothing is walked, no pool
     res = count_mds_grassmannian_filter(1, 11, make_field(5, 1), threads=2)
     assert (res.gamma, res.worker_count) == (4**10, 1)
 
 
 def test_pool_never_exceeds_cpu_count(monkeypatch):
-    # (3,7,11): 9^6 normalized candidates; (2,6,7): the filter walks 6^8
+    # the (3,7,11) scan walks 9^5 candidates and the (2,6,7) filter 6^7,
+    # both past this POOL_MIN_WORK
+    monkeypatch.setattr(census, "POOL_MIN_WORK", 2**15)
     scan_gf, filter_gf = make_field(11, 1), make_field(7, 1)
     serial_scan = count_mds_matrix_scan(3, 7, scan_gf)
     serial_filter = count_mds_grassmannian_filter(2, 6, filter_gf)

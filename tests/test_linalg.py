@@ -15,6 +15,7 @@ from mdscensus.linalg import (
     kernel_basis,
     minor,
     point_from_rows,
+    rank,
     rref,
 )
 
@@ -282,3 +283,22 @@ def _span(gf, matrix):
                 new.append(tuple(gf.add(a, b) for a, b in zip(base, scaled)))
         vectors.extend(new)
     return vectors
+
+
+def test_rank_and_rref_match_brute_force_span():
+    # rank and det run only the forward half of the elimination, rref and
+    # kernel_basis both halves; the span is enumerated without either
+    rng = random.Random(19)
+    for q in (2, 3, 4):
+        gf = field_of_order(q)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            m = MatrixGF(gf, rows, cols, [rng.randrange(q) if rng.random() < 0.6 else 0
+                                          for _ in range(rows * cols)])
+            space = set(_span(gf, m))
+            red, rk = rref(m)
+            assert q**rank(m) == len(space) == q**rk
+            assert set(_span(gf, red)) == space
+            assert kernel_basis(m).rows == cols - rk
+            if rows == cols:
+                assert (det(m) != 0) == (rk == rows)

@@ -135,7 +135,7 @@ def test_plucker_oracle_budget(oracle):
     run = PLUCKER_ORACLES[oracle]
     gf = field_of_order(3)
     s = coordinate_section(gf, 2, 5, [(1, 2), (3, 4)])
-    estimate = 3 ** (2 * 3) * 10  # q^(k(n-k)) C(n,k)
+    estimate = 1210 * 10  # |G(2,5)| over GF(3) times C(5,2)
     with pytest.raises(BudgetExceeded):
         run(s, estimate - 1)
     assert run(s, estimate) == run(s, None)
