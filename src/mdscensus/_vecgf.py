@@ -498,10 +498,29 @@ def support_size(gf, coeff_rows, blocks):
 
 
 def form_values(gf, coeffs, mat):
-    """GF dot product of a coefficient vector with every column of mat."""
+    """GF dot product of a coefficient vector with every column of mat.
+    The sum starts from its first nonzero term, so a unit vector returns a
+    row of mat itself: callers only read the result."""
     ops = vector_ops(gf)
-    acc = np.zeros(mat.shape[1], dtype=ops.dtype)
+    acc = 0
     for c, row in zip(coeffs, mat):
         if c:
             acc = ops.add(acc, ops.mul(int(c), row))
+    if isinstance(acc, int):
+        return np.zeros(mat.shape[1], dtype=ops.dtype)
     return acc
+
+
+def subcode_supports(gf, bases, mat):
+    """Support sizes on the columns of mat of the subcodes spanned by the
+    rows of each basis in bases, an (s, r, rows of mat) array: per subcode
+    the columns where some basis row pairs nonzero.  All s * r rows are
+    evaluated at once, one ops.mul and one ops.add per row of mat on
+    (s * r, columns) arrays."""
+    ops = vector_ops(gf)
+    s, r, dimension = bases.shape
+    coeffs = bases.reshape(s * r, dimension)
+    acc = 0
+    for j, row in enumerate(mat):
+        acc = ops.add(acc, ops.mul(coeffs[:, j:j + 1], row))
+    return np.count_nonzero((acc != 0).reshape(s, r, -1).any(axis=1), axis=1)

@@ -10,9 +10,9 @@ Weights of forms (the number of Grassmann points on which a form pairs
 nonzero) can be computed two ways: a direct sweep of the Grassmannian, and
 a recursion that contracts the form along one vector per projective point
 and averages the quotient-form weights.  The recursion stops at 2-forms,
-which count their nonzero quotient 1-forms, each of weight q^(m-1) on
-GF(q)^m; a 1-form takes that closed form.  The two are kept as independent
-code paths and cross-checked in the test suite.
+whose weight depends only on their rank (two_form_weight_value); a 1-form
+on GF(q)^m weighs q^(m-1).  The two are kept as independent code paths and
+cross-checked in the test suite.
 """
 
 import functools
@@ -25,6 +25,7 @@ from .errors import (
     DegreeMismatch,
     DimensionMismatch,
     DivisibilityViolation,
+    ExactnessViolation,
     OutOfRange,
     RankDeficient,
     ShapeMismatch,
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .linalg import (
     MatrixGF,
+    _echelon_rows,
     kernel_basis,
     minor,
     point_from_matrix,
@@ -384,8 +386,8 @@ def form_weight(omega, method="direct", budget=None):
 
     direct: sweep the Grassmannian.  recursive: contract along one vector
     per projective point, recurse on the quotient forms, and divide by
-    (q^k - 1) / (q - 1); 1-forms in closed form, 2-forms count their
-    nonzero quotients.
+    (q^k - 1) / (q - 1); 1-forms in closed form, 2-forms from the rank of
+    their contraction matrix.
     """
     if not isinstance(omega, DualForm):
         raise ShapeMismatch("form_weight takes a DualForm")
@@ -437,6 +439,14 @@ def _complement_positions(k, n):
     )
 
 
+def two_form_weight_value(n, q, r):
+    """Weight of a 2-form of rank 2r on GF(q)^n (Nogin 1996), the closed
+    form the recursion takes at k = 2: q^(2(n-2)) + q^(2(n-2)-2) + ...,
+    r terms."""
+    delta = 2 * (n - 2)
+    return sum(q ** (delta - 2 * i) for i in range(r))
+
+
 def _weight_recursive(omega, budget=None):
     """Sum the weights of the quotient forms iota_u omega on V/<u> over the
     nonzero u, and divide by q^k - 1.
@@ -449,12 +459,14 @@ def _weight_recursive(omega, budget=None):
     coordinates through u's pivot gives the quotient on the complement of
     that basis direction.  The recursion ends one level early: a nonzero
     1-form on GF(q)^m is nonzero on q^(m-1) projective points, so a 1-form
-    returns that closed form, and a 2-form counts the u whose quotient
-    1-form is nonzero and takes q^(n-2) for each.  Weights of quotient
-    forms of degree >= 2 are memoized in a dict that lives for this call
-    only.  No vectorized code is used, so this route stays independent of
-    the direct sweep.  The budget counts the (q^n - 1)/(q - 1) projective
-    points of the top-level walk.
+    returns that closed form, and a 2-form walks no u: its n x n
+    contraction matrix is alternating, so its rank is even, and
+    two_form_weight_value gives the weight from it.  An odd rank raises
+    ExactnessViolation.  Weights of quotient forms of degree >= 2 are
+    memoized in a dict that lives for this call only.  No vectorized code
+    is used, so this route stays independent of the direct sweep.  The
+    budget counts the (q^n - 1)/(q - 1) projective points of the top-level
+    walk.
     """
     gf = omega.gf
     q = gf.q
@@ -475,20 +487,23 @@ def _weight_recursive(omega, budget=None):
         key = (k, coeffs)
         if key in memo:
             return memo[key]
-        columns = tuple(zip(*_contraction_rows(gf, k, n, coeffs)))
-        keep = _complement_positions(k - 1, n)
-        # u's pivot is its first nonzero coordinate, normalized to 1
+        rows = _contraction_rows(gf, k, n, coeffs)
         if k == 2:
-            # each nonzero quotient 1-form on V/<u> has weight q^(n-2)
-            total = q ** (n - 2) * sum(
-                1 for u in projective(n)
-                if any(dot(u, columns[j]) for j in keep[u.index(1)]))
-        else:
-            total = 0
-            for u in projective(n):
-                quotient = tuple(dot(u, columns[j]) for j in keep[u.index(1)])
-                if any(quotient):
-                    total += weight(k - 1, n - 1, quotient)
+            rank = len(_echelon_rows(gf, rows, n)[0])
+            if rank % 2:
+                raise ExactnessViolation(
+                    f"the contraction matrix of a 2-form has odd rank {rank}"
+                )
+            memo[key] = two_form_weight_value(n, q, rank // 2)
+            return memo[key]
+        columns = tuple(zip(*rows))
+        keep = _complement_positions(k - 1, n)
+        total = 0
+        for u in projective(n):
+            # u's pivot is its first nonzero coordinate, normalized to 1
+            quotient = tuple(dot(u, columns[j]) for j in keep[u.index(1)])
+            if any(quotient):
+                total += weight(k - 1, n - 1, quotient)
         total *= q - 1
         denom = q**k - 1
         if total % denom != 0:

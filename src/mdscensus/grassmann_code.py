@@ -9,6 +9,7 @@ verbatim: spectra are checked against form_weight(omega, "recursive"),
 which reads no Plucker matrix.
 """
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -171,11 +172,17 @@ def subcode_weight(code, forms):
 def higher_weight_search(code, r, mode="exhaustive", budget=None):
     """Minimum support size over r-dimensional subcodes.
 
-    exhaustive enumerates every r-dimensional space of forms (feasible only
-    for tiny parameters); structured evaluates the one family of sections
-    whose annihilators are built inside a single maximal linear subspace of
-    decomposable forms, which attains q^delta + ... + q^(delta-r+1) and is
-    an upper-bound certificate.
+    exhaustive evaluates every r-dimensional space of forms (feasible only
+    for tiny parameters) a block at a time: the echelon bases that
+    enumerate_grassmannian yields for a block of subspaces are stacked as
+    one coefficient array and evaluated against the generator together
+    (_vecgf.subcode_supports), the generator cut into column slices and
+    the subspaces into blocks so that no array passes _vecgf.block_len
+    entries; the budget counts subspaces times code length.  structured
+    evaluates the one family of sections whose annihilators are built
+    inside a single maximal linear subspace of decomposable forms, which
+    attains q^delta + ... + q^(delta-r+1) and is an upper-bound
+    certificate.
     """
     gf = code.gf
     if r < 1 or r > code.dimension:
@@ -184,12 +191,19 @@ def higher_weight_search(code, r, mode="exhaustive", budget=None):
         n_subspaces = gaussian_binomial(r, code.dimension, gf.q)
         check_budget(n_subspaces * code.length, budget,
                      "exhaustive subcode search")
+        dtype = _vecgf.vector_ops(gf).dtype
+        cap = _vecgf.block_len(dtype)
+        width = min(code.length, max(1, cap // r))
+        slices = [code.generator[:, lo:lo + width]
+                  for lo in range(0, code.length, width)]
+        per_block = max(1, cap // (r * width))
+        points = enumerate_grassmannian(gf, r, code.dimension, budget=budget)
+        data = (pt.matrix.data for pt in points)
         best = None
-        for pt in enumerate_grassmannian(gf, r, code.dimension, budget=budget):
-            forms = [
-                DualForm(gf, code.k, code.n, pt.matrix.row(i)) for i in range(r)
-            ]
-            w = subcode_weight(code, forms)
+        while block := list(itertools.islice(data, per_block)):
+            bases = np.array(block, dtype=dtype).reshape(-1, r, code.dimension)
+            w = int(sum(_vecgf.subcode_supports(gf, bases, part)
+                        for part in slices).min())
             if best is None or w < best:
                 best = w
         return best

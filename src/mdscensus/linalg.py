@@ -96,13 +96,16 @@ def _echelon_rows(gf, rows, ncols):
     """In-place forward elimination on a list of row lists: each pivot
     clears the rows below it, and rows below the rank end up zero.
 
-    Returns (pivot_columns, scale).  scale is the product of the pivots,
-    negated once per row swap: the determinant of a square matrix of full
-    rank.
+    Returns (pivot_columns, scale, inverses).  scale is the product of the
+    pivots, negated once per row swap: the determinant of a square matrix
+    of full rank.  inverses holds the inverse of each pivot, for
+    _reduce_rows.  The entries must be field encodings, as a MatrixGF's
+    are: the rows are combined with the field's unchecked operations.
     """
-    mul, sub, inv = gf.mul, gf.sub, gf.inv
+    mul, sub, inv = gf._umul, gf._usub, gf.inv
     nrows = len(rows)
     pivots = []
+    inverses = []
     scale = 1
     r = 0
     for c in range(ncols):
@@ -127,24 +130,26 @@ def _echelon_rows(gf, rows, ncols):
                 rows[i] = rows[i][:c] + [sub(a, mul(f, b))
                                          for a, b in zip(rows[i][c:], rr[c:])]
         pivots.append(c)
+        inverses.append(s)
         r += 1
-    return pivots, scale
+    return pivots, scale, inverses
 
 
-def _reduce_rows(gf, rows, pivots):
+def _reduce_rows(gf, rows, pivots, inverses):
     """In-place backward half on rows in echelon form with these pivot
-    columns: scale each pivot row to 1 and clear above each pivot, which
-    leaves the unique reduced row echelon form."""
-    mul, sub = gf.mul, gf.sub
+    columns and pivot inverses, from _echelon_rows: scale each pivot row to
+    1 and clear above each pivot, which leaves the unique reduced row
+    echelon form."""
+    mul, sub = gf._umul, gf._usub
     for r in reversed(range(len(pivots))):
         c = pivots[r]
-        if rows[r][c] != 1:
-            s = gf.inv(rows[r][c])
-            rows[r] = [mul(s, v) for v in rows[r]]
+        s = inverses[r]
+        if s != 1:
+            # the pivot row is zero before column c
+            rows[r][c:] = [mul(s, v) for v in rows[r][c:]]
         rr = rows[r]
         for i in range(r):
             if rows[i][c]:
-                # the pivot row is zero before column c
                 f = rows[i][c]
                 rows[i] = rows[i][:c] + [sub(a, mul(f, b))
                                          for a, b in zip(rows[i][c:], rr[c:])]
@@ -154,14 +159,14 @@ def rref(matrix):
     """Unique reduced row echelon form and rank; row space and shape
     preserved."""
     rows = matrix.row_list()
-    pivots, _ = _echelon_rows(matrix.gf, rows, matrix.cols)
-    _reduce_rows(matrix.gf, rows, pivots)
+    pivots, _, inverses = _echelon_rows(matrix.gf, rows, matrix.cols)
+    _reduce_rows(matrix.gf, rows, pivots, inverses)
     return (MatrixGF(matrix.gf, matrix.rows, matrix.cols,
                      itertools.chain.from_iterable(rows)), len(pivots))
 
 
 def rank(matrix):
-    pivots, _ = _echelon_rows(matrix.gf, matrix.row_list(), matrix.cols)
+    pivots, _, _ = _echelon_rows(matrix.gf, matrix.row_list(), matrix.cols)
     return len(pivots)
 
 
@@ -170,8 +175,8 @@ def kernel_basis(matrix):
     result has matrix.cols columns, rows or none."""
     gf = matrix.gf
     rows = matrix.row_list()
-    pivots, _ = _echelon_rows(gf, rows, matrix.cols)
-    _reduce_rows(gf, rows, pivots)
+    pivots, _, inverses = _echelon_rows(gf, rows, matrix.cols)
+    _reduce_rows(gf, rows, pivots, inverses)
     pivot_set = set(pivots)
     basis = []
     for free in range(matrix.cols):
@@ -206,7 +211,7 @@ def det(matrix):
         t2 = mul(b, sub(mul(e, j), mul(g, h)))
         t3 = mul(c, sub(mul(e, i), mul(f, h)))
         return gf.add(sub(t1, t2), t3)
-    pivots, scale = _echelon_rows(gf, matrix.row_list(), n)
+    pivots, scale, _ = _echelon_rows(gf, matrix.row_list(), n)
     return scale if len(pivots) == n else 0
 
 

@@ -265,7 +265,9 @@ def test_profile_dimension_sum_and_fact1():
 
 def test_weight_methods_agree_random():
     rng = random.Random(123)
-    for q, k, n, trials in ((3, 2, 4, 25), (2, 2, 5, 25), (2, 3, 6, 10)):
+    # 3-forms recurse once and then take the rank of each quotient 2-form
+    for q, k, n, trials in ((3, 2, 4, 25), (2, 2, 5, 25), (2, 3, 6, 20),
+                            (3, 3, 5, 20)):
         gf = field_of_order(q)
         for _ in range(trials):
             omega = random_form(gf, k, n, rng)
@@ -298,14 +300,14 @@ def test_one_form_weight_is_q_to_the_n_minus_one():
                     assert form_weight(DualForm(gf, 1, n, coeffs)) == q ** (n - 1)
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_recursive_weight_on_every_two_form(q):
-    # every nonzero 2-form on GF(q)^4: 63 forms at q = 2, 728 at q = 3, so
-    # the counted level of the recursion sees every quotient it can
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 4), (2, 5)], ids=["2", "3", "2-5"])
+def test_recursive_weight_on_every_two_form(q, n):
+    # every nonzero 2-form on GF(q)^n: 63 forms at (4, 2), 728 at (4, 3) and
+    # 1023 at (5, 2), so the rank route sees every rank, 2 and 4, there is
     gf = field_of_order(q)
-    for coeffs in itertools.product(range(q), repeat=6):
+    for coeffs in itertools.product(range(q), repeat=n * (n - 1) // 2):
         if any(coeffs):
-            omega = DualForm(gf, 2, 4, coeffs)
+            omega = DualForm(gf, 2, n, coeffs)
             assert form_weight(omega, "recursive") == form_weight(omega, "direct")
 
 

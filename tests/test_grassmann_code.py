@@ -14,9 +14,10 @@ from mdscensus.exterior import (
     multi_indices,
     plucker_embed,
     satisfies_plucker,
+    two_form_weight_value,
 )
 from mdscensus.fields import field_of_order, make_field
-from mdscensus.linalg import enumerate_grassmannian
+from mdscensus.linalg import enumerate_grassmannian, gaussian_binomial
 from mdscensus.grassmann_code import (
     build_code,
     higher_weight_search,
@@ -24,12 +25,6 @@ from mdscensus.grassmann_code import (
     subcode_weight,
     weight_spectrum,
 )
-
-
-def two_form_weight_value(n, q, r):
-    """Weight of the rank-2r two-form e^1^e^2 + e^3^e^4 + ... on GF(q)^n."""
-    delta = 2 * (n - 2)
-    return sum(q ** (delta - 2 * i) for i in range(r))
 
 
 def standard_two_form(gf, n, r):
@@ -148,6 +143,31 @@ def test_two_form_spectrum_by_rank_classes(n, q):
     assert weight_spectrum(code) == expected
 
 
+def test_form_values_leave_the_cached_matrix_alone():
+    # form_values starts from its first nonzero term, so a unit form's
+    # values are a row of the cached Plucker matrix itself: they are the
+    # dot products, the matrix keeps its entries and stays read-only
+    rng = random.Random(41)
+    for q in (3, 4):
+        gf = field_of_order(q)
+        mat = _vecgf.plucker_matrix(gf, 2, 4)
+        before = mat.copy()
+        forms = [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0), (0, 1, 0, 0, 0, 1)]
+        forms += [tuple(rng.randrange(q) for _ in range(6)) for _ in range(10)]
+        for coeffs in forms:
+            expected = []
+            for column in mat.T.tolist():
+                acc = 0
+                for c, x in zip(coeffs, column):
+                    acc = gf.add(acc, gf.mul(c, x))
+                expected.append(acc)
+            assert _vecgf.form_values(gf, coeffs, mat).tolist() == expected
+        assert np.array_equal(mat, before)
+        with pytest.raises(ValueError):
+            _vecgf.form_values(gf, (1, 0, 0, 0, 0, 0), mat)[0] = 1
+        assert not mat.flags.writeable
+
+
 def test_rank_deficient_generator_raises(monkeypatch):
     real = _vecgf.plucker_blocks
 
@@ -264,6 +284,24 @@ def test_standard_two_forms():
         standard_two_form(gf, 4, 3)
 
 
+def test_recursive_weight_of_standard_two_forms_past_the_direct_budget():
+    # at (2,10,7) the direct sweep of |G(2,10)| columns is refused, while
+    # the recursion takes the rank of one 10 x 10 matrix.  Each rank 2r
+    # gives Nogin's closed form, which equals the count by the radical: the
+    # (q^n - q^(n-2r)) / (q - 1) projective u outside it give quotient
+    # 1-forms of weight q^(n-2), and each point is counted for the
+    # (q^2 - 1) / (q - 1) projective u in it
+    gf = field_of_order(7)
+    with pytest.raises(BudgetExceeded):
+        form_weight(standard_two_form(gf, 10, 1), "direct")
+    q, n = 7, 10
+    for r in range(1, 6):
+        by_radical = q ** (n - 2) * (q**n - q ** (n - 2 * r)) // (q**2 - 1)
+        assert two_form_weight_value(n, q, r) == by_radical
+        omega = standard_two_form(gf, n, r)
+        assert form_weight(omega, "recursive") == by_radical
+
+
 def test_sampled_spectrum_reproducible():
     gf = make_field(2, 1)
     code = build_code(2, 5, gf)
@@ -317,6 +355,65 @@ def test_subcode_weight_identity():
         denom = 2**r - 2 ** (r - 1)
         assert total % denom == 0
         assert union_weight == total // denom
+
+
+def _subcode_loop_minimum(code, r):
+    """The minimum support over r-dimensional subcodes, one subcode_weight
+    call per subspace of enumerate_grassmannian."""
+    return min(
+        subcode_weight(code, [DualForm(code.gf, code.k, code.n, pt.matrix.row(i))
+                              for i in range(r)])
+        for pt in enumerate_grassmannian(code.gf, r, code.dimension)
+    )
+
+
+@pytest.mark.parametrize("k, n, q, r", [(2, 4, 2, 1), (2, 4, 2, 2), (2, 4, 2, 3),
+                                        (2, 4, 3, 1), (2, 4, 3, 2)])
+def test_higher_weight_exhaustive_matches_subcode_loop(k, n, q, r):
+    code = build_code(k, n, field_of_order(q))
+    assert higher_weight_search(code, r, "exhaustive") == _subcode_loop_minimum(code, r)
+
+
+def test_higher_weight_arrays_fit_block_len(monkeypatch):
+    # every array the batched search builds, the stacked bases and the
+    # field op results (each index temporary has its result's shape)
+    # included, holds at most block_len entries; a small BLOCK_BYTES
+    # makes it cut the subspaces finer and the generator into column
+    # slices, and the minimum is unchanged
+    found = []
+
+    def record(out):
+        for a in out if isinstance(out, list) else [out]:
+            if isinstance(a, np.ndarray):
+                found.append(a.size)
+        return out
+
+    for name in ("add", "mul"):
+        fn = getattr(_vecgf.VecOps, name)
+        monkeypatch.setattr(_vecgf.VecOps, name,
+                            lambda self, x, y, fn=fn: record(fn(self, x, y)))
+    supports = _vecgf.subcode_supports
+    monkeypatch.setattr(_vecgf, "subcode_supports",
+                        lambda gf, bases, mat: supports(gf, record(bases), mat))
+    for k, n, q, r, block_bytes in ((2, 4, 2, 2, 2**16), (2, 4, 3, 2, 2**16),
+                                    (2, 4, 2, 2, 2**8), (2, 4, 2, 3, 2**7),
+                                    (1, 3, 4, 3, 2**5)):
+        code = build_code(k, n, field_of_order(q))
+        expected = higher_weight_search(code, r, "exhaustive")
+        monkeypatch.setattr(_vecgf, "BLOCK_BYTES", block_bytes)
+        found.clear()
+        assert higher_weight_search(code, r, "exhaustive") == expected
+        cap = _vecgf.block_len(_vecgf.vector_ops(code.gf).dtype)
+        assert 0 < max(found) <= cap, (k, n, q, r, block_bytes)
+        monkeypatch.setattr(_vecgf, "BLOCK_BYTES", 2**16)
+
+
+def test_higher_weight_exhaustive_budget():
+    code = build_code(2, 4, field_of_order(2))
+    work = gaussian_binomial(2, code.dimension, 2) * code.length
+    with pytest.raises(BudgetExceeded):
+        higher_weight_search(code, 2, "exhaustive", budget=work - 1)
+    assert higher_weight_search(code, 2, "exhaustive", budget=work) == 24
 
 
 def test_higher_weight_exhaustive_d2():

@@ -31,10 +31,10 @@ PACKAGE_DIR = pathlib.Path(mdscensus.__file__).parent
 def test_package_has_no_assert_statements():
     # `python -O` strips assert statements, so no check may live in one
     found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(
-            f"{path.name}:{node.lineno}"
+            f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         )
@@ -85,6 +85,35 @@ def test_verify_under_optimize_flag():
     total = len(verify.select("all", "quick"))
     assert proc.stdout.splitlines()[-1] == f"OK: {total}/{total} checks passed"
     assert proc.stdout.count("[PASS] ") == total
+
+
+ODD_RANK_SCRIPT = """
+from mdscensus import exterior
+from mdscensus.errors import ExactnessViolation
+from mdscensus.fields import field_of_order
+
+real = exterior._echelon_rows
+
+def one_pivot_short(gf, rows, ncols):
+    pivots, scale, inverses = real(gf, rows, ncols)
+    return pivots[:-1], scale, inverses[:-1]
+
+exterior._echelon_rows = one_pivot_short
+omega = exterior.DualForm.basis(field_of_order(3), 2, 4, (1, 2))
+try:
+    exterior.form_weight(omega, "recursive")
+except ExactnessViolation as exc:
+    print("refused:", exc)
+"""
+
+
+def test_odd_two_form_rank_raises_under_optimize_flag():
+    # an alternating matrix has even rank, so an odd one is a fault of the
+    # elimination, refused with or without -O
+    for flags in ((), ("-O",)):
+        proc = _run_python(*flags, "-c", ODD_RANK_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("refused: "), proc.stdout
 
 
 def test_tracer_finds_every_name_it_wraps():
