@@ -27,6 +27,10 @@ grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
                   minors of order >= 2 are evaluated.  The walk is
                   (q-1)^(k(n-k)) points and the count is gamma.
 
+Both routes also check a count that theory fixes: for 2 <= k < n,
+gamma-tilde * |PGL(k, q)| counts ordered n-arcs, so n! divides it, and a
+count that breaks this raises DivisibilityViolation.
+
 Both routes hand the same scheduler one walk, a minor plan with the sizes
 and offsets of its free entries.  Every chunk yields an exact integer and
 the total is an order-independent sum, so results are bit-identical for any
@@ -85,6 +89,22 @@ class CensusResult:
     worker_count: int
 
 
+def _check_orbit_divisibility(k, n, q, gamma_tilde):
+    """For 2 <= k < n, gamma-tilde * |PGL(k, q)| counts the ordered n-arcs
+    of PG(k-1, q): PGL(k, q) acts regularly on ordered frames, and
+    gamma-tilde counts the ordered completions of the standard frame.  S_n
+    permutes the n distinct points of an ordered arc freely, so n! divides
+    that count; DivisibilityViolation when it does not."""
+    if not 2 <= k < n:
+        return
+    pgl = q ** (k * (k - 1) // 2) * math.prod(q**i - 1 for i in range(2, k + 1))
+    if gamma_tilde * pgl % math.factorial(n) != 0:
+        raise DivisibilityViolation(
+            f"gamma-tilde={gamma_tilde} times |PGL({k},{q})|={pgl} is not divisible "
+            f"by {n}! at (k={k}, n={n}, q={q})"
+        )
+
+
 def _column_scalings(k, n, q):
     """(q-1)^(n-1), the ratio gamma / gamma-tilde: the column scalings left
     once the diagonal scalars are divided out.  1 when k = n, where the
@@ -137,6 +157,7 @@ def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
     start = time.perf_counter()
     walk = (_scan_minor_plan(k, nk), sizes, [2] * len(sizes))
     gamma_tilde, workers = _count_walk(gf, walk, threads)
+    _check_orbit_divisibility(k, n, q, gamma_tilde)
     gamma = gamma_tilde * _column_scalings(k, n, q)
     return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
                         time.perf_counter() - start, workers)
@@ -182,6 +203,7 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
         raise DivisibilityViolation(
             f"gamma={gamma} not divisible by (q-1)^(n-1)={denom} at (k={k}, n={n}, q={q})"
         )
+    _check_orbit_divisibility(k, n, q, gamma // denom)
     return CensusResult(k, n, q, gamma, gamma // denom, "grassmannian-filter",
                         time.perf_counter() - start, workers)
 

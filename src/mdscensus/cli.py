@@ -228,13 +228,17 @@ def _cmd_code(args):
             spec = weight_spectrum(code, mode="exhaustive", budget=args.budget)
         else:
             parts = spectrum_arg.split(":")
-            if len(parts) != 3 or parts[0] != "sample":
+            try:
+                if len(parts) != 3 or parts[0] != "sample":
+                    raise ValueError
+                count, seed = int(parts[1]), int(parts[2])
+            except ValueError:
                 raise MdsError(
                     f"spectrum must be 'exhaustive' or 'sample:COUNT:SEED', "
                     f"got {spectrum_arg!r}"
-                )
-            spec = weight_spectrum(code, mode="sample", sample_count=int(parts[1]),
-                                   seed=int(parts[2]), budget=args.budget)
+                ) from None
+            spec = weight_spectrum(code, mode="sample", sample_count=count,
+                                   seed=seed, budget=args.budget)
         payload["rows"] = [
             {"weight": str(w), "multiplicity": str(m)}
             for w, m in sorted(spec.items())

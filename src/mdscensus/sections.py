@@ -4,9 +4,13 @@ A codimension-r section is carried by a basis of its annihilator: r
 independent k-forms.  Its norm counts the Grassmann points outside the
 section, by two independent routes: a point scan, and the exact average of
 the q^(r-1) + ... + 1 annihilator form weights divided by q^(r-1).  Both
-make one pass over the Plucker blocks; the annihilator route reads each
-form's values off the basis forms' values on the same block, by linearity
-of the pairing.
+make one pass over the Plucker blocks.  The annihilator route keys each
+Plucker column by the tuple of the r basis forms' values on it, a base-q
+integer: by linearity of the pairing, the form c_1 w_1 + ... + c_r w_r is
+nonzero on a column exactly when c_1 v_1 + ... + c_r v_r is nonzero on its
+tuple v, so the weight sum adds up, over the columns, the number of
+projective combinations nonzero on the column's tuple, found by evaluating
+every combination on the tuples.
 
 The inclusion-exclusion report counts, for each r, the pairs of a point
 and an r-subset of the coordinate hyperplanes p_I = 0 that misses it,
@@ -15,6 +19,7 @@ subspaces with all Plucker coordinates nonzero, which must equal the
 census count.  The patterns are 64-bit masks, so C(n, k) <= 64.
 """
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -90,28 +95,91 @@ def _norm_point_scan(section, budget=None):
 
 def _norm_annihilator_sum(section, budget=None):
     """Sum of the weights of one form per projective point of Ann(L),
-    divided by q^(r-1).  One pass over the Plucker blocks: on each block the
-    basis forms are evaluated once, and the form c_1 w_1 + ... + c_r w_r
-    takes the values c_1 v_1 + ... + c_r v_r there."""
+    divided by q^(r-1), in one pass over the Plucker columns.
+
+    The columns are read in slices of block_len(np.intp); each column's key
+    is the base-q integer of the r basis forms' values on it, and the form
+    c_1 w_1 + ... + c_r w_r takes the value c_1 v_1 + ... + c_r v_r there.
+    When the q^r value tuples are no more than the |G(k, n)| columns, each
+    slice sums the cached annihilator_table at its keys, one gather; past
+    that size the forms are evaluated on the tuples that occur, so no
+    section evaluates more than its forms times its columns.  Besides the
+    Plucker sweep, the budget counts the (q^r - 1)/(q - 1) * min(q^r,
+    |G(k, n)|) form evaluations on every call, cached table or not, before
+    the pass."""
     gf, k, n = section.gf, section.k, section.n
-    r = section.codim
-    ops = _vecgf.vector_ops(gf)
-    combos = list(_projective_reps(gf, r))
-    total = 0
-    for block in _vecgf.plucker_blocks(gf, k, n, budget):
-        values = [_vecgf.form_values(gf, omega.coeffs, block)
-                  for omega in section.ann_basis]
-        for coeffs in combos:
-            acc = 0
-            for c, v in zip(coeffs, values):
-                acc = ops.add(acc, ops.mul(c, v))
-            total += int(np.count_nonzero(acc))
-    denom = gf.q ** (r - 1)
+    q, r = gf.q, section.codim
+    grid = q**r
+    points = gaussian_binomial(k, n, q)
+    check_budget((grid - 1) // (q - 1) * min(grid, points), budget,
+                 f"annihilator forms of a codim-{r} section of G({k},{n}) over GF({q})")
+    slices = _value_keys(gf, [omega.coeffs for omega in section.ann_basis],
+                         _vecgf.plucker_blocks(gf, k, n, budget), grid)
+    if grid <= points:
+        table = annihilator_table(gf, r)
+        total = sum(int(table.take(keys).sum()) for keys in slices)
+    else:
+        if grid > np.iinfo(np.intp).max:
+            raise OutOfRange(f"the {grid} value tuples of {r} forms over GF({q}) "
+                             f"overflow an intp key")
+        occurring = Counter()
+        for keys in slices:
+            values, counts = np.unique(keys, return_counts=True)
+            occurring.update(dict(zip(values.tolist(), counts.tolist())))
+        nonzero = _nonzero_combinations(
+            gf, r, np.fromiter(occurring, dtype=np.intp, count=len(occurring)))
+        total = sum(c * z for c, z in zip(occurring.values(), nonzero.tolist()))
+    denom = q ** (r - 1)
     if total % denom != 0:
         raise ExactnessViolation(
             f"annihilator weight sum {total} not divisible by q^(r-1) = {denom}"
         )
     return total // denom
+
+
+def _value_keys(gf, coeff_rows, blocks, grid):
+    """Per slice of at most block_len(np.intp) columns of the blocks, the
+    keys sum_i v_i q^i, v_i the values of coeff_rows[i] on a column: int16
+    when all `grid` keys fit it, which halves the work of a slice next to
+    intp keys, else intp."""
+    dtype = np.int16 if grid <= 2**15 else np.intp
+    step = _vecgf.block_len(np.intp)
+    for block in blocks:
+        for lo in range(0, block.shape[1], step):
+            part = block[:, lo:lo + step]
+            *low, top = (_vecgf.form_values(gf, coeffs, part) for coeffs in coeff_rows)
+            keys = top.astype(dtype)
+            for values in reversed(low):
+                keys *= gf.q
+                keys += values
+            yield keys
+
+
+def _nonzero_combinations(gf, r, keys):
+    """For each key, how many of the projective combinations
+    c_1 v_1 + ... + c_r v_r are nonzero on its value tuple v, v_i the i-th
+    base-q digit of the key; every combination is evaluated on every tuple."""
+    ops = _vecgf.vector_ops(gf)
+    digits = []
+    for _ in range(r):
+        keys, digit = np.divmod(keys, gf.q)
+        digits.append(digit.astype(ops.dtype))
+    out = np.zeros(len(digits[0]), dtype=np.int64)
+    for coeffs in _projective_reps(gf, r):
+        acc = 0
+        for c, v in zip(coeffs, digits):
+            acc = ops.add(acc, ops.mul(c, v))
+        out += acc != 0
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def annihilator_table(gf, r):
+    """_nonzero_combinations on all q^r value tuples, indexed by key: built
+    once per field and codimension.  The cached array is read-only."""
+    table = _nonzero_combinations(gf, r, np.arange(gf.q**r, dtype=np.intp))
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def section_cardinality(gf, k, n, spanning, budget=None):

@@ -198,6 +198,17 @@ def test_code_sampled_spectrum_refused_by_draw_count(capsys):
         "exceeds budget 1000"]
 
 
+def test_code_malformed_sample_spectrum(capsys):
+    # a COUNT or SEED that is not an integer used to surface int()'s message
+    for spec in ("sample:x:1", "sample:10:y", "sample:10", "exhaustive:1:2"):
+        code, out, err = run_cli(capsys, "code", "--k", "2", "--n", "4", "--q", "2",
+                                 "--spectrum", spec)
+        assert code == 1, spec
+        assert out == "" and err.splitlines() == [
+            f"error: spectrum must be 'exhaustive' or 'sample:COUNT:SEED', "
+            f"got {spec!r}"], spec
+
+
 def test_code_dr_structured(capsys):
     code, out, _ = run_cli(
         capsys, "code", "--k", "2", "--n", "4", "--q", "2", "--dr", "2",

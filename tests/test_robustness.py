@@ -19,6 +19,7 @@ from mdscensus.fields import field_of_order, make_field
 from mdscensus.grassmann_code import build_code
 from mdscensus.sections import (
     LinearSection,
+    annihilator_table,
     coordinate_norm_from_masks,
     coordinate_section,
     section_norm,
@@ -114,6 +115,49 @@ def test_odd_two_form_rank_raises_under_optimize_flag():
         proc = _run_python(*flags, "-c", ODD_RANK_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("refused: "), proc.stdout
+
+
+ORBIT_SCRIPT = """
+from mdscensus import census
+from mdscensus.errors import DivisibilityViolation
+from mdscensus.fields import field_of_order
+
+real = census._count_walk
+gf = field_of_order(4)
+# gamma-tilde(2,5,4) = 2 and |PGL(2,4)| = 60, so 5! divides 2 * 60, not 3 * 60
+for route, step in ((census.count_mds_matrix_scan, 1),
+                    (census.count_mds_grassmannian_filter, 3**4)):
+    def one_off(gf, walk, threads, step=step):
+        count, workers = real(gf, walk, threads)
+        return count + step, workers
+    census._count_walk = one_off
+    try:
+        route(2, 5, gf)
+    except DivisibilityViolation as exc:
+        print("refused:", exc)
+    census._count_walk = real
+    print("counted:", route(2, 5, gf).gamma_tilde)
+"""
+
+
+def test_orbit_divisibility_raises_under_optimize_flag():
+    # a gamma-tilde off by one breaks n! | gamma-tilde |PGL(k,q)| on either
+    # route, refused with or without -O
+    for flags in ((), ("-O",)):
+        proc = _run_python(*flags, "-c", ORBIT_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["refused", "counted"] * 2, lines
+        assert lines[1] == lines[3] == "counted: 2"
+
+
+def test_cached_annihilator_table_is_read_only():
+    table = annihilator_table(make_field(3, 1), 2)
+    assert isinstance(table, np.ndarray) and table.size == 9
+    with pytest.raises(ValueError):
+        table[0] = 1
+    with pytest.raises(ValueError):
+        table += 1
 
 
 def test_tracer_finds_every_name_it_wraps():

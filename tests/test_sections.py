@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from mdscensus import _vecgf
+from mdscensus import _vecgf, sections
 from mdscensus.census import count_mds_matrix_scan
-from mdscensus.errors import BudgetExceeded, DimensionMismatch
+from mdscensus.errors import BudgetExceeded, DimensionMismatch, OutOfRange
 from mdscensus.exterior import (
     DualForm,
     MultiVector,
@@ -119,6 +120,152 @@ def test_annihilator_sum_makes_one_plucker_pass(monkeypatch, cap):
     assert calls == {"plucker_blocks": 1, "_cell_blocks": 0 if cap is None else 1}
     if cap is not None:
         assert len(list(_vecgf.plucker_blocks(gf, 2, 5))) > 1
+
+
+def test_annihilator_sum_is_the_average_of_recursive_form_weights():
+    # q^(r-1) ||L|| is by definition the sum of the weights of one form per
+    # projective point of Ann(L); the recursive weights read no Plucker column
+    rng = random.Random(7)
+    for k, n, q in ((2, 4, 2), (2, 4, 3), (2, 4, 4), (2, 5, 2), (3, 6, 2)):
+        gf = field_of_order(q)
+        coords = multi_indices(k, n)
+        cases = [coordinate_section(gf, k, n, rng.sample(coords, r)) for r in (1, 2, 3)]
+        cases += [random_section(gf, k, n, r, rng) for r in (1, 2, 3)]
+        for s in cases:
+            weights = sum(form_weight(omega, "recursive") for omega in _projective_forms(s))
+            assert q ** (s.codim - 1) * section_norm(s, "annihilator-sum") == weights, (
+                k, n, q, s.ann_basis)
+
+
+def test_annihilator_sum_on_both_sides_of_the_size_rule(monkeypatch):
+    # up to q^r = |G(k,n)| value tuples the norm weighs the cached table;
+    # past it, as for every coordinate section of codim >= 8 of G(2,5) over
+    # GF(2) (2^8 tuples, 155 points), the forms run on the tuples that occur
+    gf = field_of_order(2)
+    coords = multi_indices(2, 5)
+    evaluated = []
+    real = sections._nonzero_combinations
+
+    def counted(gf, r, keys):
+        evaluated.append(keys.size)
+        return real(gf, r, keys)
+
+    monkeypatch.setattr(sections, "_nonzero_combinations", counted)
+    sections.annihilator_table.cache_clear()
+    for r in (6, 7):
+        for subset in itertools.combinations(coords, r):
+            s = coordinate_section(gf, 2, 5, subset)
+            assert section_norm(s, "annihilator-sum") == section_norm(s, "point-scan")
+    # one table per codimension, q^r tuples each, whatever the section count
+    assert evaluated == [64, 128]
+
+    def no_table(gf, r):
+        raise AssertionError("past the size rule no table is built")
+
+    monkeypatch.setattr(sections, "annihilator_table", no_table)
+    for r in (8, 9, 10):
+        for subset in itertools.combinations(coords, r):
+            s = coordinate_section(gf, 2, 5, subset)
+            assert section_norm(s, "annihilator-sum") == section_norm(s, "point-scan")
+    # only tuples that occur, never more than the 155 points
+    assert len(evaluated) == 2 + 45 + 10 + 1 and max(evaluated[2:]) <= 155
+
+
+def test_annihilator_sum_slices_across_blocks(monkeypatch):
+    # blocks of at most 10 columns (cap 100 entries, 10 rows) read in slices
+    # of 4 keys (32 bytes of intp): a slice ends where its block ends, and
+    # the norms are those of one whole-matrix pass, below and past the size
+    # rule
+    cases = []
+    for q, subsets in ((3, [[(1, 2), (3, 4)], [(1, 2), (1, 3), (2, 5), (4, 5)]]),
+                       (2, [multi_indices(2, 5)[:8]])):
+        gf = field_of_order(q)
+        for subset in subsets:
+            s = coordinate_section(gf, 2, 5, subset)
+            cases.append((s, section_norm(s, "annihilator-sum")))
+    assert any(s.gf.q ** s.codim > gaussian_binomial(2, 5, s.gf.q) for s, _ in cases)
+    monkeypatch.setattr(_vecgf, "PLUCKER_CACHE_CAP", 100)
+    monkeypatch.setattr(_vecgf, "BLOCK_BYTES", 32)
+    sizes = []
+    real = sections._value_keys
+
+    def recorded(gf, coeff_rows, blocks, grid):
+        for keys in real(gf, coeff_rows, blocks, grid):
+            sizes.append(keys.size)
+            yield keys
+
+    monkeypatch.setattr(sections, "_value_keys", recorded)
+    ragged = False
+    for s, expected in cases:
+        widths = [b.shape[1] for b in _vecgf.plucker_blocks(s.gf, 2, 5)]
+        assert len(widths) > 1 and max(widths) > 4
+        ragged |= any(w % 4 for w in widths)
+        sizes.clear()
+        assert section_norm(s, "annihilator-sum") == expected
+        assert sizes == [min(4, w - lo) for w in widths for lo in range(0, w, 4)]
+    assert ragged  # some block ends inside a slice's reach
+
+
+def test_annihilator_keys_widen_past_int16(monkeypatch):
+    # keys are int16 while all q^r of them fit it, else intp: over GF(191)
+    # two forms have 36481 tuples, within the 36673 points of G(1,3) (the
+    # cached table) and past the 192 of G(1,2) (the occurring tuples)
+    dtypes = []
+    real = sections._value_keys
+
+    def recorded(gf, coeff_rows, blocks, grid):
+        for keys in real(gf, coeff_rows, blocks, grid):
+            dtypes.append(keys.dtype)
+            yield keys
+
+    monkeypatch.setattr(sections, "_value_keys", recorded)
+    for q, n, expected in ((191, 3, 36673 - 1), (191, 2, 192), (3, 3, 13 - 1)):
+        gf = field_of_order(q)
+        s = LinearSection(gf, 1, n, (DualForm(gf, 1, n, (1, 2, 1)[:n]),
+                                     DualForm(gf, 1, n, (0, 1, 1)[:n])))
+        dtypes.clear()
+        assert section_norm(s, "annihilator-sum") == expected
+        assert section_norm(s, "point-scan") == expected
+        assert set(dtypes) == {np.dtype(np.intp if q == 191 else np.int16)}
+
+
+def test_annihilator_forms_are_budgeted(monkeypatch):
+    # G(2,5) over GF(5) on its first 7 coordinates: the sweep of 203060
+    # entries fits 300000, the 19531 forms on min(5^7, 20306) tuples do not,
+    # and the refusal comes before any Plucker block
+    gf = field_of_order(5)
+    s = coordinate_section(gf, 2, 5, multi_indices(2, 5)[:7])
+    # inside: the 31 lines of the plane spanned by e_3, e_4, e_5
+    assert section_norm(s, "point-scan", 300000) == 20306 - 31
+
+    def no_pass(*args):
+        raise AssertionError("refused forms read no Plucker block")
+
+    monkeypatch.setattr(_vecgf, "plucker_blocks", no_pass)
+    with pytest.raises(BudgetExceeded) as refused:
+        section_norm(s, "annihilator-sum", 300000)
+    assert refused.value.estimate == 19531 * 20306
+
+
+def test_annihilator_budget_ignores_the_cache():
+    # codim 7 of G(2,5) over GF(2): 127 forms on the 128 tuples of a cached
+    # table are still 16256 evaluations, over a budget the 1550-entry
+    # sweep fits
+    gf = field_of_order(2)
+    s = coordinate_section(gf, 2, 5, multi_indices(2, 5)[:7])
+    assert section_norm(s, "annihilator-sum") == section_norm(s, "point-scan")
+    with pytest.raises(BudgetExceeded) as refused:
+        section_norm(s, "annihilator-sum", 10000)
+    assert refused.value.estimate == 127 * 128
+    assert section_norm(s, "annihilator-sum", 127 * 128) == section_norm(s, "point-scan")
+
+
+def test_annihilator_keys_that_overflow_intp_are_refused():
+    # 64 forms over GF(2) have 2^64 value tuples, past any intp key
+    gf = field_of_order(2)
+    s = coordinate_section(gf, 2, 12, multi_indices(2, 12)[:64])
+    with pytest.raises(OutOfRange):
+        section_norm(s, "annihilator-sum", 10**30)
 
 
 PLUCKER_ORACLES = {
