@@ -7,11 +7,12 @@ an array.  On every field whose q x q index fits int16, q <= 181, values
 are int16 and each array operation is one gather T[x * q + y] from a flat
 q x q table (addition stays XOR when p = 2).  The tables are built once per
 field by running the wide operations on the q x q grid; on larger fields
-those wide operations are the arithmetic: componentwise mod p on int64
-arrays for prime fields, and on extension fields multiplication by
-gathering from the field's log/exp tables (log 0 is a sentinel whose sums
-all land in a zero tail of the exp array), addition by XOR of the
-encodings when p = 2 and base-p digit by digit when p is odd.
+those wide operations are the arithmetic.  Addition, subtraction and
+negation are one signed digit sum: XOR of the encodings when p = 2, else
+base-p digit by digit mod p, a prime field being the one-digit case.
+Multiplication is mod p on the int64 arrays of a prime field, and on an
+extension field a gather from the field's log/exp tables (log 0 is a
+sentinel whose sums all land in a zero tail of the exp array).
 
 Everything here is exact integer arithmetic; numpy is only a carrier.
 """
@@ -19,6 +20,7 @@ Everything here is exact integer arithmetic; numpy is only a carrier.
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -38,24 +40,25 @@ class VecOps:
     table field (q * q - 1 fits int16) an array operation is one gather from
     the flat int16 table _add, _sub, _mul, _neg or _div, indexed x * q + y;
     a table left None (addition, subtraction and negation when p = 2, and
-    every table past q = 181) falls back to the wide operation."""
+    every table past q = 181) falls back to the wide operations: the signed
+    digit sum _wide_add, the product _wide_mul and the quotient through
+    _inverses.  Every array kept here is read-only."""
 
     def __init__(self, gf):
         self.gf = gf
         self.q = q = gf.q
         self._add = self._sub = self._mul = self._neg = self._div = None
+        self.place_values = [gf.p**i for i in range(1, gf.m)]  # digits past 0
         if gf.m == 1:
-            self.prime = gf.p
             self.dtype = np.int64
         else:
-            self.prime = None
             # sums of two logs reach 2 * zero, which must fit the dtype
             self.dtype = np.int16 if 4 * q < 2**15 else np.int32
             zero = 2 * q - 3  # one past the largest sum of two nonzero logs
-            self.log = np.array([zero] + gf._log[1:], dtype=self.dtype)
-            self.exp = np.zeros(2 * zero + 1, dtype=self.dtype)
-            self.exp[:zero] = gf._exp[:zero]
-            self.place_values = [gf.p**i for i in range(gf.m)]
+            self.log = _frozen(np.array([zero, *gf._log[1:]], dtype=self.dtype))
+            exp = np.zeros(2 * zero + 1, dtype=self.dtype)
+            exp[:zero] = gf._exp[:zero]
+            self.exp = _frozen(exp)
         if q * q - 1 <= np.iinfo(np.int16).max:
             self._build_tables()
 
@@ -65,12 +68,12 @@ class VecOps:
         p = 2 addition and subtraction stay XOR and negation the identity."""
         q = self.q
         x, y = np.indices((q, q), dtype=self.dtype).reshape(2, -1)
-        self._mul = self._wide_mul(x, y).astype(np.int16)
-        self._div = self._wide_quotient(x, y).astype(np.int16)
+        self._mul = _frozen(self._wide_mul(x, y).astype(np.int16))
+        self._div = _frozen(self._wide_quotient(x, y).astype(np.int16))
         if self.gf.p != 2:
-            self._add = self._wide_add(x, y).astype(np.int16)
-            self._sub = self._wide_sub(x, y).astype(np.int16)
-            self._neg = self._wide_neg(y[:q]).astype(np.int16)
+            self._add = _frozen(self._wide_add(x, y).astype(np.int16))
+            self._sub = _frozen(self._wide_add(x, y, -1).astype(np.int16))
+            self._neg = _frozen(self._wide_add(0, y[:q], -1).astype(np.int16))
         self.dtype = np.int16
 
     # -- wide operations: the arithmetic past q = 181, and the table builder
@@ -78,40 +81,24 @@ class VecOps:
     def _log_of(self, x):
         return self.gf._log[x] if isinstance(x, int) else self.log[x]
 
-    def _by_digit(self, x, y, sign):
-        """x + sign * y on an odd extension field: digit i of an encoding e
-        is (e // p^i) mod p, and the digits add mod p."""
-        p = self.gf.p
-        out = 0
-        for pw in self.place_values:
-            out = out + (x // pw + sign * (y // pw)) % p * pw
-        return out
-
     def _wide_mul(self, x, y):
-        if self.prime is not None:
-            return (x * y) % self.prime
+        if self.gf.m == 1:
+            return (x * y) % self.gf.p
         return self.exp[self._log_of(x) + self._log_of(y)]
 
-    def _wide_add(self, x, y):
-        if self.gf.p == 2:
+    def _wide_add(self, x, y, sign=1):
+        """x + sign * y: XOR of the encodings when p = 2, else base-p digit
+        by digit.  Digit i of an encoding e is (e // p^i) mod p and the
+        digits add mod p, so digit 0 of the sum is (x + sign * y) mod p; a
+        prime field has that digit alone."""
+        p = self.gf.p
+        if p == 2:
             return x ^ y
-        if self.prime is not None:
-            return (x + y) % self.prime
-        return self._by_digit(x, y, 1)
-
-    def _wide_sub(self, x, y):
-        if self.gf.p == 2:
-            return x ^ y
-        if self.prime is not None:
-            return (x - y) % self.prime
-        return self._by_digit(x, y, -1)
-
-    def _wide_neg(self, x):
-        if self.gf.p == 2:
-            return x
-        if self.prime is not None:
-            return (-x) % self.prime
-        return self._by_digit(0, x, -1)
+        combine = operator.add if sign > 0 else operator.sub
+        out = combine(x, y) % p
+        for pw in self.place_values:
+            out = out + combine(x // pw, y // pw) % p * pw
+        return out
 
     @functools.cached_property
     def _inverses(self):
@@ -121,7 +108,7 @@ class VecOps:
         out = np.zeros(q, dtype=self.dtype)
         logs = np.array(gf._log[1:], dtype=np.int64)
         out[1:] = np.array(gf._exp[:q - 1], dtype=self.dtype)[(-logs) % (q - 1)]
-        return out
+        return _frozen(out)
 
     def _wide_quotient(self, x, y):
         return np.where(y == 0, -1, self._wide_mul(x, self._inverses[y]))
@@ -164,14 +151,14 @@ class VecOps:
             if isinstance(x, int):
                 return self.gf._usub(x, y)
         if self._sub is None:
-            return self._wide_sub(x, y)
+            return self._wide_add(x, y, -1)
         return self._sub.take(x * self.q + y)
 
     def neg(self, x):
         if isinstance(x, int):
             return self.gf._uneg(x)
         if self._neg is None:
-            return self._wide_neg(x)
+            return self._wide_add(0, x, -1)
         return self._neg.take(x)
 
     def quotient(self, x, y):
@@ -181,6 +168,12 @@ class VecOps:
         if self._div is None:
             return self._wide_quotient(x, y)
         return self._div.take(x * self.q + y)
+
+
+def _frozen(a):
+    """a, made read-only: VecOps arrays are shared through vector_ops."""
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=None)

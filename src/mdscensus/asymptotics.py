@@ -74,20 +74,18 @@ def predicted_gamma(k, n, q):
 
 
 def _prediction(p, q):
-    """predicted_gamma from the family's params: in integers when
-    delta >= 2, else in Fractions, which must come out whole."""
+    """predicted_gamma from the family's params, in integers:
+    q^(delta-2) (q^2 + (1-N) q + a2), which for delta < 2 must divide
+    exactly by q^(2-delta)."""
+    quadratic = q * q + (1 - p.big_n) * q + p.a2
     if p.delta >= 2:
-        return q ** (p.delta - 2) * (q * q + (1 - p.big_n) * q + p.a2)
-    value = (
-        Fraction(q) ** p.delta
-        + (1 - p.big_n) * Fraction(q) ** (p.delta - 1)
-        + p.a2 * Fraction(q) ** (p.delta - 2)
-    )
-    if value.denominator != 1:
+        return q ** (p.delta - 2) * quadratic
+    value, remainder = divmod(quadratic, q ** (2 - p.delta))
+    if remainder:
         raise ExactnessViolation(
             f"three-term prediction at (k={p.k}, n={p.n}, q={q}) is not an integer"
         )
-    return int(value)
+    return value
 
 
 def arc_series_top3(k, n):
@@ -175,7 +173,7 @@ def convergence(k, n, q_list, threads=1, budget=None):
     for q in q_list:
         predicted = _prediction(p, q)
         residual = gammas[q] - predicted
-        normalized = Fraction(residual, q ** (p.delta - 3)) if p.delta >= 3 else Fraction(residual)
+        normalized = residual / Fraction(q) ** (p.delta - 3)
         rows.append(
             ConvergenceRow(q=q, gamma_exact=gammas[q], predicted=predicted,
                            residual=residual, normalized=normalized)

@@ -73,6 +73,7 @@ from . import _vecgf
 from .budget import check_budget
 from .errors import DivisibilityViolation, ExactnessViolation, OutOfRange
 from .exterior import multi_indices
+from .linalg import gl_order
 
 POOL_MIN_WORK = 2**19       # walked candidates a walk must pass to start a pool
 
@@ -97,7 +98,7 @@ def _check_orbit_divisibility(k, n, q, gamma_tilde):
     that count; DivisibilityViolation when it does not."""
     if not 2 <= k < n:
         return
-    pgl = q ** (k * (k - 1) // 2) * math.prod(q**i - 1 for i in range(2, k + 1))
+    pgl = gl_order(k, q) // (q - 1)
     if gamma_tilde * pgl % math.factorial(n) != 0:
         raise DivisibilityViolation(
             f"gamma-tilde={gamma_tilde} times |PGL({k},{q})|={pgl} is not divisible "

@@ -13,7 +13,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from .budget import effective_budget
-from .errors import BudgetExceeded, MdsError, OutOfRange
+from .errors import BudgetExceeded, ExactnessViolation, MdsError, OutOfRange
 from .fields import factor_prime_power, field_of_order
 from .linalg import gaussian_binomial
 
@@ -276,7 +276,10 @@ def _cmd_weight(args):
             form_weight(omega, "recursive", budget=args.budget)
         )
     if method == "both" and payload["weight_direct"] != payload["weight_recursive"]:
-        raise MdsError("direct and recursive weights disagree; this is a bug")
+        raise ExactnessViolation(
+            f"direct weight={payload['weight_direct']} differs from recursive "
+            f"weight={payload['weight_recursive']}"
+        )
     return payload
 
 

@@ -186,12 +186,8 @@ def pairing(omega, lam):
         raise ShapeMismatch("pairing takes (DualForm, MultiVector)")
     if omega.gf != lam.gf or (omega.k, omega.n) != (lam.k, lam.n):
         raise ShapeMismatch("pairing operands live in different spaces")
-    gf = omega.gf
-    acc = 0
-    for a, b in zip(omega.coeffs, lam.coeffs):
-        if a and b:
-            acc = gf.add(acc, gf.mul(a, b))
-    return acc
+    # both coefficient tuples were checked when the operands were built
+    return _unchecked_dot(omega.gf)(omega.coeffs, lam.coeffs)
 
 
 def wedge(x, y):

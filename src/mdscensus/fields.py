@@ -231,12 +231,13 @@ class GF:
     def _build_tables(self):
         """Discrete-log and exponent tables of the smallest generator g:
         exp[i] = g^i, doubled to length 2(q-1) so that exp[log a + log b]
-        needs no reduction, and log[0] = None.  Odd extension fields add
-        by the Zech logarithms zech[d] = log(1 + g^d), None where
-        1 + g^d = 0.  The unchecked operations _uadd, _usub, _uneg and _umul
-        are bound once here: mod p on prime fields, XOR addition when
-        p = 2, Zech-log addition on odd extensions, and the log/exp tables
-        for multiplication on every extension field."""
+        needs no reduction, and log[0] = None; both are tuples, so no caller
+        can change them.  Odd extension fields add by the Zech logarithms
+        zech[d] = log(1 + g^d), None where 1 + g^d = 0.  The unchecked
+        operations _uadd, _usub, _uneg and _umul are bound once here: mod p
+        on prime fields, XOR addition when p = 2, Zech-log addition on odd
+        extensions, and the log/exp tables for multiplication on every
+        extension field."""
         q, p = self.q, self.p
         order = q - 1
         gen = self._find_generator()
@@ -244,7 +245,7 @@ class GF:
         log = [None] * q
         for i, v in enumerate(exp):
             log[v] = i
-        exp += exp
+        exp, log = tuple(exp + exp), tuple(log)
         self._exp, self._log = exp, log
         if self.m == 1:
             self._uadd = lambda a, b: (a + b) % p

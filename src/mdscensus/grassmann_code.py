@@ -60,79 +60,68 @@ def build_code(k, n, gf, budget=None):
                          generator=generator)
 
 
-def _block_histogram(ops, gen, q):
+def _histogram(rows, multiples, add, weights, length):
     """Number of codewords of each weight, the zero word included, over all
-    q^dimension coefficient vectors.  The generator rows past the first t,
-    t from choose_prefix_len, are combined once into a block of at most
-    SPECTRUM_BLOCK entries; the prefix words over the first t rows are
-    walked depth first, one row add each, and every prefix word is added to
-    the whole block at once."""
-    dimension, length = gen.shape
-    t = _vecgf.choose_prefix_len([q] * dimension, SPECTRUM_BLOCK // length)
-    # the nonzero multiples c * row of every generator row
-    multiples = [[ops.mul(c, row) for c in range(1, q)] for row in gen]
-    block = np.zeros((1, length), dtype=ops.dtype)
+    q^dimension combinations of the rows: multiples[i] holds the q - 1
+    nonzero multiples of rows[i], add(a, b) adds words (a block row by row
+    when a is a block) and weights(block) is the weight of each word of a
+    block.  The rows past the first t, t from choose_prefix_len, are
+    combined once into a block of at most SPECTRUM_BLOCK entries; the prefix
+    words over the first t rows are walked depth first, one add each, and
+    every prefix word is added to the whole block at once."""
+    dimension, width = rows.shape
+    q = len(multiples[0]) + 1
+    t = _vecgf.choose_prefix_len([q] * dimension, SPECTRUM_BLOCK // width)
+    zero = np.zeros(width, dtype=rows.dtype)
+    block = zero[None, :]
     for scaled in multiples[t:]:
-        block = np.concatenate([block] + [ops.add(block, m) for m in scaled])
+        block = np.concatenate([block] + [add(block, m) for m in scaled])
     hist = np.zeros(length + 1, dtype=np.int64)
 
     def walk(depth, word):
         if depth == t:
-            weights = np.count_nonzero(ops.add(block, word), axis=1)
-            hist[:] += np.bincount(weights, minlength=length + 1)
+            hist[:] += np.bincount(weights(add(block, word)), minlength=length + 1)
             return
         walk(depth + 1, word)
         for m in multiples[depth]:
-            walk(depth + 1, ops.add(word, m))
+            walk(depth + 1, add(word, m))
 
-    walk(0, np.zeros(length, dtype=ops.dtype))
-    return hist
-
-
-def _packed_histogram(gen):
-    """The GF(2) case of _block_histogram on bit-packed rows: each row is
-    packed into 64-bit words (zero padding bits weigh nothing), the rows
-    past the first t are combined once into a block of at most
-    SPECTRUM_BLOCK words, and the prefix words over the first t rows are
-    walked in Gray-code order, one XOR per word; weights are popcounts."""
-    dimension, length = gen.shape
-    width = -(-length // 64)
-    bits = np.zeros((dimension, 64 * width), dtype=bool)
-    bits[:, :length] = gen != 0
-    rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    t = _vecgf.choose_prefix_len([2] * dimension, SPECTRUM_BLOCK // width)
-    block = np.zeros((1, width), dtype=np.uint64)
-    for row in rows[t:]:
-        block = np.concatenate([block, block ^ row])
-    hist = np.zeros(length + 1, dtype=np.int64)
-    word = np.zeros(width, dtype=np.uint64)
-    for i in range(2**t):
-        if i:
-            word ^= rows[(i & -i).bit_length() - 1]  # the bit that flips
-        weights = np.bitwise_count(block ^ word).sum(axis=1)
-        hist += np.bincount(weights, minlength=length + 1)
+    walk(0, zero)
     return hist
 
 
 def weight_spectrum(code, mode="exhaustive", sample_count=None, seed=0, budget=None):
     """Weight -> multiplicity over nonzero codewords.
 
-    exhaustive walks all q^dimension - 1 codewords in blocks, bit-packed
-    at q = 2 (see _block_histogram and _packed_histogram); sample draws
-    sample_count coefficient vectors from a seeded Mersenne Twister
-    (random.Random(seed)), rejecting the zero vector, so sampled spectra
-    are reproducible bit for bit.  The budget counts codewords: the
-    q^dimension words of exhaustive, the sample_count draws of sample.
+    exhaustive walks all q^dimension - 1 codewords in blocks (see
+    _histogram): at q = 2 on the generator rows packed into 64-bit words
+    (zero padding bits weigh nothing), added by XOR and weighed by popcount;
+    at other q on the generator itself, added by the field's addition and
+    weighed by the nonzero entries.  sample draws sample_count coefficient
+    vectors from a seeded Mersenne Twister (random.Random(seed)), rejecting
+    the zero vector, so sampled spectra are reproducible bit for bit.  The
+    budget counts codewords: the q^dimension words of exhaustive, the
+    sample_count draws of sample.
     """
     gf = code.gf
     q = gf.q
     if mode == "exhaustive":
         n_words = q**code.dimension
         check_budget(n_words, budget, "exhaustive codeword sweep")
+        gen = code.generator
         if q == 2:
-            hist = _packed_histogram(code.generator)
+            bits = np.zeros((code.dimension, -(-code.length // 64) * 64), dtype=bool)
+            bits[:, :code.length] = gen != 0
+            rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+            hist = _histogram(rows, [[row] for row in rows], np.bitwise_xor,
+                              lambda block: np.bitwise_count(block).sum(axis=1),
+                              code.length)
         else:
-            hist = _block_histogram(_vecgf.vector_ops(gf), code.generator, q)
+            ops = _vecgf.vector_ops(gf)
+            multiples = [[ops.mul(c, row) for c in range(1, q)] for row in gen]
+            hist = _histogram(gen, multiples, ops.add,
+                              lambda block: np.count_nonzero(block, axis=1),
+                              code.length)
         hist[0] -= 1  # the zero word
         return {w: m for w, m in enumerate(hist.tolist()) if m}
     if mode == "sample":

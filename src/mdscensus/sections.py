@@ -158,18 +158,14 @@ def _value_keys(gf, coeff_rows, blocks, grid):
 def _nonzero_combinations(gf, r, keys):
     """For each key, how many of the projective combinations
     c_1 v_1 + ... + c_r v_r are nonzero on its value tuple v, v_i the i-th
-    base-q digit of the key; every combination is evaluated on every tuple."""
-    ops = _vecgf.vector_ops(gf)
-    digits = []
-    for _ in range(r):
-        keys, digit = np.divmod(keys, gf.q)
-        digits.append(digit.astype(ops.dtype))
-    out = np.zeros(len(digits[0]), dtype=np.int64)
+    base-q digit of the key; every combination is evaluated on every tuple,
+    by _vecgf.form_values on the rows of digits."""
+    digits = np.empty((r, len(keys)), dtype=_vecgf.vector_ops(gf).dtype)
+    for i in range(r):
+        keys, digits[i] = np.divmod(keys, gf.q)
+    out = np.zeros(digits.shape[1], dtype=np.int64)
     for coeffs in _projective_reps(gf, r):
-        acc = 0
-        for c, v in zip(coeffs, digits):
-            acc = ops.add(acc, ops.mul(c, v))
-        out += acc != 0
+        out += _vecgf.form_values(gf, coeffs, digits) != 0
     return out
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from mdscensus.asymptotics import (
+    _prediction,
     a2_closed_form,
     arc_series_top3,
     convergence,
@@ -10,7 +12,7 @@ from mdscensus.asymptotics import (
     predicted_gamma,
 )
 from mdscensus.census import gamma_closed_form
-from mdscensus.errors import NonPrimePower, OutOfRange, UnsupportedSize
+from mdscensus.errors import ExactnessViolation, NonPrimePower, OutOfRange, UnsupportedSize
 from mdscensus.linalg import _binom
 
 
@@ -63,10 +65,20 @@ def test_params_out_of_range():
         params(4, 4)
 
 
+def test_prediction_refuses_a_remainder_below_delta_2():
+    # at delta = 1 the quadratic q^2 - q + a2 is divided by q; a2 = 1 leaves 1
+    with pytest.raises(ExactnessViolation, match="not an integer"):
+        _prediction(dataclasses.replace(params(1, 2), a2=1), 3)
+
+
 def test_convergence_exact_family():
-    rep = convergence(1, 3, [2, 3, 4, 5, 7, 8, 9])
-    assert rep.bounded
-    assert all(r.residual == 0 for r in rep.rows)
+    # every delta < 3 family is predicted exactly, so the normalized
+    # residual residual / q^(delta-3) is 0 as well
+    for k, n in ((1, 2), (1, 3), (2, 3)):
+        rep = convergence(k, n, [2, 3, 4, 5, 7, 8, 9])
+        assert rep.bounded
+        assert all(r.residual == 0 and r.normalized == 0 for r in rep.rows)
+        assert rep.max_normalized == 0
 
 
 def test_convergence_k1_k2_oracle():

@@ -4,7 +4,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from mdscensus import _vecgf, cli, verify
+from mdscensus import _vecgf, cli, exterior, verify
 from mdscensus.cli import main
 from mdscensus.errors import OutOfRange
 
@@ -117,6 +117,24 @@ def test_weight_both_methods(capsys):
     payload = json.loads(out)
     assert payload["weight_direct"] == "20"
     assert payload["weight_recursive"] == "20"
+
+
+def test_weight_both_methods_disagreement(capsys, monkeypatch):
+    # a recursive route off by one must fail like count --method both does
+    form_weight = exterior.form_weight
+
+    def off_by_one(omega, method, budget=None):
+        weight = form_weight(omega, method, budget=budget)
+        return weight + 1 if method == "recursive" else weight
+
+    monkeypatch.setattr(exterior, "form_weight", off_by_one)
+    code, out, err = run_cli(
+        capsys, "weight", "--k", "2", "--n", "4", "--q", "2", "--method", "both",
+        "--form", '[{"index":[1,2],"coeff":1},{"index":[3,4],"coeff":1}]',
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: direct weight=20 differs from recursive weight=21\n"
 
 
 def test_weight_zero_degree_refused_by_both_methods(capsys):

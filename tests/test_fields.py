@@ -255,8 +255,9 @@ def test_ops_match_poly_reference_on_all_pairs(q):
 
 
 # both sides of the q x q table edge, q * q - 1 <= 32767: prime fields, p = 2
-# and odd extensions; 181 is the largest table field, 191 the next order
-TABLE_EDGE_ORDERS = (2, 4, 7, 9, 125, 128, 169, 181, 191, 243, 256)
+# and odd extensions; 181 is the largest table field, 191 the next order, and
+# past it 343 = 7^3 carries its digit sums across three digits with p > 3
+TABLE_EDGE_ORDERS = (2, 4, 7, 9, 125, 128, 169, 181, 191, 243, 256, 343)
 
 
 @pytest.mark.parametrize("q", TABLE_EDGE_ORDERS)

@@ -112,8 +112,9 @@ def test_exhaustive_spectrum_matches_codeword_weights():
 
 
 def test_packed_walk_prefix_covers_most_rows(monkeypatch):
-    # 3 words a row at (2,5,2): a block of 6 words combines t = 1 row, so the
-    # Gray-code prefix walks the other 9; length 155 leaves 37 padding bits
+    # 3 words a row at (2,5,2): a block of 6 words combines 1 row, so the
+    # depth-first walk runs 9 rows deep over packed prefix words; length 155
+    # leaves 37 padding bits
     gf = make_field(2, 1)
     code = build_code(2, 5, gf)
     monkeypatch.setattr(grassmann_code, "SPECTRUM_BLOCK", 6)

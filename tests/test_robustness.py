@@ -160,6 +160,23 @@ def test_cached_annihilator_table_is_read_only():
         table += 1
 
 
+# per field, how many arrays its VecOps keeps: the five q x q tables (two
+# when p = 2), log and exp on extension fields, and the inverses
+@pytest.mark.parametrize("q, kept", [(7, 6), (8, 5), (9, 8), (191, 1), (243, 3)])
+def test_cached_vecops_arrays_are_read_only(q, kept):
+    gf = field_of_order(q)
+    assert isinstance(gf._log, tuple) and isinstance(gf._exp, tuple)
+    ops = _vecgf.vector_ops(gf)
+    names = ("_add", "_sub", "_mul", "_neg", "_div", "log", "exp", "_inverses")
+    arrays = [a for a in (getattr(ops, name, None) for name in names) if a is not None]
+    assert len(arrays) == kept
+    for table in arrays:
+        with pytest.raises(ValueError):
+            table[0] = 1
+        with pytest.raises(ValueError):
+            table += 1
+
+
 def test_tracer_finds_every_name_it_wraps():
     # perfbench/tracer.py wraps package functions by name (support_mask_counts,
     # inclusion_exclusion, section_norm, form_values, ...): a rename must
