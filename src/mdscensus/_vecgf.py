@@ -7,9 +7,9 @@ an array.  On every field whose q x q index fits int16, q <= 181, values
 are int16 and each array operation is one gather T[x * q + y] from a flat
 q x q table (addition stays XOR when p = 2).  The tables are built once per
 field by running the wide operations on the q x q grid; on larger fields
-those wide operations are the arithmetic.  Addition, subtraction and
-negation are one signed digit sum: XOR of the encodings when p = 2, else
-base-p digit by digit mod p, a prime field being the one-digit case.
+those wide operations are the arithmetic.  Addition and subtraction are
+one signed digit sum: XOR of the encodings when p = 2, else base-p digit
+by digit mod p, a prime field being the one-digit case.
 Multiplication is mod p on the int64 arrays of a prime field, and on an
 extension field a gather from the field's log/exp tables (log 0 is a
 sentinel whose sums all land in a zero tail of the exp array).
@@ -38,16 +38,16 @@ class VecOps:
 
     Two Python ints combine through the field's scalar operations.  On a
     table field (q * q - 1 fits int16) an array operation is one gather from
-    the flat int16 table _add, _sub, _mul, _neg or _div, indexed x * q + y;
-    a table left None (addition, subtraction and negation when p = 2, and
-    every table past q = 181) falls back to the wide operations: the signed
+    the flat int16 table _add, _sub, _mul or _div, indexed x * q + y; a
+    table left None (addition and subtraction when p = 2, and every table
+    past q = 181) falls back to the wide operations: the signed
     digit sum _wide_add, the product _wide_mul and the quotient through
     _inverses.  Every array kept here is read-only."""
 
     def __init__(self, gf):
         self.gf = gf
         self.q = q = gf.q
-        self._add = self._sub = self._mul = self._neg = self._div = None
+        self._add = self._sub = self._mul = self._div = None
         self.place_values = [gf.p**i for i in range(1, gf.m)]  # digits past 0
         if gf.m == 1:
             self.dtype = np.int64
@@ -65,7 +65,7 @@ class VecOps:
     def _build_tables(self):
         """T[x * q + y] = x op y for every pair, from the wide operations run
         once on the q x q grid; the quotient's y = 0 column holds -1.  When
-        p = 2 addition and subtraction stay XOR and negation the identity."""
+        p = 2 addition and subtraction stay XOR."""
         q = self.q
         x, y = np.indices((q, q), dtype=self.dtype).reshape(2, -1)
         self._mul = _frozen(self._wide_mul(x, y).astype(np.int16))
@@ -73,7 +73,6 @@ class VecOps:
         if self.gf.p != 2:
             self._add = _frozen(self._wide_add(x, y).astype(np.int16))
             self._sub = _frozen(self._wide_add(x, y, -1).astype(np.int16))
-            self._neg = _frozen(self._wide_add(0, y[:q], -1).astype(np.int16))
         self.dtype = np.int16
 
     # -- wide operations: the arithmetic past q = 181, and the table builder
@@ -154,13 +153,6 @@ class VecOps:
             return self._wide_add(x, y, -1)
         return self._sub.take(x * self.q + y)
 
-    def neg(self, x):
-        if isinstance(x, int):
-            return self.gf._uneg(x)
-        if self._neg is None:
-            return self._wide_add(0, x, -1)
-        return self._neg.take(x)
-
     def quotient(self, x, y):
         """x / y elementwise on arrays, and -1 where y = 0: a value outside
         every range of field encodings, which a caller that divides by a
@@ -197,6 +189,7 @@ def det_any(ops, m):
         t2 = ops.mul(b, ops.sub(ops.mul(d, i), ops.mul(f, g)))
         t3 = ops.mul(c, ops.sub(ops.mul(d, h), ops.mul(e, g)))
         return ops.add(ops.sub(t1, t2), t3)
+    # cofactor expansion along row 0: even columns add, odd ones subtract
     total = 0
     for j in range(s):
         a = m[0][j]
@@ -204,9 +197,7 @@ def det_any(ops, m):
             continue
         rest = [row[:j] + row[j + 1:] for row in m[1:]]
         term = ops.mul(a, det_any(ops, rest))
-        if j % 2:
-            term = ops.neg(term)
-        total = ops.add(total, term)
+        total = ops.sub(total, term) if j % 2 else ops.add(total, term)
     return total
 
 

@@ -85,8 +85,6 @@ def _render_table(payload):
 
 def _emit(payload, args):
     renderers = {"json": _render_json, "csv": _render_csv, "table": _render_table}
-    if args.fmt not in renderers:
-        raise MdsError(f"unknown format {args.fmt!r}")
     text = renderers[args.fmt](payload)
     print(text)
     if args.output:
@@ -384,8 +382,8 @@ def build_parser():
 
 def _check_args(args):
     """Validate --threads, resolve --budget and split --q-list into its
-    prime powers, in place on the parsed arguments; an empty list or token
-    is refused."""
+    prime powers, in place on the parsed arguments; an empty list or a
+    token that is not an integer is refused."""
     # verify has no --threads: each registry entry sets its own worker count
     threads = getattr(args, "threads", 1)
     if threads < 1:
@@ -393,11 +391,11 @@ def _check_args(args):
     if getattr(args, "budget", None) is not None:
         args.budget = effective_budget(args.budget)
     if getattr(args, "q_list", None) is not None:
-        tokens = [tok.strip() for tok in args.q_list.split(",")]
-        if not all(tokens):
-            raise OutOfRange(
-                f"--q-list needs comma-separated prime powers, got {args.q_list!r}")
-        args.q_list = [int(tok) for tok in tokens]
+        try:
+            args.q_list = [int(tok) for tok in args.q_list.split(",")]
+        except ValueError:
+            raise OutOfRange(f"--q-list needs comma-separated prime powers, "
+                             f"got {args.q_list!r}") from None
 
 
 def main(argv=None):

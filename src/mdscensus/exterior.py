@@ -216,10 +216,8 @@ def wedge(x, y):
             if sign == 0:
                 continue
             term = gf.mul(a, b)
-            if sign < 0:
-                term = gf.neg(term)
             p = pos[merged]
-            out[p] = gf.add(out[p], term)
+            out[p] = gf.add(out[p], term) if sign > 0 else gf.sub(out[p], term)
     return type(x)(gf, k_out, x.n, out)
 
 
@@ -257,10 +255,8 @@ def interior_mult(xi, omega):
             rest = tuple(i for i in ib if i not in ia_set)
             sign, _ = merge_sign(ia, rest)
             term = gf.mul(a, b)
-            if sign < 0:
-                term = gf.neg(term)
             p = pos[rest]
-            out[p] = gf.add(out[p], term)
+            out[p] = gf.add(out[p], term) if sign > 0 else gf.sub(out[p], term)
     return out_cls(gf, k_out, n, out)
 
 
@@ -283,8 +279,6 @@ def _plucker_relation_terms(k, n):
                 if i in kk_set:
                     continue
                 big = tuple(sorted(kk + (i,)))
-                if len(big) != k:
-                    continue
                 rest = tuple(x for x in jj if x != i)
                 s1, _ = merge_sign(kk, (i,))
                 s2, _ = merge_sign((i,), rest)
@@ -308,7 +302,7 @@ def satisfies_plucker(x):
         for sign, a, b in rel:
             if c[a] and c[b]:
                 t = gf.mul(c[a], c[b])
-                acc = gf.add(acc, t if sign > 0 else gf.neg(t))
+                acc = gf.add(acc, t) if sign > 0 else gf.sub(acc, t)
         if acc:
             return False
     return True

@@ -191,28 +191,12 @@ def kernel_basis(matrix):
 
 
 def det(matrix):
-    """Determinant: closed forms for sizes up to 3, past that the scale of
-    the forward elimination (see _echelon_rows), or 0 below full rank."""
+    """Determinant: the scale of the forward elimination (see _echelon_rows)
+    at full rank, 0 below it; 1 for the 0 x 0 matrix."""
     if matrix.rows != matrix.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    gf = matrix.gf
-    n = matrix.rows
-    d = matrix.data
-    if n == 0:
-        return 1
-    if n == 1:
-        return d[0]
-    mul, sub = gf.mul, gf.sub
-    if n == 2:
-        return sub(mul(d[0], d[3]), mul(d[1], d[2]))
-    if n == 3:
-        a, b, c, e, f, g, h, i, j = d
-        t1 = mul(a, sub(mul(f, j), mul(g, i)))
-        t2 = mul(b, sub(mul(e, j), mul(g, h)))
-        t3 = mul(c, sub(mul(e, i), mul(f, h)))
-        return gf.add(sub(t1, t2), t3)
-    pivots, scale, _ = _echelon_rows(gf, matrix.row_list(), n)
-    return scale if len(pivots) == n else 0
+    pivots, scale, _ = _echelon_rows(matrix.gf, matrix.row_list(), matrix.cols)
+    return scale if len(pivots) == matrix.rows else 0
 
 
 def minor(matrix, col_set):
@@ -220,8 +204,6 @@ def minor(matrix, col_set):
     k = matrix.rows
     if len(col_set) != k:
         raise BadIndex(f"need {k} columns, got {len(col_set)}")
-    if len(set(col_set)) != len(col_set):
-        return 0
     for c in col_set:
         if not 1 <= c <= matrix.cols:
             raise BadIndex(f"column {c} outside 1..{matrix.cols}")

@@ -511,6 +511,23 @@ def _census_cross_oracle():
     return "scan = filter for k <= 3, n <= 6, q <= 4; closed forms k = 1, 2 to q = 9"
 
 
+@check("census", "theory-anchors",
+       "the scan matches finite geometry, also past the filter's budget: "
+       "(q+1)-arcs at odd q are normal rational curves, and the plane has "
+       "no (q+2)-arc at odd q")
+def _theory_anchors():
+    # Segre: at odd q a (q+1)-arc is a normal rational curve, fixed by k+2
+    # points in general position, so gamma-tilde(k, q+1, q) = (q-2)!.
+    # Bose: PG(2, q) has no (q+2)-arc at odd q.  The filter refuses
+    # (3,8,7), (4,8,7) and (3,9,7) at the default budget.
+    expected = {(3, 6, 5): 6, (4, 6, 5): 6, (3, 8, 7): 120, (4, 8, 7): 120,
+                (3, 7, 5): 0, (3, 9, 7): 0}
+    for (k, n, q), want in expected.items():
+        got = count_mds_matrix_scan(k, n, field_of_order(q)).gamma_tilde
+        _require(got == want, f"{(k, n, q)}: gamma-tilde {got}, expected {want}")
+    return "gamma-tilde (q-2)! at (3,6,5), (4,6,5), (3,8,7), (4,8,7); 0 at (3,7,5), (3,9,7)"
+
+
 @check("census", "criterion-11-worker-count-determinism",
        "scan, filter and sweep results are identical at 1, 4 and 8 workers",
        "full", 900)

@@ -16,7 +16,7 @@ from mdscensus.census import (
 from mdscensus.errors import BudgetExceeded
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.exterior import plucker_embed
-from mdscensus.linalg import MatrixGF, enumerate_grassmannian, minor
+from mdscensus.linalg import MatrixGF, det, enumerate_grassmannian, minor
 
 
 def naive_gamma(k, n, gf):
@@ -376,7 +376,7 @@ def test_kernel_arrays_fit_block_len(monkeypatch):
     found = {}
     _record_arrays(monkeypatch, _vecgf, ("det_any",), found)
     _record_arrays(monkeypatch, _vecgf.VecOps,
-                   ("add", "sub", "mul", "neg", "quotient"), found)
+                   ("add", "sub", "mul", "quotient"), found)
     for count, k, n, q in BLOCK_SHAPES:
         found.clear()
         gf = field_of_order(q)
@@ -417,6 +417,32 @@ def test_position_arrays_match_product():
     assert list(_vecgf.prefix_values([2, 0, 3], [1, 1, 1])) == []
     assert [g.size for g in _vecgf.position_arrays([3, 0, 2], [2, 2, 2], np.int64)] == [0, 0, 0]
     assert _vecgf.position_arrays([], [], np.int64) == []
+
+
+@pytest.mark.parametrize("q", (7, 8, 9, 191, 243, 256))
+def test_det_any_matches_elimination(q):
+    # det_any's closed forms at orders 2 and 3 and its cofactor expansion
+    # past them, against linalg.det's elimination: table fields 7, 8, 9 and
+    # the wide path past them (mod p at 191, base-p digits at 243, XOR at
+    # 256).  Each matrix mixes candidate arrays with Python-int constants,
+    # zeros among them, and each candidate is also run on Python ints alone.
+    gf = field_of_order(q)
+    ops = _vecgf.vector_ops(gf)
+    rng = np.random.default_rng(q)
+    width = 64
+    for s in range(6):
+        cells = rng.integers(0, q, size=(s, s, width))
+        constant = rng.random((s, s)) < 0.3
+        for i, j in zip(*np.nonzero(constant)):
+            cells[i, j] = rng.choice((0, cells[i, j, 0]))
+        m = [[int(cells[i, j, 0]) if constant[i, j] else cells[i, j].astype(ops.dtype)
+              for j in range(s)] for i in range(s)]
+        want = [det(MatrixGF(gf, s, s, cells[:, :, t].ravel().tolist()))
+                for t in range(width)]
+        assert np.broadcast_to(_vecgf.det_any(ops, m), width).tolist() == want, s
+        for t in range(8):
+            got = _vecgf.det_any(ops, [[int(v) for v in row] for row in cells[:, :, t]])
+            assert type(got) is int and got == want[t], (s, t)
 
 
 def test_routes_match_closed_forms_at_edge_fields():

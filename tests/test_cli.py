@@ -99,6 +99,17 @@ def test_asympt_rejects_empty_q_list(capsys):
     assert [row["q"] for row in json.loads(out)["rows"]] == [3, 5]
 
 
+def test_asympt_rejects_non_integer_q_list(capsys):
+    # a token int() cannot read used to surface as Python's "invalid
+    # literal for int() with base 10", which named no option
+    for q_list in ("2,x", "x", "2.5", "3,5;7"):
+        code, out, err = run_cli(capsys, "asympt", "--k", "2", "--n", "4",
+                                 "--q-list", q_list)
+        assert code == 1, q_list
+        assert out == "" and err.splitlines() == [
+            f"error: --q-list needs comma-separated prime powers, got {q_list!r}"], q_list
+
+
 def test_asympt_refuses_fields_it_cannot_build(capsys):
     # at k = 2 only q = 2..5 are scanned, so no field of the list is built;
     # the sweep must still refuse an order past the degree limit
@@ -328,6 +339,36 @@ def test_table_format(capsys):
     assert code == 0
     assert "gamma: 8" in out
     assert "gamma_tilde: 1" in out
+
+
+def test_csv_format_without_rows(capsys):
+    # a payload without rows renders its scalars as one header and one row
+    code, out, _ = run_cli(
+        capsys, "count", "--k", "2", "--n", "4", "--q", "5", "--format", "csv"
+    )
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "k,n,q,gamma,gamma_tilde,method,elapsed_ms"
+    values, elapsed_ms = row.rsplit(",", 1)
+    assert values == "2,4,5,192,3,matrix-scan" and elapsed_ms.isdigit()
+
+
+def test_table_format_with_rows(capsys):
+    # scalars as "key: value" lines, then the rows as left-justified columns
+    code, out, _ = run_cli(
+        capsys, "sections", "--k", "2", "--n", "4", "--q", "2", "--max-r", "1",
+        "--format", "table",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "k: 2",
+        "n: 4",
+        "q: 2",
+        "r  subset_id  indices  norm  ann_in_grassmannian",
+        *(f"1  {mask:<9}  {names}      16    1                  "
+          for mask, names in ((1, "1.2"), (2, "1.3"), (4, "1.4"),
+                              (8, "2.3"), (16, "2.4"), (32, "3.4"))),
+    ]
 
 
 def test_verify_quick_fields(capsys):
