@@ -26,8 +26,7 @@ import numpy as np
 
 from .budget import check_budget
 from .errors import OutOfRange
-from .linalg import _binom, _cell_matrix_template, gaussian_binomial
-from .exterior import multi_indices
+from .linalg import _binom, _cell_matrix_template, gaussian_binomial, multi_indices
 
 PLUCKER_CACHE_CAP = 2**24  # max entries of the cached matrix and of each block
 BLOCK_BYTES = 2**16        # max bytes of one value array of a walked block
@@ -420,7 +419,7 @@ def _cell_blocks(gf, k, n, width):
     `width` columns, or one."""
     ops = vector_ops(gf)
     indices = multi_indices(k, n)
-    for pivots in itertools.combinations(range(1, n + 1), k):
+    for pivots in indices:
         # the cell's entries row-major, ("c", const) or ("v", free index)
         template = _cell_matrix_template(pivots, k, n)
         free = itertools.count()

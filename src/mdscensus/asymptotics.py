@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .budget import effective_budget
 from .census import count_mds_matrix_scan, gamma_closed_form
-from .errors import DivisibilityViolation, ExactnessViolation, OutOfRange
+from .errors import ExactnessViolation, OutOfRange, exact_quotient
 from .fields import check_field_size, factor_prime_power, field_of_order
 from .linalg import _binom
 
@@ -56,15 +56,10 @@ def params(k, n):
 def a2_closed_form(k, n):
     """The k = 1 and k = 2 families in closed form; must agree with params()."""
     if k == 1:
-        num = n * n - 3 * n + 2
-        if num % 2 != 0:
-            raise DivisibilityViolation(f"a2(1,{n}) numerator {num} is odd")
-        return num // 2
+        return exact_quotient(n * n - 3 * n + 2, 2, f"a2(1,{n})")
     if k == 2:
-        num = 3 * n**4 - 10 * n**3 + 9 * n**2 - 26 * n + 48
-        if num % 24 != 0:
-            raise ExactnessViolation(f"a2(2,{n}) numerator {num} not divisible by 24")
-        return num // 24
+        return exact_quotient(3 * n**4 - 10 * n**3 + 9 * n**2 - 26 * n + 48, 24,
+                              f"a2(2,{n})")
     raise OutOfRange(f"closed form only for k in (1, 2), got k={k}")
 
 
@@ -80,12 +75,8 @@ def _prediction(p, q):
     quadratic = q * q + (1 - p.big_n) * q + p.a2
     if p.delta >= 2:
         return q ** (p.delta - 2) * quadratic
-    value, remainder = divmod(quadratic, q ** (2 - p.delta))
-    if remainder:
-        raise ExactnessViolation(
-            f"three-term prediction at (k={p.k}, n={p.n}, q={q}) is not an integer"
-        )
-    return value
+    return exact_quotient(quadratic, q ** (2 - p.delta),
+                          f"three-term prediction at (k={p.k}, n={p.n}, q={q})")
 
 
 def arc_series_top3(k, n):

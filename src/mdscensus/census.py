@@ -71,9 +71,8 @@ from dataclasses import dataclass
 
 from . import _vecgf
 from .budget import check_budget
-from .errors import DivisibilityViolation, ExactnessViolation, OutOfRange
-from .exterior import multi_indices
-from .linalg import gl_order
+from .errors import ExactnessViolation, OutOfRange, exact_quotient
+from .linalg import gl_order, multi_indices
 
 POOL_MIN_WORK = 2**19       # walked candidates a walk must pass to start a pool
 
@@ -99,11 +98,9 @@ def _check_orbit_divisibility(k, n, q, gamma_tilde):
     if not 2 <= k < n:
         return
     pgl = gl_order(k, q) // (q - 1)
-    if gamma_tilde * pgl % math.factorial(n) != 0:
-        raise DivisibilityViolation(
-            f"gamma-tilde={gamma_tilde} times |PGL({k},{q})|={pgl} is not divisible "
-            f"by {n}! at (k={k}, n={n}, q={q})"
-        )
+    exact_quotient(gamma_tilde * pgl, math.factorial(n),
+                   f"gamma-tilde={gamma_tilde} times |PGL({k},{q})|={pgl} "
+                   f"over {n}! at (k={k}, n={n}, q={q})")
 
 
 def _column_scalings(k, n, q):
@@ -199,13 +196,10 @@ def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     start = time.perf_counter()
     walk = (_filter_minor_plan(k, n), sizes, [1] * len(sizes))
     gamma, workers = _count_walk(gf, walk, threads)
-    denom = _column_scalings(k, n, q)
-    if gamma % denom != 0:
-        raise DivisibilityViolation(
-            f"gamma={gamma} not divisible by (q-1)^(n-1)={denom} at (k={k}, n={n}, q={q})"
-        )
-    _check_orbit_divisibility(k, n, q, gamma // denom)
-    return CensusResult(k, n, q, gamma, gamma // denom, "grassmannian-filter",
+    gamma_tilde = exact_quotient(gamma, _column_scalings(k, n, q),
+                                 f"gamma over (q-1)^(n-1) at (k={k}, n={n}, q={q})")
+    _check_orbit_divisibility(k, n, q, gamma_tilde)
+    return CensusResult(k, n, q, gamma, gamma_tilde, "grassmannian-filter",
                         time.perf_counter() - start, workers)
 
 

@@ -12,10 +12,11 @@ import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
+from . import asymptotics, census, exterior, grassmann_code, sections
 from .budget import effective_budget
 from .errors import BudgetExceeded, ExactnessViolation, MdsError, OutOfRange
 from .fields import factor_prime_power, field_of_order
-from .linalg import gaussian_binomial
+from .linalg import gaussian_binomial, multi_indices
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -102,10 +103,8 @@ def _emit(payload, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args):
-    from .census import count_mds
-
     gf = field_of_order(args.q)
-    res = count_mds(args.k, args.n, gf, method=args.method,
+    res = census.count_mds(args.k, args.n, gf, method=args.method,
                     threads=args.threads, budget=args.budget)
     return {
         "k": res.k,
@@ -129,15 +128,12 @@ def _cmd_grassmann_count(args):
 
 
 def _cmd_sections(args):
-    from .exterior import multi_indices
-    from .sections import coordinate_section_rows
-
     gf = field_of_order(args.q)
     indices = multi_indices(args.k, args.n)
     if args.max_r < 1:
         raise OutOfRange(f"--max-r must be at least 1, got {args.max_r}")
     rows = []
-    for r, mask, norm, in_g in coordinate_section_rows(
+    for r, mask, norm, in_g in sections.coordinate_section_rows(
         gf, args.k, args.n, args.max_r, budget=args.budget
     ):
         names = ";".join(
@@ -153,10 +149,8 @@ def _cmd_sections(args):
 
 
 def _cmd_incl_excl(args):
-    from .sections import inclusion_exclusion
-
     gf = field_of_order(args.q)
-    rep = inclusion_exclusion(args.k, args.n, gf, budget=args.budget)
+    rep = sections.inclusion_exclusion(args.k, args.n, gf, budget=args.budget)
     payload = {
         "k": rep.k,
         "n": rep.n,
@@ -167,20 +161,16 @@ def _cmd_incl_excl(args):
         "c2_by_r": {str(r): v for r, v in rep.c2_by_r.items()},
     }
     if args.verify_against_census:
-        from .census import count_mds_matrix_scan
-
-        gamma = count_mds_matrix_scan(args.k, args.n, gf,
-                                      threads=args.threads,
-                                      budget=args.budget).gamma
+        gamma = census.count_mds_matrix_scan(args.k, args.n, gf,
+                                             threads=args.threads,
+                                             budget=args.budget).gamma
         payload["census_gamma"] = str(gamma)
         payload["match"] = rep.gamma_reconstructed == gamma
     return payload
 
 
 def _cmd_asympt(args):
-    from .asymptotics import convergence, params
-
-    p = params(args.k, args.n)
+    p = asymptotics.params(args.k, args.n)
     payload = {
         "k": p.k,
         "n": p.n,
@@ -191,8 +181,8 @@ def _cmd_asympt(args):
         "b2": str(p.b2),
     }
     if args.q_list:
-        rep = convergence(args.k, args.n, args.q_list, threads=args.threads,
-                          budget=args.budget)
+        rep = asymptotics.convergence(args.k, args.n, args.q_list,
+                                      threads=args.threads, budget=args.budget)
         payload["verdict"] = rep.verdict()
         payload["max_normalized_residual"] = str(rep.max_normalized)
         payload["rows"] = [
@@ -209,10 +199,8 @@ def _cmd_asympt(args):
 
 
 def _cmd_code(args):
-    from .grassmann_code import build_code, higher_weight_search, weight_spectrum
-
     gf = field_of_order(args.q)
-    code = build_code(args.k, args.n, gf, budget=args.budget)
+    code = grassmann_code.build_code(args.k, args.n, gf, budget=args.budget)
     payload = {
         "k": args.k,
         "n": args.n,
@@ -223,7 +211,8 @@ def _cmd_code(args):
     spectrum_arg = args.spectrum
     if spectrum_arg:
         if spectrum_arg == "exhaustive":
-            spec = weight_spectrum(code, mode="exhaustive", budget=args.budget)
+            spec = grassmann_code.weight_spectrum(code, mode="exhaustive",
+                                                  budget=args.budget)
         else:
             parts = spectrum_arg.split(":")
             try:
@@ -235,15 +224,15 @@ def _cmd_code(args):
                     f"spectrum must be 'exhaustive' or 'sample:COUNT:SEED', "
                     f"got {spectrum_arg!r}"
                 ) from None
-            spec = weight_spectrum(code, mode="sample", sample_count=count,
-                                   seed=seed, budget=args.budget)
+            spec = grassmann_code.weight_spectrum(code, mode="sample", sample_count=count,
+                                                  seed=seed, budget=args.budget)
         payload["rows"] = [
             {"weight": str(w), "multiplicity": str(m)}
             for w, m in sorted(spec.items())
         ]
     if args.dr is not None:
-        value = higher_weight_search(code, args.dr, mode=args.dr_mode,
-                                     budget=args.budget)
+        value = grassmann_code.higher_weight_search(code, args.dr, mode=args.dr_mode,
+                                                    budget=args.budget)
         payload["r"] = args.dr
         payload["d_r"] = str(value)
         payload["search_mode"] = args.dr_mode
@@ -251,8 +240,6 @@ def _cmd_code(args):
 
 
 def _cmd_weight(args):
-    from .exterior import DualForm, form_weight
-
     gf = field_of_order(args.q)
     try:
         terms = json.loads(args.form)
@@ -264,15 +251,15 @@ def _cmd_weight(args):
         if type(coeff) is not int:
             raise MdsError(f"malformed form description: coefficient "
                            f"{json.dumps(coeff)} is not an integer")
-    omega = DualForm.from_terms(gf, args.k, args.n, parsed)
+    omega = exterior.DualForm.from_terms(gf, args.k, args.n, parsed)
     method = args.method
     payload = {"k": args.k, "n": args.n, "q": args.q}
     if method in ("direct", "both"):
-        payload["weight_direct"] = str(form_weight(omega, "direct", budget=args.budget))
+        payload["weight_direct"] = str(
+            exterior.form_weight(omega, "direct", budget=args.budget))
     if method in ("recursive", "both"):
         payload["weight_recursive"] = str(
-            form_weight(omega, "recursive", budget=args.budget)
-        )
+            exterior.form_weight(omega, "recursive", budget=args.budget))
     if method == "both" and payload["weight_direct"] != payload["weight_recursive"]:
         raise ExactnessViolation(
             f"direct weight={payload['weight_direct']} differs from recursive "

@@ -49,12 +49,21 @@ class DimensionMismatch(MdsError):
     """Subspace dimensions are incompatible for the operation."""
 
 
-class DivisibilityViolation(MdsError):
+class ExactnessViolation(MdsError):
+    """An internal exactness cross-check failed; indicates a bug."""
+
+
+class DivisibilityViolation(ExactnessViolation):
     """An exact integer division that is guaranteed by theory failed."""
 
 
-class ExactnessViolation(MdsError):
-    """An internal exactness cross-check failed; indicates a bug."""
+def exact_quotient(num, den, what):
+    """num // den, which theory says is exact; DivisibilityViolation naming
+    `what` when a remainder is left."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise DivisibilityViolation(f"{what}: {num} / {den} is not an integer")
+    return quotient
 
 
 class OutOfRange(MdsError):

@@ -1,59 +1,51 @@
 """Exterior algebra over V = GF(q)^n and its dual.
 
 Degree-k multivectors and k-forms are dense coefficient tuples over the
-lexicographically ordered basis of strictly increasing multi-indices.  The
-sign conventions are fixed by the determinant pairing <e^I, e_J> = delta_IJ,
-which forces iota_{e_i} e^I = (-1)^(t-1) e^(I minus i) when i is the t-th
-index of I.
+lexicographically ordered basis of strictly increasing multi-indices,
+linalg.multi_indices (re-exported here).  The sign conventions are fixed by
+the determinant pairing <e^I, e_J> = delta_IJ, which forces
+iota_{e_i} e^I = (-1)^(t-1) e^(I minus i) when i is the t-th index of I.
 
 Weights of forms (the number of Grassmann points on which a form pairs
-nonzero) can be computed two ways: a direct sweep of the Grassmannian, and
-a recursion that contracts the form along one vector per projective point
-and averages the quotient-form weights.  The recursion stops at 2-forms,
-whose weight depends only on their rank (two_form_weight_value); a 1-form
-on GF(q)^m weighs q^(m-1).  The two are kept as independent code paths and
-cross-checked in the test suite.
+nonzero) can be computed two ways: a direct sweep of the Grassmannian on
+_vecgf's Plucker blocks, and a recursion that contracts the form along one
+vector per projective point and averages the quotient-form weights.  The
+recursion stops at 2-forms, whose weight depends only on their rank
+(two_form_weight_value); a 1-form on GF(q)^m weighs q^(m-1).  The two are
+kept as independent code paths and cross-checked in the test suite.  The
+pairing and the recursion's contractions combine coefficients that were
+validated when their forms were built, by the field's unchecked dot product
+GF._udot.
 """
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
+from . import _vecgf
 from .budget import check_budget
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
-    DivisibilityViolation,
     ExactnessViolation,
     OutOfRange,
     RankDeficient,
     ShapeMismatch,
     ZeroInput,
+    exact_quotient,
 )
 from .linalg import (
     MatrixGF,
+    _binom,
     _echelon_rows,
+    index_positions,
     kernel_basis,
     minor,
+    multi_indices,
     point_from_matrix,
     point_from_rows,
     rref,
-    _binom,
 )
-
-
-@functools.lru_cache(maxsize=None)
-def multi_indices(k, n):
-    """All strictly increasing k-tuples from 1..n, lexicographic."""
-    if k < 0 or k > n:
-        return ()
-    return tuple(itertools.combinations(range(1, n + 1), k))
-
-
-@functools.lru_cache(maxsize=None)
-def index_positions(k, n):
-    return {idx: pos for pos, idx in enumerate(multi_indices(k, n))}
 
 
 def _index_position(k, n, index):
@@ -187,7 +179,7 @@ def pairing(omega, lam):
     if omega.gf != lam.gf or (omega.k, omega.n) != (lam.k, lam.n):
         raise ShapeMismatch("pairing operands live in different spaces")
     # both coefficient tuples were checked when the operands were built
-    return _unchecked_dot(omega.gf)(omega.coeffs, lam.coeffs)
+    return omega.gf._udot(omega.coeffs, lam.coeffs)
 
 
 def wedge(x, y):
@@ -199,9 +191,6 @@ def wedge(x, y):
         raise ShapeMismatch("wedge operands live over different spaces")
     k_out = x.k + y.k
     gf = x.gf
-    if k_out > x.n:
-        # every term vanishes; the degree-(> n) piece is the zero space
-        return type(x)(gf, k_out, x.n, ())
     out = [0] * _binom(x.n, k_out)
     pos = index_positions(k_out, x.n)
     xi = multi_indices(x.k, x.n)
@@ -393,29 +382,9 @@ def form_weight(omega, method="direct", budget=None):
 
 
 def _weight_direct(omega, budget=None):
-    from . import _vecgf
-
     gf, k, n = omega.gf, omega.k, omega.n
     return _vecgf.support_size(gf, [omega.coeffs],
                                _vecgf.plucker_blocks(gf, k, n, budget))
-
-
-def _unchecked_dot(gf):
-    """sum_i a_i * b_i over gf without per-element checks: integers mod p on
-    prime fields, the field's unchecked table operations on the others."""
-    if gf.m == 1:
-        p = gf.p
-        return lambda a, b: sum(map(operator.mul, a, b)) % p
-    add, mul = gf._uadd, gf._umul
-
-    def dot(a, b):
-        acc = 0
-        for x, y in zip(a, b):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        return acc
-
-    return dot
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,7 +433,7 @@ def _weight_recursive(omega, budget=None):
                  f"recursive weight on G({omega.k},{omega.n}) over GF({q})")
     if omega.k == 1:
         return q ** (omega.n - 1)
-    dot = _unchecked_dot(gf)
+    dot = gf._udot
     memo = {}  # (k, coeffs) -> weight, k >= 2; n - k is the same at every depth
     reps = {}
 
@@ -494,13 +463,8 @@ def _weight_recursive(omega, budget=None):
             quotient = tuple(dot(u, columns[j]) for j in keep[u.index(1)])
             if any(quotient):
                 total += weight(k - 1, n - 1, quotient)
-        total *= q - 1
-        denom = q**k - 1
-        if total % denom != 0:
-            raise DivisibilityViolation(
-                f"recursive weight sum {total} not divisible by q^k - 1 = {denom}"
-            )
-        memo[key] = total // denom
+        memo[key] = exact_quotient(total * (q - 1), q**k - 1,
+                                   "recursive weight sum over q^k - 1")
         return memo[key]
 
     return weight(omega.k, omega.n, omega.coeffs)
@@ -531,12 +495,14 @@ def pi_alpha(alpha, budget=None):
 
 
 def pi_gamma(gamma, budget=None):
-    """The set of (gamma.k - 1)-subspaces contained in gamma."""
+    """The set of (gamma.k - 1)-subspaces contained in gamma: the kernel of
+    one functional per projective point of GF(q)^k on gamma.  The budget
+    counts the (q^k - 1)/(q - 1) points."""
     gf = gamma.matrix.gf
     kk = gamma.k
     if kk < 1:
         raise DimensionMismatch("ambient subspace must have dimension >= 1")
-    check_budget(gf.q**kk, budget, "functional sweep for pi_gamma")
+    check_budget((gf.q**kk - 1) // (gf.q - 1), budget, "functional sweep for pi_gamma")
     out = set()
     for c in _projective_reps(gf, kk):
         # kernel of the functional c on the row space, lifted to V

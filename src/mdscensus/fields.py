@@ -8,11 +8,14 @@ generator, built once from the polynomial arithmetic, and every scalar
 operation takes one path: integers mod p on prime fields; on extension
 fields multiplication, inversion and powers through the log/exp tables,
 addition by XOR of the encodings when p = 2 and by Zech logarithms when p
-is odd.  The polynomial arithmetic (_mul_raw, _add_raw) stays as the
-reference the tables are built and tested from.  Array arithmetic lives in
-_vecgf: on fields up to q = 181 each operation is one gather from a q x q
-int16 table; mod p, log/exp gathers and base-p digits do the array
-arithmetic only on larger fields, and build those tables.
+is odd.  The unchecked operations behind them, _uadd, _usub, _uneg, _umul
+and the dot product _udot, are bound once per field for the callers that
+have already validated their operands.  The polynomial arithmetic
+(_mul_raw, _add_raw) stays as the reference the tables are built and
+tested from.  Array arithmetic lives in _vecgf: on fields up to q = 181
+each operation is one gather from a q x q int16 table; mod p, log/exp
+gathers and base-p digits do the array arithmetic only on larger fields,
+and build those tables.
 
 Fields are immutable after construction and safe to share across worker
 processes; make_field() is cached and deterministic.
@@ -139,7 +142,7 @@ class GF:
 
     __slots__ = (
         "p", "m", "q", "modulus", "_log", "_exp",
-        "_uadd", "_usub", "_uneg", "_umul",
+        "_uadd", "_usub", "_uneg", "_umul", "_udot",
     )
 
     def __init__(self, p, m, modulus):
@@ -234,10 +237,11 @@ class GF:
         needs no reduction, and log[0] = None; both are tuples, so no caller
         can change them.  Odd extension fields add by the Zech logarithms
         zech[d] = log(1 + g^d), None where 1 + g^d = 0.  The unchecked
-        operations _uadd, _usub, _uneg and _umul are bound once here: mod p
-        on prime fields, XOR addition when p = 2, Zech-log addition on odd
+        operations _uadd, _usub, _uneg, _umul and the dot product
+        _udot(a, b) = sum_i a_i * b_i are bound once here: mod p on prime
+        fields, XOR addition when p = 2, Zech-log addition on odd
         extensions, and the log/exp tables for multiplication on every
-        extension field."""
+        extension field, where _udot accumulates with _uadd and _umul."""
         q, p = self.q, self.p
         order = q - 1
         gen = self._find_generator()
@@ -252,6 +256,7 @@ class GF:
             self._usub = lambda a, b: (a - b) % p
             self._uneg = lambda a: -a % p
             self._umul = lambda a, b: a * b % p
+            self._udot = lambda a, b: sum(map(operator.mul, a, b)) % p
             return
 
         def mul(a, b):
@@ -261,33 +266,43 @@ class GF:
         if p == 2:
             self._uadd = self._usub = operator.xor
             self._uneg = operator.pos
-            return
-        half = order // 2  # g^half = -1
-        # 1 + v only changes the lowest base-p digit of v; doubled so that
-        # every log difference below indexes it without reduction
-        zech = [log[v - v % p + (v + 1) % p] for v in exp[:order]] * 2
+        else:
+            half = order // 2  # g^half = -1
+            # 1 + v only changes the lowest base-p digit of v; doubled so
+            # that every log difference below indexes it without reduction
+            zech = [log[v - v % p + (v + 1) % p] for v in exp[:order]] * 2
 
-        def add(a, b):
-            if not b:
-                return a
-            if not a:
-                return b
-            la = log[a]
-            z = zech[log[b] - la]
-            return 0 if z is None else exp[la + z]
+            def add(a, b):
+                if not b:
+                    return a
+                if not a:
+                    return b
+                la = log[a]
+                z = zech[log[b] - la]
+                return 0 if z is None else exp[la + z]
 
-        def sub(a, b):
-            if not b:
-                return a
-            lb = log[b] + half  # log(-b)
-            if not a:
-                return exp[lb]
-            la = log[a]
-            z = zech[lb - la]
-            return 0 if z is None else exp[la + z]
+            def sub(a, b):
+                if not b:
+                    return a
+                lb = log[b] + half  # log(-b)
+                if not a:
+                    return exp[lb]
+                la = log[a]
+                z = zech[lb - la]
+                return 0 if z is None else exp[la + z]
 
-        self._uadd, self._usub = add, sub
-        self._uneg = lambda a: exp[log[a] + half] if a else 0
+            self._uadd, self._usub = add, sub
+            self._uneg = lambda a: exp[log[a] + half] if a else 0
+        uadd = self._uadd
+
+        def dot(a, b):
+            acc = 0
+            for x, y in zip(a, b):
+                if x and y:
+                    acc = uadd(acc, mul(x, y))
+            return acc
+
+        self._udot = dot
 
     # -- operations ----------------------------------------------------------
 

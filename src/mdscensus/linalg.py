@@ -3,9 +3,11 @@
 Matrices are immutable row-major tuples of int encodings.  The Grassmannian
 G(k, n) is enumerated one reduced-row-echelon representative per subspace,
 cell by cell: pivot sets in lexicographic order, free entries in odometer
-order (last free position cycles fastest).
+order (last free position cycles fastest).  The lexicographic k-subsets of
+1..n (multi_indices) index both the pivot sets and the Plucker coordinates.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 from .budget import check_budget
 from .errors import (
     BadIndex,
-    DivisibilityViolation,
     FieldMismatch,
     OutOfRange,
     ShapeMismatch,
+    exact_quotient,
 )
 
 
@@ -64,18 +66,13 @@ class MatrixGF:
         return MatrixGF(self.gf, self.rows + other.rows, self.cols, self.data + other.data)
 
     def mul(self, other):
+        """Entry (i, j) is the dot of row i and column j."""
         if self.cols != other.rows or self.gf != other.gf:
             raise ShapeMismatch("incompatible shapes for matrix product")
-        gf = self.gf
-        rows = [other.row(t) for t in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            acc = [0] * other.cols
-            for c, row in zip(self.row(i), rows):
-                if c:
-                    acc = [gf.add(x, gf.mul(c, y)) for x, y in zip(acc, row)]
-            out += acc
-        return MatrixGF(gf, self.rows, other.cols, out)
+        dot = self.gf._udot
+        columns = [other.data[j::other.cols] for j in range(other.cols)]
+        return MatrixGF(self.gf, self.rows, other.cols,
+                        [dot(self.row(i), col) for i in range(self.rows) for col in columns])
 
     def __eq__(self, other):
         return (
@@ -227,11 +224,7 @@ def gaussian_binomial(k, n, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    if num % den != 0:
-        raise DivisibilityViolation(
-            f"Gaussian binomial ({n} choose {k})_{q}: {num} not divisible by {den}"
-        )
-    return num // den
+    return exact_quotient(num, den, f"Gaussian binomial ({n} choose {k})_{q}")
 
 
 def gl_order(m, q):
@@ -311,15 +304,15 @@ def enumerate_grassmannian(gf, k, n, budget=None):
 
     Pivot sets run in lexicographic order; within a cell the free entries run
     in odometer order over gf.elements() (the last free slot cycles fastest).
-    Total yield count equals gaussian_binomial(k, n, q).
+    Total yield count equals gaussian_binomial(k, n, q), which the budget
+    counts.
     """
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
-    estimate = q ** (k * (n - k)) * _binom(n, k)
-    check_budget(estimate, budget, f"G({k},{n}) over GF({q})")
+    check_budget(gaussian_binomial(k, n, q), budget, f"G({k},{n}) over GF({q})")
     elems = tuple(gf.elements())
-    for pivots in itertools.combinations(range(1, n + 1), k):
+    for pivots in multi_indices(k, n):
         template = _cell_matrix_template(pivots, k, n)
         free = [r * n + c for r, c in cell_free_positions(pivots, k, n)]
         if not free:
@@ -335,3 +328,16 @@ def enumerate_grassmannian(gf, k, n, budget=None):
 def _binom(n, k):
     """C(n, k), and 0 outside 0 <= k <= n."""
     return math.comb(n, k) if 0 <= k <= n else 0
+
+
+@functools.lru_cache(maxsize=None)
+def multi_indices(k, n):
+    """All strictly increasing k-tuples from 1..n, lexicographic."""
+    if k < 0 or k > n:
+        return ()
+    return tuple(itertools.combinations(range(1, n + 1), k))
+
+
+@functools.lru_cache(maxsize=None)
+def index_positions(k, n):
+    return {idx: pos for pos, idx in enumerate(multi_indices(k, n))}

@@ -30,9 +30,9 @@ from . import _vecgf
 from .budget import check_budget
 from .errors import (
     DimensionMismatch,
-    ExactnessViolation,
     OutOfRange,
     ShapeMismatch,
+    exact_quotient,
 )
 from .exterior import (
     DualForm,
@@ -129,12 +129,7 @@ def _norm_annihilator_sum(section, budget=None):
         nonzero = _nonzero_combinations(
             gf, r, np.fromiter(occurring, dtype=np.intp, count=len(occurring)))
         total = sum(c * z for c, z in zip(occurring.values(), nonzero.tolist()))
-    denom = q ** (r - 1)
-    if total % denom != 0:
-        raise ExactnessViolation(
-            f"annihilator weight sum {total} not divisible by q^(r-1) = {denom}"
-        )
-    return total // denom
+    return exact_quotient(total, q ** (r - 1), "annihilator weight sum over q^(r-1)")
 
 
 def _value_keys(gf, coeff_rows, blocks, grid):
@@ -180,29 +175,25 @@ def annihilator_table(gf, r):
 
 def section_cardinality(gf, k, n, spanning, budget=None):
     """Number of decomposable projective points in the span of the given
-    multivectors (the section given directly inside the Plucker space)."""
-    if not spanning:
-        return 0
+    multivectors (the section given directly inside the Plucker space).
+
+    The spanning rows are reduced to a basis of d rows; each of the
+    (q^d - 1)/(q - 1) projective points of the span, which the budget
+    counts, has one Plucker coordinate per basis column: the dot of the
+    point's coefficients with that column."""
     for lam in spanning:
         if not isinstance(lam, MultiVector):
             raise ShapeMismatch("spanning entries must be MultiVectors")
         if lam.gf != gf or (lam.k, lam.n) != (k, n):
             raise ShapeMismatch("spanning vector in the wrong space")
-    # reduce to an independent spanning set
-    reduced, d = rref(MatrixGF.from_rows(gf, [list(v.coeffs) for v in spanning]))
-    check_budget(gf.q**d, budget, "projective sweep of a section")
-    basis = [
-        MultiVector(gf, k, n, reduced.row(i)) for i in range(d)
-    ]
-    count = 0
-    for coeffs in _projective_reps(gf, d):
-        acc = MultiVector.zero(gf, k, n)
-        for c, lam in zip(coeffs, basis):
-            if c:
-                acc = acc.add(lam.scale(c))
-        if satisfies_plucker(acc):
-            count += 1
-    return count
+    reduced, d = rref(MatrixGF.from_rows(gf, [v.coeffs for v in spanning]))
+    check_budget((gf.q**d - 1) // (gf.q - 1), budget, "projective sweep of a section")
+    columns = tuple(zip(*(reduced.row(i) for i in range(d))))
+    dot = gf._udot
+    return sum(
+        satisfies_plucker(MultiVector(gf, k, n, [dot(c, col) for col in columns]))
+        for c in _projective_reps(gf, d)
+    )
 
 
 # ---------------------------------------------------------------------------

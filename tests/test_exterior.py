@@ -165,6 +165,18 @@ def test_wedge_anticommutes_on_vectors():
     assert wedge(u, u).is_zero()
 
 
+@pytest.mark.parametrize("cls", [MultiVector, DualForm])
+def test_wedge_past_degree_n_is_the_empty_element(cls):
+    # degrees 3 + 2 > 4: every pair of indices overlaps, so every term vanishes
+    gf = make_field(3, 1)
+    rng = random.Random(5)
+    x = cls(gf, 3, 4, [rng.randrange(1, 3) for _ in multi_indices(3, 4)])
+    y = cls(gf, 2, 4, [rng.randrange(1, 3) for _ in multi_indices(2, 4)])
+    out = wedge(x, y)
+    assert type(out) is cls
+    assert (out.k, out.n, out.coeffs) == (5, 4, ())
+
+
 def test_merge_sign_basics():
     assert merge_sign((1,), (2, 3)) == (1, (1, 2, 3))
     assert merge_sign((2,), (1, 3)) == (-1, (1, 2, 3))
@@ -391,6 +403,15 @@ def test_pi_alpha_pi_gamma_sizes():
     gamma = point_from_rows(gf, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     down = pi_gamma(gamma)
     assert len(down) == 7
+
+
+def test_pi_gamma_budget_counts_projective_functionals():
+    # a plane over GF(3) has (3^2 - 1)/(3 - 1) = 4 lines, one per functional
+    gf = make_field(3, 1)
+    gamma = point_from_rows(gf, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(BudgetExceeded):
+        pi_gamma(gamma, budget=3)
+    assert len(pi_gamma(gamma, budget=4)) == 4
 
 
 def _pi_gamma_by_row_combination(gamma):

@@ -226,6 +226,14 @@ def test_enumerate_budget():
         list(enumerate_grassmannian(gf, 3, 2))
 
 
+def test_enumerate_budget_counts_the_points_it_yields():
+    # G(2,4) over GF(2) has 35 points; the budget used to count 2^4 * C(4,2)
+    gf = make_field(2, 1)
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_grassmannian(gf, 2, 4, budget=34))
+    assert len(list(enumerate_grassmannian(gf, 2, 4, budget=35))) == 35
+
+
 def test_cell_free_positions_dimensions():
     # sum of q^(free slots) over cells is the Gaussian binomial
     for q in (2, 3):
@@ -270,6 +278,24 @@ def test_empty_matrices_keep_their_shape():
     assert kernel_basis(no_cols) == MatrixGF(gf, 0, 0, ())
     full = MatrixGF.from_rows(gf, [[1, 2], [0, 1]])
     assert kernel_basis(full) == MatrixGF(gf, 0, 2, ())
+
+
+@pytest.mark.parametrize("q", [5, 8, 9, 191])
+@pytest.mark.parametrize("rows, inner, cols",
+                         [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (3, 4, 2), (4, 3, 5)])
+def test_matrix_mul_matches_triple_loop(q, rows, inner, cols):
+    gf = field_of_order(q)
+    rng = random.Random(q * 100 + rows * 10 + cols)
+    a = MatrixGF(gf, rows, inner, [rng.randrange(q) for _ in range(rows * inner)])
+    b = MatrixGF(gf, inner, cols, [rng.randrange(q) for _ in range(inner * cols)])
+    expected = []
+    for i in range(rows):
+        for j in range(cols):
+            acc = 0
+            for t in range(inner):
+                acc = gf.add(acc, gf.mul(a.entry(i, t), b.entry(t, j)))
+            expected.append(acc)
+    assert a.mul(b) == MatrixGF(gf, rows, cols, expected)
 
 
 def _span(gf, matrix):

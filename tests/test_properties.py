@@ -10,6 +10,7 @@ contraction against the wedge it is adjoint to.  Runs are derandomized, so
 every run checks the same examples.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -104,6 +105,9 @@ def test_vecops_match_scalar_ops(q, data):
             scalar(a, c) for a in xs]
         both = vector(c, ys[0])
         assert type(both) is int and both == scalar(c, ys[0])
+    # the scalar dot product the pairing, the weight recursion and matrix
+    # products share
+    assert gf._udot(xs, ys) == functools.reduce(gf.add, map(gf.mul, xs, ys), 0)
     # exact quotients; -1 where the divisor is 0, outside every window of
     # field values the kernel counts in
     assert ops.quotient(x, y).tolist() == [

@@ -12,16 +12,36 @@ import pytest
 import mdscensus
 from mdscensus import _vecgf, verify
 from mdscensus.budget import DEFAULT_BUDGET, effective_budget
+from mdscensus.census import count_mds
 from mdscensus.cli import main
-from mdscensus.errors import OutOfRange
-from mdscensus.exterior import DualForm, form_weight, multi_indices
+from mdscensus.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    OutOfRange,
+    ShapeMismatch,
+    ZeroInput,
+)
+from mdscensus.exterior import (
+    DualForm,
+    MultiVector,
+    form_profile,
+    form_weight,
+    interior_mult,
+    multi_indices,
+    pairing,
+    pi_alpha,
+    pi_gamma,
+    wedge,
+)
 from mdscensus.fields import field_of_order, make_field
-from mdscensus.grassmann_code import build_code
+from mdscensus.grassmann_code import build_code, higher_weight_search, weight_spectrum
+from mdscensus.linalg import MatrixGF, det, gl_order, point_from_matrix, point_from_rows
 from mdscensus.sections import (
     LinearSection,
     annihilator_table,
     coordinate_norm_from_masks,
     coordinate_section,
+    section_cardinality,
     section_norm,
     support_mask_counts,
 )
@@ -290,3 +310,66 @@ def test_support_masks_count_bit_63(monkeypatch):
     assert masks == {2**62: 1, 2**63: 2, 2**63 + 1: 1, 2**64 - 1: 1}
     assert coordinate_norm_from_masks(masks, 5, 1 << 63) == 4
     assert coordinate_norm_from_masks(masks, 5, 1 << 62) == 2
+
+
+GF3 = make_field(3, 1)
+FORM = DualForm.basis(GF3, 2, 4, (1, 2))
+VECTOR = MultiVector.basis(GF3, 2, 4, (1, 2))
+WIDER_FORM = DualForm.basis(GF3, 2, 5, (1, 2))
+WIDER_VECTOR = MultiVector.basis(GF3, 2, 5, (1, 2))
+
+
+def _code():
+    return build_code(2, 4, make_field(2, 1))
+
+
+# validation branches that no other test runs, one row each: (call, exception)
+REFUSALS = {
+    "spectrum-sample-count-0": (
+        lambda: weight_spectrum(_code(), mode="sample", sample_count=0), OutOfRange),
+    "spectrum-unknown-mode": (
+        lambda: weight_spectrum(_code(), mode="walk"), OutOfRange),
+    "search-unknown-mode": (
+        lambda: higher_weight_search(_code(), 1, mode="walk"), OutOfRange),
+    "count-unknown-method": (lambda: count_mds(2, 4, GF3, method="walk"), OutOfRange),
+    "weight-unknown-method": (lambda: form_weight(FORM, "walk"), OutOfRange),
+    "norm-unknown-method": (
+        lambda: section_norm(LinearSection(GF3, 2, 4, (FORM,)), "walk"), OutOfRange),
+    "weight-of-a-multivector": (lambda: form_weight(VECTOR), ShapeMismatch),
+    "pairing-types": (lambda: pairing(VECTOR, FORM), ShapeMismatch),
+    "wedge-types": (lambda: wedge(VECTOR, FORM), ShapeMismatch),
+    "wedge-spaces": (lambda: wedge(VECTOR, WIDER_VECTOR), ShapeMismatch),
+    "interior-types": (lambda: interior_mult(VECTOR, VECTOR), ShapeMismatch),
+    "interior-spaces": (lambda: interior_mult(VECTOR, WIDER_FORM), ShapeMismatch),
+    "profile-of-zero": (lambda: form_profile(DualForm.zero(GF3, 2, 4)), ZeroInput),
+    "pi-alpha-of-the-whole-space": (
+        lambda: pi_alpha(point_from_rows(GF3, [[1, 0], [0, 1]])), DimensionMismatch),
+    "pi-gamma-of-the-zero-space": (
+        lambda: pi_gamma(point_from_matrix(MatrixGF(GF3, 0, 3, ()))), DimensionMismatch),
+    "section-without-forms": (lambda: LinearSection(GF3, 2, 4, ()), ShapeMismatch),
+    "section-of-a-multivector": (
+        lambda: LinearSection(GF3, 2, 4, (VECTOR,)), ShapeMismatch),
+    "section-form-in-another-space": (
+        lambda: LinearSection(GF3, 2, 4, (WIDER_FORM,)), ShapeMismatch),
+    "cardinality-of-a-form": (
+        lambda: section_cardinality(GF3, 2, 4, [FORM]), ShapeMismatch),
+    "cardinality-vector-in-another-space": (
+        lambda: section_cardinality(GF3, 2, 4, [WIDER_VECTOR]), ShapeMismatch),
+    "matrix-ragged-rows": (
+        lambda: MatrixGF.from_rows(GF3, [[1, 0], [1]]), ShapeMismatch),
+    "matrix-short-data": (lambda: MatrixGF(GF3, 2, 2, (1, 0, 1)), ShapeMismatch),
+    "matrix-entry-outside-the-field": (
+        lambda: MatrixGF(GF3, 1, 2, (1, 3)), FieldMismatch),
+    "det-non-square": (lambda: det(MatrixGF(GF3, 1, 2, (1, 0))), ShapeMismatch),
+    "gl-order-negative": (lambda: gl_order(-1, 3), OutOfRange),
+    "verify-unknown-suite": (lambda: verify.select("nowhere"), ValueError),
+    "verify-unknown-scale": (lambda: verify.select("all", "huge"), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_validation_refuses(case):
+    call, exception = REFUSALS[case]
+    with pytest.raises(exception):
+        call()
+

@@ -6,17 +6,18 @@ import pytest
 
 from mdscensus import _vecgf, sections
 from mdscensus.census import count_mds_matrix_scan
-from mdscensus.errors import BudgetExceeded, DimensionMismatch, OutOfRange
+from mdscensus.errors import BudgetExceeded, DimensionMismatch, OutOfRange, RankDeficient
 from mdscensus.exterior import (
     DualForm,
     MultiVector,
     _projective_reps,
     form_weight,
     multi_indices,
+    plucker_embed,
     satisfies_plucker,
 )
 from mdscensus.fields import field_of_order, make_field
-from mdscensus.linalg import gaussian_binomial
+from mdscensus.linalg import MatrixGF, gaussian_binomial, rref
 from mdscensus.sections import (
     LinearSection,
     coordinate_ann_in_grassmannian,
@@ -312,6 +313,57 @@ def test_section_cardinality_gf2_line():
     a = MultiVector.basis(gf, 2, 4, (1, 2))
     c = MultiVector.basis(gf, 2, 4, (3, 4))
     assert section_cardinality(gf, 2, 4, [a, c]) == 2  # of the 3 points
+
+
+def _cardinality_by_objects(gf, k, n, spanning):
+    """section_cardinality written out on MultiVector objects: each point
+    of the span is a sum of scaled basis vectors."""
+    reduced, d = rref(MatrixGF.from_rows(gf, [list(v.coeffs) for v in spanning]))
+    basis = [MultiVector(gf, k, n, reduced.row(i)) for i in range(d)]
+    count = 0
+    for coeffs in _projective_reps(gf, d):
+        acc = MultiVector.zero(gf, k, n)
+        for c, lam in zip(coeffs, basis):
+            if c:
+                acc = acc.add(lam.scale(c))
+        if satisfies_plucker(acc):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_section_cardinality_matches_object_sum(q):
+    # random spans of up to 3 vectors, decomposable ones among them, with
+    # repeats, so the reduced basis can be shorter than the spanning list
+    gf = field_of_order(q)
+    rng = random.Random(q)
+    for k, n in ((2, 4), (2, 5), (3, 5)):
+        width = len(multi_indices(k, n))
+        for _ in range(4):
+            spanning = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                    try:
+                        spanning.append(plucker_embed(MatrixGF.from_rows(gf, rows)))
+                        continue
+                    except RankDeficient:
+                        pass
+                spanning.append(MultiVector(gf, k, n, [rng.randrange(q) for _ in range(width)]))
+            if rng.random() < 0.3:
+                spanning.append(spanning[0])
+            assert section_cardinality(gf, k, n, spanning) == _cardinality_by_objects(
+                gf, k, n, spanning), (q, k, n, spanning)
+
+
+def test_section_cardinality_budget_counts_projective_points():
+    # a span of dimension 2 over GF(3) has (3^2 - 1)/(3 - 1) = 4 points
+    gf = make_field(3, 1)
+    span = [MultiVector.basis(gf, 2, 4, (1, 2)), MultiVector.basis(gf, 2, 4, (1, 3))]
+    with pytest.raises(BudgetExceeded):
+        section_cardinality(gf, 2, 4, span, budget=3)
+    assert section_cardinality(gf, 2, 4, span, budget=4) == 4
+    assert section_cardinality(gf, 2, 4, []) == 0
 
 
 def test_inclusion_exclusion_gf2():
