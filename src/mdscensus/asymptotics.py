@@ -11,6 +11,7 @@ field sizes.  No floating point is used anywhere; normalized residuals are
 kept as Fractions.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,7 +150,10 @@ def convergence(k, n, q_list, threads=1, budget=None):
     """
     if not q_list:
         raise OutOfRange("empty field-size list")
-    q_list = sorted(set(int(q) for q in q_list))
+    try:
+        q_list = sorted(set(map(operator.index, q_list)))
+    except TypeError:
+        raise OutOfRange(f"field sizes must be integers, got {q_list!r}") from None
     for q in q_list:
         # refuse what field_of_order would, before any scan; building the
         # fields here would cost tables that most sweeps never read

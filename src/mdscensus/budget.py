@@ -5,6 +5,7 @@ The default (2**32 candidates) keeps any single call at desk scale; it can
 be raised per call or globally through the MDS_BUDGET environment variable.
 """
 
+import operator
 import os
 
 from .errors import BudgetExceeded, OutOfRange
@@ -24,8 +25,9 @@ def effective_budget(budget=None):
 
 
 def _validated(value, what):
+    """value, an integer or the text of one (MDS_BUDGET), as an int."""
     try:
-        limit = int(value)
+        limit = int(value) if isinstance(value, str) else operator.index(value)
     except (TypeError, ValueError):
         raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
     if limit < 0:

@@ -12,10 +12,11 @@ _vecgf's Plucker blocks, and a recursion that contracts the form along one
 vector per projective point and averages the quotient-form weights.  The
 recursion stops at 2-forms, whose weight depends only on their rank
 (two_form_weight_value); a 1-form on GF(q)^m weighs q^(m-1).  The two are
-kept as independent code paths and cross-checked in the test suite.  The
-pairing and the recursion's contractions combine coefficients that were
-validated when their forms were built, by the field's unchecked dot product
-GF._udot.
+kept as independent code paths and cross-checked in the test suite.
+
+MultiVector and DualForm validate their coefficients when built
+(GF.encodings); the wedge, contraction, pairing, Plucker relations and
+weight recursion then compute with the field's unchecked operations.
 """
 
 import functools
@@ -78,14 +79,11 @@ class _Graded:
     __slots__ = ("gf", "k", "n", "coeffs")
 
     def __init__(self, gf, k, n, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs = gf.encodings(coeffs)
         if len(coeffs) != _binom(n, k):
             raise ShapeMismatch(
                 f"need {_binom(n, k)} coefficients for degree {k} in dimension {n}"
             )
-        for v in coeffs:
-            if not 0 <= v < gf.q:
-                raise ShapeMismatch(f"coefficient {v} is not in GF({gf.q})")
         self.gf = gf
         self.k = k
         self.n = n
@@ -96,26 +94,6 @@ class _Graded:
 
     def coefficient(self, index):
         return self.coeffs[_index_position(self.k, self.n, index)]
-
-    def add(self, other):
-        self._match(other)
-        gf = self.gf
-        return type(self)(
-            gf, self.k, self.n,
-            tuple(gf.add(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def scale(self, c):
-        gf = self.gf
-        return type(self)(gf, self.k, self.n, tuple(gf.mul(c, v) for v in self.coeffs))
-
-    def _match(self, other):
-        if (
-            type(other) is not type(self)
-            or self.gf != other.gf
-            or (self.k, self.n) != (other.k, other.n)
-        ):
-            raise ShapeMismatch("operands live in different graded pieces")
 
     def __eq__(self, other):
         return (
@@ -191,6 +169,7 @@ def wedge(x, y):
         raise ShapeMismatch("wedge operands live over different spaces")
     k_out = x.k + y.k
     gf = x.gf
+    mul, add, sub = gf._umul, gf._uadd, gf._usub
     out = [0] * _binom(x.n, k_out)
     pos = index_positions(k_out, x.n)
     xi = multi_indices(x.k, x.n)
@@ -204,9 +183,9 @@ def wedge(x, y):
             sign, merged = merge_sign(ia, ib)
             if sign == 0:
                 continue
-            term = gf.mul(a, b)
+            term = mul(a, b)
             p = pos[merged]
-            out[p] = gf.add(out[p], term) if sign > 0 else gf.sub(out[p], term)
+            out[p] = add(out[p], term) if sign > 0 else sub(out[p], term)
     return type(x)(gf, k_out, x.n, out)
 
 
@@ -227,6 +206,7 @@ def interior_mult(xi, omega):
     if xi.k > omega.k:
         raise DegreeMismatch(f"cannot contract degree {omega.k} by degree {xi.k}")
     gf, n = xi.gf, xi.n
+    mul, add, sub = gf._umul, gf._uadd, gf._usub
     k_out = omega.k - xi.k
     out = [0] * _binom(n, k_out)
     pos = index_positions(k_out, n)
@@ -243,9 +223,9 @@ def interior_mult(xi, omega):
                 continue
             rest = tuple(i for i in ib if i not in ia_set)
             sign, _ = merge_sign(ia, rest)
-            term = gf.mul(a, b)
+            term = mul(a, b)
             p = pos[rest]
-            out[p] = gf.add(out[p], term) if sign > 0 else gf.sub(out[p], term)
+            out[p] = add(out[p], term) if sign > 0 else sub(out[p], term)
     return out_cls(gf, k_out, n, out)
 
 
@@ -282,16 +262,21 @@ def satisfies_plucker(x):
     vectors / covectors), i.e. every quadratic relation vanishes."""
     if x.is_zero():
         raise ZeroInput("the zero element has no projective class")
-    if x.k in (0, 1) or x.k >= x.n - 1:
+    return _relations_vanish(x.gf, x.k, x.n, x.coeffs)
+
+
+def _relations_vanish(gf, k, n, c):
+    """satisfies_plucker on a nonzero coefficient sequence c of field
+    encodings, which this does not check."""
+    if k in (0, 1) or k >= n - 1:
         return True
-    gf = x.gf
-    c = x.coeffs
-    for rel in _plucker_relation_terms(x.k, x.n):
+    mul, add, sub = gf._umul, gf._uadd, gf._usub
+    for rel in _plucker_relation_terms(k, n):
         acc = 0
         for sign, a, b in rel:
             if c[a] and c[b]:
-                t = gf.mul(c[a], c[b])
-                acc = gf.add(acc, t) if sign > 0 else gf.sub(acc, t)
+                t = mul(c[a], c[b])
+                acc = add(acc, t) if sign > 0 else sub(acc, t)
         if acc:
             return False
     return True
@@ -327,7 +312,7 @@ def _contraction_rows(gf, k, n, coeffs):
     rows = [[0] * _binom(n, k - 1) for _ in range(n)]
     for b, entries in zip(coeffs, _contraction_plan(k, n)):
         if b:
-            nb = gf.neg(b)
+            nb = gf._uneg(b)
             for i, p, odd in entries:
                 rows[i][p] = nb if odd else b
     return rows

@@ -1,21 +1,20 @@
 """Exact arithmetic in GF(p**m).
 
-Elements are plain Python ints in [0, q): the canonical encoding of the
-polynomial representation a_0 + a_1*x + ... + a_{m-1}*x^{m-1} as
-sum(a_i * p**i).  A GF object carries the arithmetic context.  Every field
-up to ORDER_CAP has O(q) discrete-log and exponent tables of its smallest
-generator, built once from the polynomial arithmetic, and every scalar
-operation takes one path: integers mod p on prime fields; on extension
-fields multiplication, inversion and powers through the log/exp tables,
-addition by XOR of the encodings when p = 2 and by Zech logarithms when p
-is odd.  The unchecked operations behind them, _uadd, _usub, _uneg, _umul
-and the dot product _udot, are bound once per field for the callers that
-have already validated their operands.  The polynomial arithmetic
-(_mul_raw, _add_raw) stays as the reference the tables are built and
-tested from.  Array arithmetic lives in _vecgf: on fields up to q = 181
-each operation is one gather from a q x q int16 table; mod p, log/exp
-gathers and base-p digits do the array arithmetic only on larger fields,
-and build those tables.
+Elements are ints in [0, q): the canonical encoding of the polynomial
+representation a_0 + a_1*x + ... + a_{m-1}*x^{m-1} as sum(a_i * p**i).  A
+GF object carries the arithmetic context.  Every field up to ORDER_CAP has
+O(q) discrete-log and exponent tables of its smallest generator, built once
+from the polynomial arithmetic (_mul_raw, _add_raw, kept as the reference),
+and every scalar operation takes one path: integers mod p on prime fields;
+on extension fields multiplication, inversion and powers through the
+log/exp tables, addition by XOR when p = 2 and by Zech logarithms when p is
+odd.  Array arithmetic lives in _vecgf.
+
+GF.encodings is the one element rule, an integer in [0, q): MatrixGF,
+MultiVector and DualForm apply it when built, and the checked operations
+(add, sub, neg, mul, inv, div, pow, coeffs) on each call.  The algebra on
+validated entries (exterior, linalg, the weight recursion) computes with
+the unchecked _uadd, _usub, _uneg, _umul, _uinv and the dot product _udot.
 
 Fields are immutable after construction and safe to share across worker
 processes; make_field() is cached and deterministic.
@@ -23,6 +22,7 @@ processes; make_field() is cached and deterministic.
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -142,7 +142,7 @@ class GF:
 
     __slots__ = (
         "p", "m", "q", "modulus", "_log", "_exp",
-        "_uadd", "_usub", "_uneg", "_umul", "_udot",
+        "_uadd", "_usub", "_uneg", "_umul", "_uinv", "_udot",
     )
 
     def __init__(self, p, m, modulus):
@@ -156,7 +156,7 @@ class GF:
 
     def coeffs(self, a):
         """Little-endian base-p digits of the canonical encoding."""
-        self._check(a)
+        self.encodings((a,))
         out = []
         for _ in range(self.m):
             out.append(a % self.p)
@@ -172,13 +172,21 @@ class GF:
             out = out * self.p + c
         return out
 
-    def _check(self, a):
-        if not 0 <= a < self.q:
-            self._reject(a)
-
-    def _reject(self, *elems):
-        bad = next(a for a in elems if not 0 <= a < self.q)
-        raise FieldMismatch(f"{bad} is not an element encoding of GF({self.q})")
+    def encodings(self, values):
+        """values as a tuple when each is an element encoding, an integer in
+        [0, q); else FieldMismatch naming the first value that is not."""
+        values = tuple(values)
+        q = self.q
+        try:
+            math.gcd(*values)  # one C call: a TypeError unless all are integers
+            for a in values:
+                if not 0 <= a < q:
+                    break
+            else:
+                return values
+        except TypeError:
+            a = next(v for v in values if not hasattr(v, "__index__"))
+        raise FieldMismatch(f"{a!r} is not an element encoding of GF({q})")
 
     # -- polynomial reference arithmetic (builds the tables) ------------------
 
@@ -237,11 +245,12 @@ class GF:
         needs no reduction, and log[0] = None; both are tuples, so no caller
         can change them.  Odd extension fields add by the Zech logarithms
         zech[d] = log(1 + g^d), None where 1 + g^d = 0.  The unchecked
-        operations _uadd, _usub, _uneg, _umul and the dot product
-        _udot(a, b) = sum_i a_i * b_i are bound once here: mod p on prime
-        fields, XOR addition when p = 2, Zech-log addition on odd
-        extensions, and the log/exp tables for multiplication on every
-        extension field, where _udot accumulates with _uadd and _umul."""
+        operations _uadd, _usub, _uneg, _umul, _uinv (of a nonzero element)
+        and the dot product _udot(a, b) = sum_i a_i * b_i are bound once
+        here: mod p on prime fields, XOR addition when p = 2, Zech-log
+        addition on odd extensions, and the log/exp tables for inversion on
+        every field and multiplication on every extension field, where _udot
+        accumulates with _uadd and _umul."""
         q, p = self.q, self.p
         order = q - 1
         gen = self._find_generator()
@@ -251,6 +260,7 @@ class GF:
             log[v] = i
         exp, log = tuple(exp + exp), tuple(log)
         self._exp, self._log = exp, log
+        self._uinv = lambda a: exp[order - log[a]]
         if self.m == 1:
             self._uadd = lambda a, b: (a + b) % p
             self._usub = lambda a, b: (a - b) % p
@@ -307,35 +317,32 @@ class GF:
     # -- operations ----------------------------------------------------------
 
     def add(self, a, b):
-        if not (0 <= a < self.q and 0 <= b < self.q):
-            self._reject(a, b)
+        self.encodings((a, b))
         return self._uadd(a, b)
 
     def sub(self, a, b):
-        if not (0 <= a < self.q and 0 <= b < self.q):
-            self._reject(a, b)
+        self.encodings((a, b))
         return self._usub(a, b)
 
     def neg(self, a):
-        self._check(a)
+        self.encodings((a,))
         return self._uneg(a)
 
     def mul(self, a, b):
-        if not (0 <= a < self.q and 0 <= b < self.q):
-            self._reject(a, b)
+        self.encodings((a, b))
         return self._umul(a, b)
 
     def inv(self, a):
-        self._check(a)
+        self.encodings((a,))
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in GF({self.q})")
-        return self._exp[self.q - 1 - self._log[a]]
+        return self._uinv(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
-        self._check(a)
+        self.encodings((a,))
         if a == 0:
             if e < 0:
                 raise DivisionByZero(f"inverse of 0 in GF({self.q})")
@@ -389,10 +396,11 @@ def check_field_size(p, m):
 
 
 def factor_prime_power(q):
-    """Split q into (p, m) with p prime and p**m == q; reject other q."""
-    primes = _prime_factors(q)
+    """Split q into (p, m) with p prime and p**m == q; reject other q,
+    non-integers among them."""
+    primes = _prime_factors(q) if hasattr(q, "__index__") else []
     if len(primes) != 1:
-        raise NonPrimePower(f"{q} is not a prime power")
+        raise NonPrimePower(f"{q!r} is not a prime power")
     p = primes[0]
     m = 1
     while p**m < q:

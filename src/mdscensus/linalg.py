@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .budget import check_budget
 from .errors import (
     BadIndex,
-    FieldMismatch,
     OutOfRange,
     ShapeMismatch,
     exact_quotient,
@@ -28,12 +27,9 @@ class MatrixGF:
     __slots__ = ("gf", "rows", "cols", "data")
 
     def __init__(self, gf, rows, cols, data):
-        data = tuple(data)
+        data = gf.encodings(data)
         if len(data) != rows * cols:
             raise ShapeMismatch(f"need {rows * cols} entries, got {len(data)}")
-        for v in data:
-            if not 0 <= v < gf.q:
-                raise FieldMismatch(f"entry {v} is not an element of GF({gf.q})")
         self.gf = gf
         self.rows = rows
         self.cols = cols
@@ -99,7 +95,7 @@ def _echelon_rows(gf, rows, ncols):
     _reduce_rows.  The entries must be field encodings, as a MatrixGF's
     are: the rows are combined with the field's unchecked operations.
     """
-    mul, sub, inv = gf._umul, gf._usub, gf.inv
+    mul, sub, neg, inv = gf._umul, gf._usub, gf._uneg, gf._uinv
     nrows = len(rows)
     pivots = []
     inverses = []
@@ -115,7 +111,7 @@ def _echelon_rows(gf, rows, ncols):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            scale = gf.neg(scale)
+            scale = neg(scale)
         rr = rows[r]
         lead = rr[c]
         scale = mul(scale, lead)
@@ -171,6 +167,7 @@ def kernel_basis(matrix):
     """Rows spanning {x : matrix @ x = 0}, echelonized (deterministic); the
     result has matrix.cols columns, rows or none."""
     gf = matrix.gf
+    neg = gf._uneg
     rows = matrix.row_list()
     pivots, _, inverses = _echelon_rows(gf, rows, matrix.cols)
     _reduce_rows(gf, rows, pivots, inverses)
@@ -182,7 +179,7 @@ def kernel_basis(matrix):
         vec = [0] * matrix.cols
         vec[free] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = gf.neg(rows[r][free])
+            vec[pc] = neg(rows[r][free])
         basis.append(vec)
     return MatrixGF(gf, len(basis), matrix.cols, itertools.chain.from_iterable(basis))
 

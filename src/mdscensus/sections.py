@@ -38,8 +38,8 @@ from .exterior import (
     DualForm,
     MultiVector,
     _projective_reps,
+    _relations_vanish,
     multi_indices,
-    satisfies_plucker,
 )
 from .linalg import MatrixGF, _binom, gaussian_binomial, rank, rref
 
@@ -180,7 +180,9 @@ def section_cardinality(gf, k, n, spanning, budget=None):
     The spanning rows are reduced to a basis of d rows; each of the
     (q^d - 1)/(q - 1) projective points of the span, which the budget
     counts, has one Plucker coordinate per basis column: the dot of the
-    point's coefficients with that column."""
+    point's coefficients with that column.  The point is nonzero and its
+    coordinates are field encodings, so the quadratic relations are tested
+    on them directly."""
     for lam in spanning:
         if not isinstance(lam, MultiVector):
             raise ShapeMismatch("spanning entries must be MultiVectors")
@@ -191,7 +193,7 @@ def section_cardinality(gf, k, n, spanning, budget=None):
     columns = tuple(zip(*(reduced.row(i) for i in range(d))))
     dot = gf._udot
     return sum(
-        satisfies_plucker(MultiVector(gf, k, n, [dot(c, col) for col in columns]))
+        _relations_vanish(gf, k, n, [dot(c, col) for col in columns])
         for c in _projective_reps(gf, d)
     )
 

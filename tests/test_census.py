@@ -13,7 +13,7 @@ from mdscensus.census import (
     count_mds_matrix_scan,
     gamma_closed_form,
 )
-from mdscensus.errors import BudgetExceeded
+from mdscensus.errors import BudgetExceeded, DivisibilityViolation
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.exterior import plucker_embed
 from mdscensus.linalg import MatrixGF, det, enumerate_grassmannian, minor
@@ -457,3 +457,45 @@ def test_routes_match_closed_forms_at_edge_fields():
         scan = count_mds_matrix_scan(k, n, gf).gamma
         assert scan == count_mds_grassmannian_filter(k, n, gf).gamma, (k, n, q)
         assert scan == gamma_closed_form(k, n, q), (k, n, q)
+
+
+def _scan_dropping(monkeypatch, shape, i):
+    """Patch census._scan_minor_plan to leave out minor i of the plan for
+    shape = (k, n - k); every other plan is unchanged."""
+    original = census._scan_minor_plan
+
+    def plan(k, nk):
+        full = original(k, nk)
+        return full[:i] + full[i + 1:] if (k, nk) == shape else full
+
+    monkeypatch.setattr(census, "_scan_minor_plan", plan)
+
+
+def test_every_dropped_scan_minor_is_seen(monkeypatch):
+    # each minor of the scan's plan, dropped in turn, fails a shipped check:
+    # the filter where it runs, the orbit divisibility n! | gamma-tilde *
+    # |PGL(k, q)| at (3,7) for q = 7, 8, and duality, gamma(4,7) = gamma(3,7)
+    def plan_size(k, n):
+        return len(census._scan_minor_plan(k, n - k))
+
+    for k, n, q in ((3, 6, 5), (4, 6, 5)):
+        gf = field_of_order(q)
+        expected = count_mds_grassmannian_filter(k, n, gf).gamma
+        for i in range(plan_size(k, n)):
+            with monkeypatch.context() as m:
+                _scan_dropping(m, (k, n - k), i)
+                assert count_mds_matrix_scan(k, n, gf).gamma != expected, (k, n, i)
+    for q in (7, 8):
+        gf = field_of_order(q)
+        for i in range(plan_size(3, 7)):
+            with monkeypatch.context() as m:
+                _scan_dropping(m, (3, 4), i)
+                with pytest.raises(DivisibilityViolation):
+                    count_mds_matrix_scan(3, 7, gf)
+    gf = field_of_order(7)
+    dual = count_mds_matrix_scan(3, 7, gf).gamma
+    assert count_mds_matrix_scan(4, 7, gf).gamma == dual
+    for i in range(plan_size(4, 7)):
+        with monkeypatch.context() as m:
+            _scan_dropping(m, (4, 3), i)
+            assert count_mds_matrix_scan(4, 7, gf).gamma != dual, i

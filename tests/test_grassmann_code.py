@@ -348,11 +348,10 @@ def test_subcode_weight_identity():
         for coeffs in itertools.product(range(2), repeat=r):
             if not any(coeffs):
                 continue
-            acc = DualForm.zero(gf, 2, 4)
+            acc = DualForm.zero(gf, 2, 4).coeffs
             for c, f in zip(coeffs, forms):
-                if c:
-                    acc = acc.add(f.scale(c))
-            total += form_weight(acc, "recursive")
+                acc = [gf.add(a, gf.mul(c, b)) for a, b in zip(acc, f.coeffs)]
+            total += form_weight(DualForm(gf, 2, 4, acc), "recursive")
         denom = 2**r - 2 ** (r - 1)
         assert total % denom == 0
         assert union_weight == total // denom

@@ -11,12 +11,14 @@ import pytest
 
 import mdscensus
 from mdscensus import _vecgf, verify
+from mdscensus.asymptotics import convergence
 from mdscensus.budget import DEFAULT_BUDGET, effective_budget
 from mdscensus.census import count_mds
 from mdscensus.cli import main
 from mdscensus.errors import (
     DimensionMismatch,
     FieldMismatch,
+    NonPrimePower,
     OutOfRange,
     ShapeMismatch,
     ZeroInput,
@@ -31,11 +33,20 @@ from mdscensus.exterior import (
     pairing,
     pi_alpha,
     pi_gamma,
+    satisfies_plucker,
     wedge,
 )
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.grassmann_code import build_code, higher_weight_search, weight_spectrum
-from mdscensus.linalg import MatrixGF, det, gl_order, point_from_matrix, point_from_rows
+from mdscensus.linalg import (
+    MatrixGF,
+    det,
+    gl_order,
+    kernel_basis,
+    point_from_matrix,
+    point_from_rows,
+    rank,
+)
 from mdscensus.sections import (
     LinearSection,
     annihilator_table,
@@ -364,6 +375,19 @@ REFUSALS = {
     "gl-order-negative": (lambda: gl_order(-1, 3), OutOfRange),
     "verify-unknown-suite": (lambda: verify.select("nowhere"), ValueError),
     "verify-unknown-scale": (lambda: verify.select("all", "huge"), ValueError),
+    # GF.encodings, the one element rule: an integer in [0, q)
+    "matrix-non-integer-entry": (
+        lambda: MatrixGF(GF3, 2, 2, (1.5, 0, 0, 1)), FieldMismatch),
+    "form-non-integer-coefficient": (
+        lambda: DualForm(GF3, 2, 4, (2.5, 0, 0, 0, 0, 1)), FieldMismatch),
+    "form-coefficient-outside-the-field": (
+        lambda: DualForm(GF3, 2, 4, (3, 0, 0, 0, 0, 1)), FieldMismatch),
+    "checked-add-of-a-non-integer": (lambda: GF3.add(1.5, 1), FieldMismatch),
+    # integer parameters at the library edge, once truncated
+    "convergence-non-integer-q": (
+        lambda: convergence(2, 5, [2.5, 3.9]), OutOfRange),
+    "field-of-non-integer-order": (lambda: field_of_order(4.0), NonPrimePower),
+    "non-integer-budget": (lambda: effective_budget(2.5), OutOfRange),
 }
 
 
@@ -373,3 +397,35 @@ def test_validation_refuses(case):
     with pytest.raises(exception):
         call()
 
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_algebra_makes_no_checked_call_on_validated_inputs(monkeypatch, q):
+    # the checked operations serve the edge: once MatrixGF, MultiVector and
+    # DualForm have validated their entries, the algebra computes unchecked
+    gf = field_of_order(q)
+    rng = random.Random(q)
+
+    def graded(cls, k, n):
+        return cls(gf, k, n, [rng.randrange(1, q) for _ in multi_indices(k, n)])
+
+    vector, bivector = graded(MultiVector, 1, 5), graded(MultiVector, 2, 5)
+    form2, form3 = graded(DualForm, 2, 4), graded(DualForm, 3, 5)
+    matrix = MatrixGF(gf, 3, 5, [rng.randrange(q) for _ in range(15)])
+    spanning = [graded(MultiVector, 2, 4), MultiVector.basis(gf, 2, 4, (1, 2))]
+    # the one Plucker relation on (2,4): p12 p34 - p13 p24 + p14 p23 = 0
+    p12, p13, p14, p23, p24, p34 = form2.coeffs
+    relation = gf.add(gf.sub(gf.mul(p12, p34), gf.mul(p13, p24)), gf.mul(p14, p23))
+    direct = form_weight(form3, "direct")
+
+    def refuse(*args):
+        raise AssertionError("a checked field operation was called")
+
+    for op in ("add", "sub", "mul", "neg", "inv"):
+        monkeypatch.setattr(type(gf), op, refuse)
+    assert wedge(vector, bivector).k == 3
+    assert interior_mult(vector, form3).k == 2
+    assert satisfies_plucker(form2) == (relation == 0)
+    assert form_weight(form3, "recursive") == direct
+    assert rank(matrix) + kernel_basis(matrix).rows == 5
+    assert section_cardinality(gf, 2, 4, spanning) >= 1

@@ -317,16 +317,16 @@ def test_section_cardinality_gf2_line():
 
 def _cardinality_by_objects(gf, k, n, spanning):
     """section_cardinality written out on MultiVector objects: each point
-    of the span is a sum of scaled basis vectors."""
+    of the span is a sum of scaled basis vectors, formed with the field's
+    checked operations."""
     reduced, d = rref(MatrixGF.from_rows(gf, [list(v.coeffs) for v in spanning]))
     basis = [MultiVector(gf, k, n, reduced.row(i)) for i in range(d)]
     count = 0
     for coeffs in _projective_reps(gf, d):
-        acc = MultiVector.zero(gf, k, n)
+        acc = MultiVector.zero(gf, k, n).coeffs
         for c, lam in zip(coeffs, basis):
-            if c:
-                acc = acc.add(lam.scale(c))
-        if satisfies_plucker(acc):
+            acc = [gf.add(a, gf.mul(c, b)) for a, b in zip(acc, lam.coeffs)]
+        if satisfies_plucker(MultiVector(gf, k, n, acc)):
             count += 1
     return count
 
@@ -493,13 +493,15 @@ def test_minimal_section_characterization():
 
 
 def _projective_forms(section):
-    """One annihilator form per projective point of Ann(L)."""
+    """One annihilator form per projective point of Ann(L), each combined
+    with the field's checked operations."""
+    gf, k, n = section.gf, section.k, section.n
     forms = []
-    for coeffs in _projective_reps(section.gf, section.codim):
-        acc = DualForm.zero(section.gf, section.k, section.n)
+    for coeffs in _projective_reps(gf, section.codim):
+        acc = DualForm.zero(gf, k, n).coeffs
         for c, omega in zip(coeffs, section.ann_basis):
-            acc = acc.add(omega.scale(c))
-        forms.append(acc)
+            acc = [gf.add(a, gf.mul(c, b)) for a, b in zip(acc, omega.coeffs)]
+        forms.append(DualForm(gf, k, n, acc))
     return forms
 
 
