@@ -23,9 +23,17 @@ grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
                   p_I is the minor of A on the rows r with r+1 not in I and
                   the columns of I past k, planned from the multi-index I;
                   one of order 0 is the constant 1 and one of order 1 a lone
-                  entry, so the k(n-k) entries run over 1..q-1 and only the
-                  minors of order >= 2 are evaluated.  The walk is
-                  (q-1)^(k(n-k)) points and the count is gamma.
+                  entry, so the entries run over 1..q-1 and only the minors
+                  of order >= 2 are evaluated.  One coordinate scaling is
+                  divided out: scaling coordinate k+1 by lambda != 0
+                  multiplies column 0 of A, and every p_I through it, by
+                  lambda and leaves the other p_I alone, so it maps counted
+                  points to counted points.  Every counted point has
+                  A[0][0] != 0, so its q-1 scalings are distinct and exactly
+                  one has A[0][0] = 1.  The walk fixes A[0][0] = 1, runs the
+                  other k(n-k) - 1 entries over 1..q-1, (q-1)^(k(n-k)-1)
+                  points, and gamma is q-1 times its count (1 at k = n,
+                  where nothing is walked).
 
 Both routes also check a count that theory fixes: for 2 <= k < n,
 gamma-tilde * |PGL(k, q)| counts ordered n-arcs, so n! divides it, and a
@@ -185,17 +193,26 @@ def _filter_minor_plan(k, n):
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     """Independent oracle: walk the Grassmann points of the big cell, the
     only cell where p_(1..k) is nonzero, entries over F_q^*, and keep those
-    whose Plucker coordinates are all nonzero.  worker_count reports the
-    workers used (see _worker_count)."""
+    whose Plucker coordinates are all nonzero.  Scaling coordinate k+1 by
+    lambda != 0 scales column 0 of A, so it keeps every p_I nonzero or
+    zero; the q-1 scalings of a counted point are distinct, since A[0][0]
+    != 0, and exactly one has A[0][0] = 1.  So the walk fixes A[0][0] = 1,
+    (q-1)^(k(n-k)-1) points, the budget counts that walk, and gamma is q-1
+    times its count.  worker_count reports the workers used (see
+    _worker_count)."""
     if not 1 <= k <= n:
         raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     q = gf.q
     sizes = [q - 1] * (k * (n - k))
+    scalings = 1
+    if sizes:
+        sizes[0], scalings = 1, q - 1
     check_budget(math.prod(sizes), budget,
                  f"Grassmannian filter at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
     walk = (_filter_minor_plan(k, n), sizes, [1] * len(sizes))
-    gamma, workers = _count_walk(gf, walk, threads)
+    count, workers = _count_walk(gf, walk, threads)
+    gamma = count * scalings
     gamma_tilde = exact_quotient(gamma, _column_scalings(k, n, q),
                                  f"gamma over (q-1)^(n-1) at (k={k}, n={n}, q={q})")
     _check_orbit_divisibility(k, n, q, gamma_tilde)

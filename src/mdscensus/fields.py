@@ -54,6 +54,19 @@ def _prime_factors(n):
     return out
 
 
+def _integers_below(values, bound):
+    """Whether every one of the tuple `values` is an integer in [0, bound):
+    the one rule for element encodings and base-p digits."""
+    try:
+        math.gcd(*values)  # one C call: a TypeError unless all are integers
+    except TypeError:
+        return False
+    for a in values:
+        if not 0 <= a < bound:
+            return False
+    return True
+
+
 def is_prime(n):
     return _prime_factors(n) == [n]
 
@@ -164,8 +177,9 @@ class GF:
         return tuple(out)
 
     def encode(self, coeffs):
-        """Inverse of coeffs(): canonical integer of a digit vector."""
-        if len(coeffs) > self.m or any(not 0 <= c < self.p for c in coeffs):
+        """Inverse of coeffs(): canonical integer of a digit vector, at most
+        m digits, each an integer in [0, p); else FieldMismatch."""
+        if len(coeffs) > self.m or not _integers_below(tuple(coeffs), self.p):
             raise FieldMismatch(f"invalid coefficient vector {coeffs!r}")
         out = 0
         for c in reversed(coeffs):
@@ -177,15 +191,9 @@ class GF:
         [0, q); else FieldMismatch naming the first value that is not."""
         values = tuple(values)
         q = self.q
-        try:
-            math.gcd(*values)  # one C call: a TypeError unless all are integers
-            for a in values:
-                if not 0 <= a < q:
-                    break
-            else:
-                return values
-        except TypeError:
-            a = next(v for v in values if not hasattr(v, "__index__"))
+        if _integers_below(values, q):
+            return values
+        a = next(v for v in values if not _integers_below((v,), q))
         raise FieldMismatch(f"{a!r} is not an element encoding of GF({q})")
 
     # -- polynomial reference arithmetic (builds the tables) ------------------

@@ -533,16 +533,16 @@ def _theory_anchors():
        "full", 900)
 def _worker_count_determinism():
     gf3, gf9 = make_field(3, 1), make_field(3, 2)
-    gf16, gf17 = make_field(2, 4), make_field(17, 1)
-    # the (3,7,17) scan and the (2,5,16) filter walk 15^5 candidates, past
-    # census.POOL_MIN_WORK, so their runs at 4 and 8 workers start a pool;
-    # so does the (3,7) sweep
+    gf17, gf32 = make_field(17, 1), make_field(2, 5)
+    # the (3,7,17) scan walks 15^5 candidates and the (2,5,32) filter 31^4
+    # (A[0][0] = 1, the last entry counted), past census.POOL_MIN_WORK, so
+    # their runs at 4 and 8 workers start a pool; so does the (3,7) sweep
     runs = {
         "scan-3-6-3": lambda t: count_mds_matrix_scan(3, 6, gf3, threads=t).gamma,
         "scan-3-6-9": lambda t: count_mds_matrix_scan(3, 6, gf9, threads=t).gamma,
         "scan-3-7-17": lambda t: count_mds_matrix_scan(3, 7, gf17, threads=t).gamma,
         "filter-2-5-3": lambda t: count_mds_grassmannian_filter(2, 5, gf3, threads=t).gamma,
-        "filter-2-5-16": lambda t: count_mds_grassmannian_filter(2, 5, gf16, threads=t).gamma,
+        "filter-2-5-32": lambda t: count_mds_grassmannian_filter(2, 5, gf32, threads=t).gamma,
         "sweep-3-6": lambda t: convergence(3, 6, [2, 3, 4], threads=t),
         "sweep-3-7-17": lambda t: convergence(3, 7, [17], threads=t),
     }

@@ -58,14 +58,42 @@ def test_scan_matches_naive_reference():
             assert count_mds_matrix_scan(k, n, gf).gamma == naive_gamma(k, n, gf), (k, n, q)
 
 
+# every (k,n) with n <= 7 over the small fields whose un-reduced filter
+# walk (q-1)^(k(n-k)) stays within 3*10^6 points, (2,3) past the table
+# range at q = 529, and the shapes the reduced walk (q-1)^(k(n-k)-1)
+# brings within 3*10^6: 204 shapes in all
+CROSS_GRID = ([(k, n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11)
+               for n in range(1, 8) for k in range(1, n + 1)
+               if (q - 1) ** (k * (n - k)) <= 3 * 10**6]
+              + [(2, 3, 529), (2, 6, 8), (2, 6, 9), (3, 6, 7), (4, 6, 8),
+                 (4, 6, 9), (1, 8, 11), (7, 8, 11)])
+
+
 def test_cross_oracle_small():
+    assert len(CROSS_GRID) == 204
+    for k, n, q in CROSS_GRID:
+        gf = field_of_order(q)
+        a = count_mds_matrix_scan(k, n, gf).gamma
+        b = count_mds_grassmannian_filter(k, n, gf).gamma
+        assert a == b, (k, n, q)
+
+
+def test_filter_divides_out_one_scaling():
+    # scaling coordinate k+1 by lambda != 0 scales column 0 of A and keeps
+    # each p_I zero or nonzero, so the walk with A[0][0] over all of F_q^*
+    # counts q-1 times the walk with A[0][0] = 1, the one the filter takes
     for q in (2, 3, 4, 5):
         gf = field_of_order(q)
-        for n in range(1, 6):
-            for k in range(1, n + 1):
-                a = count_mds_matrix_scan(k, n, gf).gamma
-                b = count_mds_grassmannian_filter(k, n, gf).gamma
-                assert a == b, (k, n, q)
+        for n in range(2, 7):
+            for k in range(1, n):
+                plan, entries = census._filter_minor_plan(k, n), k * (n - k)
+                full, _ = census._count_walk(
+                    gf, (plan, [q - 1] * entries, [1] * entries), 1)
+                reduced, _ = census._count_walk(
+                    gf, (plan, [1] + [q - 1] * (entries - 1), [1] * entries), 1)
+                assert full == (q - 1) * reduced, (k, n, q)
+                gamma = count_mds_grassmannian_filter(k, n, gf).gamma
+                assert gamma == full, (k, n, q)
 
 
 def test_gamma_tilde_examples():
@@ -225,14 +253,14 @@ def test_small_filter_starts_no_pool(monkeypatch):
     res = count_mds_grassmannian_filter(2, 5, make_field(3, 1), threads=4)
     assert res.gamma == gamma_closed_form(2, 5, 3)
     assert res.worker_count == 1
-    # 4^10 points, but no minor reads an entry: nothing is walked, no pool
+    # 4^9 points, but no minor reads an entry: nothing is walked, no pool
     res = count_mds_grassmannian_filter(1, 11, make_field(5, 1), threads=2)
     assert (res.gamma, res.worker_count) == (4**10, 1)
 
 
 def test_pool_never_exceeds_cpu_count(monkeypatch):
-    # the (3,7,11) scan walks 9^5 candidates and the (2,6,7) filter 6^7,
-    # both past this POOL_MIN_WORK
+    # the (3,7,11) scan walks 9^5 candidates and the (2,6,7) filter 6^6
+    # (A[0][0] = 1, the last entry counted), both past this POOL_MIN_WORK
     monkeypatch.setattr(census, "POOL_MIN_WORK", 2**15)
     scan_gf, filter_gf = make_field(11, 1), make_field(7, 1)
     serial_scan = count_mds_matrix_scan(3, 7, scan_gf)
@@ -265,15 +293,28 @@ class CountingPool(ProcessPoolExecutor):
 
 def test_worker_count_criterion_starts_a_pool(monkeypatch):
     # the "identical at 1, 4 and 8 workers" claim compares pooled runs with
-    # serial ones only if some shape of the check is past census.POOL_MIN_WORK
+    # serial ones only if some shape of the check is past census.POOL_MIN_WORK,
+    # for the scan, the filter and the sweeps alike: the pools the filter's
+    # own runs start are counted apart
     monkeypatch.setattr(census, "ProcessPoolExecutor", CountingPool)
     CountingPool.started = 0
+    filter_pools = []
+    real_filter = verify.count_mds_grassmannian_filter
+
+    def counting_filter(*args, **kwargs):
+        before = CountingPool.started
+        result = real_filter(*args, **kwargs)
+        filter_pools.append(CountingPool.started - before)
+        return result
+
+    monkeypatch.setattr(verify, "count_mds_grassmannian_filter", counting_filter)
     [entry] = [c for c in verify.REGISTRY
                if c.name == "criterion-11-worker-count-determinism"]
     result = verify.run_check(entry)
     assert result.passed, result.line()
     if (os.cpu_count() or 1) >= 2:
-        assert CountingPool.started >= 1
+        assert sum(filter_pools) >= 1, filter_pools
+        assert CountingPool.started > sum(filter_pools)
     else:
         assert CountingPool.started == 0
 
@@ -308,12 +349,13 @@ def test_filter_plans_no_minor_below_order_two():
 
 
 def test_walks_honour_budget():
-    # the filter walks (q-1)^(k(n-k)) points, the scan (q-2)^((k-1)(n-k-1))
-    # normalized candidates; a budget one below the walk is refused
+    # the filter walks (q-1)^(k(n-k)-1) points, A[0][0] fixed to 1, the scan
+    # (q-2)^((k-1)(n-k-1)) normalized candidates; a budget one below the
+    # walk is refused
     for k, n, q in ((2, 4, 3), (3, 6, 5), (2, 5, 4)):
         gf = field_of_order(q)
         expected = count_mds_matrix_scan(k, n, gf).gamma
-        for count, walk in ((count_mds_grassmannian_filter, (q - 1) ** (k * (n - k))),
+        for count, walk in ((count_mds_grassmannian_filter, (q - 1) ** (k * (n - k) - 1)),
                             (count_mds_matrix_scan, (q - 2) ** ((k - 1) * (n - k - 1)))):
             with pytest.raises(BudgetExceeded):
                 count(k, n, gf, budget=walk - 1)
@@ -321,7 +363,7 @@ def test_walks_honour_budget():
 
 
 # (3,7,11) and (3,8,11) scans walk 9^6 and 9^8 int16 candidates, the filter
-# 4^9 int16 points at (3,6,5) and 7^8 at (2,6,8), all through the q x q
+# 4^8 int16 points at (3,6,5) and 7^7 at (2,6,8), all through the q x q
 # tables; the (2,5,191) and (2,5,243) scans walk 189^2 and 241^2 candidates
 # past the table range, int64 mod 191 and int16 log/exp with base-3 digits.
 # Each counts its last free entry.  At (3,8,11) sizing the chunk prefix on

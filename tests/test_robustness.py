@@ -155,9 +155,11 @@ from mdscensus.fields import field_of_order
 
 real = census._count_walk
 gf = field_of_order(4)
-# gamma-tilde(2,5,4) = 2 and |PGL(2,4)| = 60, so 5! divides 2 * 60, not 3 * 60
+# gamma-tilde(2,5,4) = 2 and |PGL(2,4)| = 60, so 5! divides 2 * 60, not 3 * 60;
+# the filter's gamma-tilde is 3 times its walk's count over 3^4, so a walk
+# 3^3 off moves it by one
 for route, step in ((census.count_mds_matrix_scan, 1),
-                    (census.count_mds_grassmannian_filter, 3**4)):
+                    (census.count_mds_grassmannian_filter, 3**3)):
     def one_off(gf, walk, threads, step=step):
         count, workers = real(gf, walk, threads)
         return count + step, workers
@@ -383,6 +385,9 @@ REFUSALS = {
     "form-coefficient-outside-the-field": (
         lambda: DualForm(GF3, 2, 4, (3, 0, 0, 0, 0, 1)), FieldMismatch),
     "checked-add-of-a-non-integer": (lambda: GF3.add(1.5, 1), FieldMismatch),
+    "digit-non-integer": (lambda: GF3.encode((1.5,)), FieldMismatch),
+    "extension-digit-non-integer": (
+        lambda: make_field(3, 2).encode((1.5, 1)), FieldMismatch),
     # integer parameters at the library edge, once truncated
     "convergence-non-integer-q": (
         lambda: convergence(2, 5, [2.5, 3.9]), OutOfRange),
