@@ -25,8 +25,8 @@ import operator
 import numpy as np
 
 from .budget import check_budget
-from .errors import OutOfRange
-from .linalg import _binom, _cell_matrix_template, gaussian_binomial, multi_indices
+from .linalg import (_binom, _cell_matrix_template, check_shape, gaussian_binomial,
+                     multi_indices)
 
 PLUCKER_CACHE_CAP = 2**24  # max entries of the cached matrix and of each block
 BLOCK_BYTES = 2**16        # max bytes of one value array of a walked block
@@ -455,8 +455,7 @@ def plucker_blocks(gf, k, n, budget=None):
     built on the fly and not kept, each of at most PLUCKER_CACHE_CAP entries
     and of at most BLOCK_BYTES a row.  The sweep is budgeted at its
     |G(k, n)| * C(n, k) entries before the first block is built."""
-    if not 1 <= k <= n:
-        raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_shape(k, n)
     rows = _binom(n, k)
     entries = gaussian_binomial(k, n, gf.q) * rows
     check_budget(entries, budget, f"Plucker sweep of G({k},{n}) over GF({gf.q})")

@@ -35,13 +35,17 @@ grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
                   points, and gamma is q-1 times its count (1 at k = n,
                   where nothing is walked).
 
-Both routes also check a count that theory fixes: for 2 <= k < n,
-gamma-tilde * |PGL(k, q)| counts ordered n-arcs, so n! divides it, and a
-count that breaks this raises DivisibilityViolation.
+Each route states only its walk, a minor plan with the sizes and offsets
+of its free entries, and how many subspaces one counted point stands for.
+One driver, _census, does the rest for both: it budgets the walk's
+candidates, hands the walk to the scheduler, multiplies the count into
+gamma, divides gamma by (q-1)^(n-1) into gamma-tilde, and checks a count
+that theory fixes: for 2 <= k < n, gamma-tilde * |PGL(k, q)| counts
+ordered n-arcs, so n! divides it, and a count that breaks this raises
+DivisibilityViolation.
 
-Both routes hand the same scheduler one walk, a minor plan with the sizes
-and offsets of its free entries.  Every chunk yields an exact integer and
-the total is an order-independent sum, so results are bit-identical for any
+Every chunk of a walk yields an exact integer and the total is an
+order-independent sum, so results are bit-identical for any
 worker count.  Work is chunked by fixing the first t free entries of the
 walk: chunk i is the i-th reading of those entries in C order, the order
 of itertools.product and np.indices (last entry fastest), so chunks
@@ -80,7 +84,7 @@ from dataclasses import dataclass
 from . import _vecgf
 from .budget import check_budget
 from .errors import ExactnessViolation, OutOfRange, exact_quotient
-from .linalg import gl_order, multi_indices
+from .linalg import check_shape, gl_order, multi_indices
 
 POOL_MIN_WORK = 2**19       # walked candidates a walk must pass to start a pool
 
@@ -119,20 +123,39 @@ def _column_scalings(k, n, q):
     return 1 if k == n else (q - 1) ** (n - 1)
 
 
+def _census(label, k, n, gf, plan, sizes, offset, per_point, threads, budget):
+    """The census result of one route: its walk has minor plan plan(k, n)
+    and free entries of these sizes, each running from offset, and one
+    counted point stands for per_point subspaces.  The walk's candidates
+    are budgeted before its plan is built; gamma is the count times
+    per_point, gamma-tilde is gamma over (q-1)^(n-1), and the orbit
+    divisibility is checked.  The method is the label, lower case and
+    hyphenated; worker_count reports the workers used (see _worker_count)."""
+    q = gf.q
+    check_budget(math.prod(sizes), budget, f"{label} at (k={k}, n={n}, q={q})")
+    start = time.perf_counter()
+    walk = (plan(k, n), sizes, [offset] * len(sizes))
+    count, workers = _count_walk(gf, walk, threads)
+    gamma = count * per_point
+    gamma_tilde = exact_quotient(gamma, _column_scalings(k, n, q),
+                                 f"gamma over (q-1)^(n-1) at (k={k}, n={n}, q={q})")
+    _check_orbit_divisibility(k, n, q, gamma_tilde)
+    return CensusResult(k, n, q, gamma, gamma_tilde,
+                        label.lower().replace(" ", "-"),
+                        time.perf_counter() - start, workers)
+
+
 # ---------------------------------------------------------------------------
 # matrix-scan
 # ---------------------------------------------------------------------------
 
-def _free_entries(k, nk):
-    return (k - 1) * (nk - 1) if nk else 0
-
-
-def _scan_minor_plan(k, nk):
+def _scan_minor_plan(k, n):
     """All square submatrices of order >= 2 of a normalized A, smallest
     orders first, except the 2 x 2 ones through row 0 and column 0: row 0
     and column 0 are the constant 1, the free entry A[r][c] (r, c >= 1) is
-    value (r-1)(nk-1) + (c-1), and the minor on rows {0, r} and columns
+    value (r-1)(n-k-1) + (c-1), and the minor on rows {0, r} and columns
     {0, c} is A[r][c] - 1, nonzero because the walk skips the value 1."""
+    nk = n - k
 
     def entry(r, c):
         if r == 0 or c == 0:
@@ -150,23 +173,14 @@ def _scan_minor_plan(k, nk):
 
 
 def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
-    """Number of k-subspaces all of whose Plucker coordinates are nonzero,
-    by scanning the torus-normalized matrices [I_k | A], one walk whose
-    free entries run over 2..q-1.  worker_count reports the workers used
-    (see _worker_count)."""
-    if not 1 <= k <= n:
-        raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    """gamma by the torus-normalized scan of [I_k | A]: the (k-1)(n-k-1)
+    free entries of A run over 2..q-1, and one counted A stands for
+    (q-1)^(n-1) subspaces (1 at k = n)."""
+    check_shape(k, n)
     q = gf.q
-    nk = n - k
-    sizes = [q - 2] * _free_entries(k, nk)
-    check_budget(math.prod(sizes), budget, f"matrix scan at (k={k}, n={n}, q={q})")
-    start = time.perf_counter()
-    walk = (_scan_minor_plan(k, nk), sizes, [2] * len(sizes))
-    gamma_tilde, workers = _count_walk(gf, walk, threads)
-    _check_orbit_divisibility(k, n, q, gamma_tilde)
-    gamma = gamma_tilde * _column_scalings(k, n, q)
-    return CensusResult(k, n, q, gamma, gamma_tilde, "matrix-scan",
-                        time.perf_counter() - start, workers)
+    sizes = [q - 2] * ((k - 1) * (n - k - 1) if k < n else 0)
+    return _census("matrix scan", k, n, gf, _scan_minor_plan, sizes, 2,
+                   _column_scalings(k, n, q), threads, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +205,15 @@ def _filter_minor_plan(k, n):
 
 
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
-    """Independent oracle: walk the Grassmann points of the big cell, the
-    only cell where p_(1..k) is nonzero, entries over F_q^*, and keep those
-    whose Plucker coordinates are all nonzero.  Scaling coordinate k+1 by
-    lambda != 0 scales column 0 of A, so it keeps every p_I nonzero or
-    zero; the q-1 scalings of a counted point are distinct, since A[0][0]
-    != 0, and exactly one has A[0][0] = 1.  So the walk fixes A[0][0] = 1,
-    (q-1)^(k(n-k)-1) points, the budget counts that walk, and gamma is q-1
-    times its count.  worker_count reports the workers used (see
-    _worker_count)."""
-    if not 1 <= k <= n:
-        raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    """gamma by the independent Grassmannian filter on the big cell
+    [I_k | A]: A[0][0] is fixed at 1, the other k(n-k) - 1 entries run over
+    1..q-1, and one counted point stands for q-1 subspaces (1 at k = n,
+    where nothing is walked)."""
+    check_shape(k, n)
     q = gf.q
-    sizes = [q - 1] * (k * (n - k))
-    scalings = 1
-    if sizes:
-        sizes[0], scalings = 1, q - 1
-    check_budget(math.prod(sizes), budget,
-                 f"Grassmannian filter at (k={k}, n={n}, q={q})")
-    start = time.perf_counter()
-    walk = (_filter_minor_plan(k, n), sizes, [1] * len(sizes))
-    count, workers = _count_walk(gf, walk, threads)
-    gamma = count * scalings
-    gamma_tilde = exact_quotient(gamma, _column_scalings(k, n, q),
-                                 f"gamma over (q-1)^(n-1) at (k={k}, n={n}, q={q})")
-    _check_orbit_divisibility(k, n, q, gamma_tilde)
-    return CensusResult(k, n, q, gamma, gamma_tilde, "grassmannian-filter",
-                        time.perf_counter() - start, workers)
+    sizes = [1] + [q - 1] * (k * (n - k) - 1) if k < n else []
+    return _census("Grassmannian filter", k, n, gf, _filter_minor_plan, sizes, 1,
+                   q - 1 if sizes else 1, threads, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from . import asymptotics, census, exterior, grassmann_code, sections
 from .budget import effective_budget
 from .errors import BudgetExceeded, ExactnessViolation, MdsError, OutOfRange
 from .fields import factor_prime_power, field_of_order
-from .linalg import gaussian_binomial, multi_indices
+from .linalg import gaussian_binomial
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -119,6 +119,8 @@ def _cmd_count(args):
 
 def _cmd_grassmann_count(args):
     factor_prime_power(args.q)
+    if args.k < 0 or args.n < 0:
+        raise OutOfRange(f"need 0 <= k and 0 <= n, got k={args.k}, n={args.n}")
     return {
         "k": args.k,
         "n": args.n,
@@ -129,18 +131,13 @@ def _cmd_grassmann_count(args):
 
 def _cmd_sections(args):
     gf = field_of_order(args.q)
-    indices = multi_indices(args.k, args.n)
     if args.max_r < 1:
         raise OutOfRange(f"--max-r must be at least 1, got {args.max_r}")
     rows = []
-    for r, mask, norm, in_g in sections.coordinate_section_rows(
+    for r, mask, subset, norm, in_g in sections.coordinate_section_rows(
         gf, args.k, args.n, args.max_r, budget=args.budget
     ):
-        names = ";".join(
-            ".".join(str(i) for i in indices[pos])
-            for pos in range(len(indices))
-            if mask >> pos & 1
-        )
+        names = ";".join(".".join(str(i) for i in idx) for idx in subset)
         rows.append(
             {"r": r, "subset_id": mask, "indices": names,
              "norm": str(norm), "ann_in_grassmannian": int(in_g)}
@@ -396,10 +393,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MdsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (MdsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BrokenProcessPool:

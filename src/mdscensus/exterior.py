@@ -39,6 +39,8 @@ from .linalg import (
     MatrixGF,
     _binom,
     _echelon_rows,
+    check_shape,
+    gaussian_binomial,
     index_positions,
     kernel_basis,
     minor,
@@ -357,8 +359,7 @@ def form_weight(omega, method="direct", budget=None):
         raise ShapeMismatch("form_weight takes a DualForm")
     if omega.is_zero():
         raise ZeroInput("weight of the zero form")
-    if not 1 <= omega.k <= omega.n:
-        raise OutOfRange(f"need 1 <= k <= n, got k={omega.k}, n={omega.n}")
+    check_shape(omega.k, omega.n)
     if method == "direct":
         return _weight_direct(omega, budget)
     if method == "recursive":
@@ -414,7 +415,7 @@ def _weight_recursive(omega, budget=None):
     """
     gf = omega.gf
     q = gf.q
-    check_budget((q**omega.n - 1) // (q - 1), budget,
+    check_budget(gaussian_binomial(1, omega.n, q), budget,
                  f"recursive weight on G({omega.k},{omega.n}) over GF({q})")
     if omega.k == 1:
         return q ** (omega.n - 1)
@@ -468,7 +469,7 @@ def pi_alpha(alpha, budget=None):
     k = alpha.k + 1
     if k > n:
         raise DimensionMismatch(f"no {k}-subspaces in dimension {n}")
-    check_budget((gf.q**n - 1) // (gf.q - 1), budget, "projective sweep for pi_alpha")
+    check_budget(gaussian_binomial(1, n, gf.q), budget, "projective sweep for pi_alpha")
     base_rows = [list(alpha.matrix.row(i)) for i in range(alpha.k)]
     out = set()
     for v in _projective_reps(gf, n):
@@ -487,7 +488,7 @@ def pi_gamma(gamma, budget=None):
     kk = gamma.k
     if kk < 1:
         raise DimensionMismatch("ambient subspace must have dimension >= 1")
-    check_budget((gf.q**kk - 1) // (gf.q - 1), budget, "functional sweep for pi_gamma")
+    check_budget(gaussian_binomial(1, kk, gf.q), budget, "functional sweep for pi_gamma")
     out = set()
     for c in _projective_reps(gf, kk):
         # kernel of the functional c on the row space, lifted to V

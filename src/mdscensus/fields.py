@@ -83,8 +83,6 @@ def _poly_trim(coeffs):
 
 
 def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -186,7 +186,7 @@ def higher_weight_search(code, r, mode="exhaustive", budget=None):
         slices = [code.generator[:, lo:lo + width]
                   for lo in range(0, code.length, width)]
         per_block = max(1, cap // (r * width))
-        points = enumerate_grassmannian(gf, r, code.dimension, budget=budget)
+        points = enumerate_grassmannian(gf, r, code.dimension)
         data = (pt.matrix.data for pt in points)
         best = None
         while block := list(itertools.islice(data, per_block)):

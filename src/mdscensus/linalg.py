@@ -184,13 +184,19 @@ def kernel_basis(matrix):
     return MatrixGF(gf, len(basis), matrix.cols, itertools.chain.from_iterable(basis))
 
 
+def _det_rows(gf, rows):
+    """Determinant of the square matrix with these row lists of field
+    encodings: the scale of the forward elimination (see _echelon_rows) at
+    full rank, 0 below it; 1 for no rows.  The rows are consumed."""
+    pivots, scale, _ = _echelon_rows(gf, rows, len(rows))
+    return scale if len(pivots) == len(rows) else 0
+
+
 def det(matrix):
-    """Determinant: the scale of the forward elimination (see _echelon_rows)
-    at full rank, 0 below it; 1 for the 0 x 0 matrix."""
+    """Determinant of a square matrix, by _det_rows."""
     if matrix.rows != matrix.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    pivots, scale, _ = _echelon_rows(matrix.gf, matrix.row_list(), matrix.cols)
-    return scale if len(pivots) == matrix.rows else 0
+    return _det_rows(matrix.gf, matrix.row_list())
 
 
 def minor(matrix, col_set):
@@ -201,16 +207,20 @@ def minor(matrix, col_set):
     for c in col_set:
         if not 1 <= c <= matrix.cols:
             raise BadIndex(f"column {c} outside 1..{matrix.cols}")
-    sub_data = []
-    for i in range(k):
-        base = i * matrix.cols
-        sub_data.extend(matrix.data[base + c - 1] for c in col_set)
-    return det(MatrixGF(matrix.gf, k, k, sub_data))
+    return _det_rows(matrix.gf, [[matrix.data[i * matrix.cols + c - 1] for c in col_set]
+                                 for i in range(k)])
 
 
 # ---------------------------------------------------------------------------
 # Counting formulas.
 # ---------------------------------------------------------------------------
+
+def check_shape(k, n):
+    """OutOfRange unless 1 <= k <= n, the shapes of G(k, n) that the census
+    routes, the Grassmannian walks and the form weights take."""
+    if not 1 <= k <= n:
+        raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
+
 
 def gaussian_binomial(k, n, q):
     """Number of k-dimensional subspaces of GF(q)^n, exact."""
@@ -304,8 +314,7 @@ def enumerate_grassmannian(gf, k, n, budget=None):
     Total yield count equals gaussian_binomial(k, n, q), which the budget
     counts.
     """
-    if not 1 <= k <= n:
-        raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_shape(k, n)
     q = gf.q
     check_budget(gaussian_binomial(k, n, q), budget, f"G({k},{n}) over GF({q})")
     elems = tuple(gf.elements())

@@ -111,7 +111,7 @@ def _norm_annihilator_sum(section, budget=None):
     q, r = gf.q, section.codim
     grid = q**r
     points = gaussian_binomial(k, n, q)
-    check_budget((grid - 1) // (q - 1) * min(grid, points), budget,
+    check_budget(gaussian_binomial(1, r, q) * min(grid, points), budget,
                  f"annihilator forms of a codim-{r} section of G({k},{n}) over GF({q})")
     slices = _value_keys(gf, [omega.coeffs for omega in section.ann_basis],
                          _vecgf.plucker_blocks(gf, k, n, budget), grid)
@@ -189,7 +189,7 @@ def section_cardinality(gf, k, n, spanning, budget=None):
         if lam.gf != gf or (lam.k, lam.n) != (k, n):
             raise ShapeMismatch("spanning vector in the wrong space")
     reduced, d = rref(MatrixGF.from_rows(gf, [v.coeffs for v in spanning]))
-    check_budget((gf.q**d - 1) // (gf.q - 1), budget, "projective sweep of a section")
+    check_budget(gaussian_binomial(1, d, gf.q), budget, "projective sweep of a section")
     columns = tuple(zip(*(reduced.row(i) for i in range(d))))
     dot = gf._udot
     return sum(
@@ -269,9 +269,10 @@ def inclusion_exclusion(k, n, gf, budget=None):
 
 
 def coordinate_section_rows(gf, k, n, max_r, budget=None):
-    """Rows (r, subset bitmask, ||L||, annihilator-inside-Grassmannian flag)
-    for every coordinate subset of size <= max_r; deterministic order.  The
-    budget counts the subsets before the Plucker pass."""
+    """Rows (r, subset bitmask, the subset's multi-indices, ||L||,
+    annihilator-inside-Grassmannian flag) for every coordinate subset of
+    size <= max_r; deterministic order.  The budget counts the subsets
+    before the Plucker pass."""
     big_n = _binom(n, k)
     sizes = range(1, min(max_r, big_n) + 1)
     check_budget(sum(_binom(big_n, r) for r in sizes), budget,
@@ -284,9 +285,10 @@ def coordinate_section_rows(gf, k, n, max_r, budget=None):
             subset_mask = 0
             for i in subset:
                 subset_mask |= 1 << i
+            subset_indices = tuple(indices[i] for i in subset)
             norm = coordinate_norm_from_masks(masks, total, subset_mask)
-            in_g = coordinate_ann_in_grassmannian([indices[i] for i in subset])
-            yield r, subset_mask, norm, in_g
+            yield (r, subset_mask, subset_indices, norm,
+                   coordinate_ann_in_grassmannian(subset_indices))
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,7 @@ def _section_bounds():
             for subset in itertools.combinations(indices, m):
                 spanning = [MultiVector.basis(gf, k, n, idx) for idx in subset]
                 inside, ell = section_cardinality(gf, k, n, spanning), m - 1
-                if inside == (q ** (ell + 1) - 1) // (q - 1):
+                if inside == gaussian_binomial(1, ell + 1, q):
                     continue  # the section lies inside the Grassmannian
                 _require(inside <= _section_bound(q, ell), f"{(q, k, n)} {subset}")
     rng = random.Random(99)
@@ -402,13 +402,13 @@ def _section_bounds():
         for _ in range(500):
             ell = rng.randrange(3, 5)
             inside = section_cardinality(gf, k, n, _random_primal_section(gf, k, n, ell, rng))
-            if inside != (q ** (ell + 1) - 1) // (q - 1):
+            if inside != gaussian_binomial(1, ell + 1, q):
                 _require(inside <= _section_bound(q, ell), f"{(q, k, n, ell)}: {inside}")
     delta, coords = 4, multi_indices(2, 4)
     for q in (2, 3, 4):
         gf = field_of_order(q)
         for r, extra in ((2, 1), (3, 2)):
-            minimal = sum(q ** (delta - i) for i in range(r))
+            minimal = higher_weight_value(2, 4, q, r)
             predicted = q**delta + q ** (delta - 1) + extra * q ** (delta - 2)
             for subset in itertools.combinations(coords, r):
                 norm = section_norm(coordinate_section(gf, 2, 4, subset))

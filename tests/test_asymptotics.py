@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdscensus import asymptotics
 from mdscensus.asymptotics import (
     _prediction,
     a2_closed_form,
@@ -94,6 +95,16 @@ def test_convergence_k1_k2_oracle():
         q = row.q
         assert row.residual == -58 * q**3 + 57 * q**2 - 29 * q + 6
         assert row.normalized == Fraction(row.residual, q**3)
+
+
+def test_convergence_refuses_a_closed_form_the_scan_contradicts(monkeypatch):
+    # a closed form off by one is caught on the validation fields, before a
+    # sweep trusts it
+    monkeypatch.setattr(asymptotics, "gamma_closed_form",
+                        lambda k, n, q: gamma_closed_form(k, n, q) + 1)
+    with pytest.raises(ExactnessViolation, match=r"^closed-form count 2 disagrees "
+                       r"with scan 1 at \(k=1, n=4, q=2\)$"):
+        convergence(1, 4, [7, 9])
 
 
 def test_convergence_brute_force_small():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -13,7 +14,12 @@ from mdscensus.census import (
     count_mds_matrix_scan,
     gamma_closed_form,
 )
-from mdscensus.errors import BudgetExceeded, DivisibilityViolation
+from mdscensus.errors import (
+    BudgetExceeded,
+    DivisibilityViolation,
+    ExactnessViolation,
+    OutOfRange,
+)
 from mdscensus.fields import field_of_order, make_field
 from mdscensus.exterior import plucker_embed
 from mdscensus.linalg import MatrixGF, det, enumerate_grassmannian, minor
@@ -118,6 +124,8 @@ def test_closed_forms_match_scan():
             assert count_mds_matrix_scan(1, n, gf).gamma == gamma_closed_form(1, n, q)
         for n in range(2, 6):
             assert count_mds_matrix_scan(2, n, gf).gamma == gamma_closed_form(2, n, q)
+    # no closed form is known past k = 2
+    assert gamma_closed_form(3, 6, 5) is None
 
 
 def test_duality():
@@ -156,6 +164,32 @@ def test_both_methods_agree_via_front_door():
     assert res.method == "both"
     assert res.gamma == 162  # frozen from two independent enumerations
     assert res.gamma_tilde == 2
+
+
+def test_both_methods_refuse_a_disagreement(monkeypatch):
+    # a filter off by one must fail the front door's cross-check
+    route = census.count_mds_grassmannian_filter
+
+    def off_by_one(*args, **kwargs):
+        res = route(*args, **kwargs)
+        return dataclasses.replace(res, gamma=res.gamma + 1)
+
+    monkeypatch.setattr(census, "count_mds_grassmannian_filter", off_by_one)
+    with pytest.raises(ExactnessViolation,
+                       match=r"^matrix-scan gamma=162 differs from filter gamma=163$"):
+        count_mds(2, 5, make_field(2, 2), method="both")
+
+
+@pytest.mark.parametrize("route", [count_mds_matrix_scan, count_mds_grassmannian_filter])
+def test_routes_refuse_k_out_of_range(monkeypatch, route):
+    # the shape is refused before any walk is counted
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk was counted")
+
+    monkeypatch.setattr(census, "_count_walk", no_walk)
+    for k, n in ((0, 3), (4, 3), (-1, 3), (2, -1)):
+        with pytest.raises(OutOfRange, match=rf"^need 1 <= k <= n, got k={k}, n={n}$"):
+            route(k, n, make_field(3, 1))
 
 
 def test_extension_field_census():
@@ -437,7 +471,7 @@ def test_chunk_prefix_is_sized_on_walked_entries(monkeypatch):
     cuts = []
     monkeypatch.setattr(census, "_count_chunks",
                         lambda gf, walk, t, lo, hi: cuts.append((t, lo, hi)) or 0)
-    plan = census._scan_minor_plan(3, 5)
+    plan = census._scan_minor_plan(3, 8)
     assert _vecgf.walked_len(plan) == 7
     census._count_walk(field_of_order(11), (plan, [9] * 8, [2] * 8), 1)
     assert cuts == [(3, 0, 729)]
@@ -503,12 +537,12 @@ def test_routes_match_closed_forms_at_edge_fields():
 
 def _scan_dropping(monkeypatch, shape, i):
     """Patch census._scan_minor_plan to leave out minor i of the plan for
-    shape = (k, n - k); every other plan is unchanged."""
+    shape = (k, n); every other plan is unchanged."""
     original = census._scan_minor_plan
 
-    def plan(k, nk):
-        full = original(k, nk)
-        return full[:i] + full[i + 1:] if (k, nk) == shape else full
+    def plan(k, n):
+        full = original(k, n)
+        return full[:i] + full[i + 1:] if (k, n) == shape else full
 
     monkeypatch.setattr(census, "_scan_minor_plan", plan)
 
@@ -518,20 +552,20 @@ def test_every_dropped_scan_minor_is_seen(monkeypatch):
     # the filter where it runs, the orbit divisibility n! | gamma-tilde *
     # |PGL(k, q)| at (3,7) for q = 7, 8, and duality, gamma(4,7) = gamma(3,7)
     def plan_size(k, n):
-        return len(census._scan_minor_plan(k, n - k))
+        return len(census._scan_minor_plan(k, n))
 
     for k, n, q in ((3, 6, 5), (4, 6, 5)):
         gf = field_of_order(q)
         expected = count_mds_grassmannian_filter(k, n, gf).gamma
         for i in range(plan_size(k, n)):
             with monkeypatch.context() as m:
-                _scan_dropping(m, (k, n - k), i)
+                _scan_dropping(m, (k, n), i)
                 assert count_mds_matrix_scan(k, n, gf).gamma != expected, (k, n, i)
     for q in (7, 8):
         gf = field_of_order(q)
         for i in range(plan_size(3, 7)):
             with monkeypatch.context() as m:
-                _scan_dropping(m, (3, 4), i)
+                _scan_dropping(m, (3, 7), i)
                 with pytest.raises(DivisibilityViolation):
                     count_mds_matrix_scan(3, 7, gf)
     gf = field_of_order(7)
@@ -539,5 +573,5 @@ def test_every_dropped_scan_minor_is_seen(monkeypatch):
     assert count_mds_matrix_scan(4, 7, gf).gamma == dual
     for i in range(plan_size(4, 7)):
         with monkeypatch.context() as m:
-            _scan_dropping(m, (4, 3), i)
+            _scan_dropping(m, (4, 7), i)
             assert count_mds_matrix_scan(4, 7, gf).gamma != dual, i

@@ -67,6 +67,18 @@ def test_grassmann_count_rejects_non_prime_powers(capsys):
         assert out == "" and err == f"error: {q} is not a prime power\n", q
 
 
+def test_grassmann_count_refuses_negative_shapes(capsys):
+    # a negative k or n printed "count": "0" with exit 0; k = 0 and k > n
+    # keep the Gaussian binomial's values, 1 and 0
+    for k, n in (("-1", "3"), ("2", "-1"), ("-2", "-1")):
+        code, out, err = run_cli(capsys, "grassmann-count", "--k", k, "--n", n, "--q", "2")
+        assert code == 1, (k, n)
+        assert out == "" and err == f"error: need 0 <= k and 0 <= n, got k={k}, n={n}\n"
+    for k, n, count in (("0", "3", "1"), ("4", "3", "0")):
+        code, out, _ = run_cli(capsys, "grassmann-count", "--k", k, "--n", n, "--q", "2")
+        assert code == 0 and json.loads(out)["count"] == count, (k, n)
+
+
 def test_asympt_coefficients(capsys):
     code, out, _ = run_cli(capsys, "asympt", "--k", "3", "--n", "10")
     assert code == 0

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from mdscensus import exterior
 from mdscensus.errors import (
     BudgetExceeded,
     DegreeMismatch,
+    ExactnessViolation,
     OutOfRange,
     ShapeMismatch,
     ZeroInput,
@@ -330,6 +332,16 @@ def test_weight_degree_out_of_range(method):
     omega = DualForm(gf, 0, 3, (1,))
     with pytest.raises(OutOfRange, match=r"^need 1 <= k <= n, got k=0, n=3$"):
         form_weight(omega, method)
+
+
+def test_recursive_weight_refuses_an_odd_two_form_rank(monkeypatch):
+    # an alternating matrix has even rank, so an elimination that reads an
+    # odd one is a fault, not a weight
+    monkeypatch.setattr(exterior, "_echelon_rows", lambda gf, rows, ncols: ([0], 1, [1]))
+    omega = DualForm.basis(make_field(2, 1), 2, 4, (1, 2))
+    with pytest.raises(ExactnessViolation,
+                       match=r"^the contraction matrix of a 2-form has odd rank 1$"):
+        form_weight(omega, "recursive")
 
 
 def test_recursive_weight_never_touches_vecgf(monkeypatch):

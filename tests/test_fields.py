@@ -225,6 +225,9 @@ def test_is_irreducible_agrees_with_factor_search():
                     for x in range(p)
                 )
                 assert fields.is_irreducible(poly, p) == (not has_root)
+    # a constant is not irreducible, and every linear polynomial is
+    assert not fields.is_irreducible((1,), 2)
+    assert fields.is_irreducible((1, 1), 2) and fields.is_irreducible((0, 2), 3)
 
 
 PRIME_POWERS_TO_256 = [q for q in range(2, 257)

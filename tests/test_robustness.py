@@ -17,6 +17,7 @@ from mdscensus.census import count_mds
 from mdscensus.cli import main
 from mdscensus.errors import (
     DimensionMismatch,
+    DivisionByZero,
     FieldMismatch,
     NonPrimePower,
     OutOfRange,
@@ -368,6 +369,15 @@ REFUSALS = {
         lambda: section_cardinality(GF3, 2, 4, [FORM]), ShapeMismatch),
     "cardinality-vector-in-another-space": (
         lambda: section_cardinality(GF3, 2, 4, [WIDER_VECTOR]), ShapeMismatch),
+    "multivector-coefficient-count": (
+        lambda: MultiVector(GF3, 2, 4, (1, 0, 0)), ShapeMismatch),
+    "form-coefficient-count": (lambda: DualForm(GF3, 2, 4, (1,) * 7), ShapeMismatch),
+    "pow-of-zero-to-a-negative-power": (lambda: GF3.pow(0, -1), DivisionByZero),
+    "matrix-stack-widths": (
+        lambda: MatrixGF.identity(GF3, 2).stack(MatrixGF.identity(GF3, 3)), ShapeMismatch),
+    "matrix-mul-shapes": (
+        lambda: MatrixGF(GF3, 1, 2, (1, 0)).mul(MatrixGF(GF3, 1, 2, (1, 0))),
+        ShapeMismatch),
     "matrix-ragged-rows": (
         lambda: MatrixGF.from_rows(GF3, [[1, 0], [1]]), ShapeMismatch),
     "matrix-short-data": (lambda: MatrixGF(GF3, 2, 2, (1, 0, 1)), ShapeMismatch),
@@ -401,6 +411,25 @@ def test_validation_refuses(case):
     call, exception = REFUSALS[case]
     with pytest.raises(exception):
         call()
+
+
+def test_value_types_compare_hash_and_print():
+    # equal values hash alike; a value differs from one of another type,
+    # field or shape; repr names the type and the content
+    gf5 = make_field(5, 1)
+    for a, b in ((MultiVector.basis(GF3, 2, 4, (1, 2)), VECTOR),
+                 (DualForm.basis(GF3, 2, 4, (1, 2)), FORM),
+                 (MatrixGF.identity(GF3, 2), MatrixGF(GF3, 2, 2, (1, 0, 0, 1))),
+                 (field_of_order(3), GF3)):
+        assert a == b and hash(a) == hash(b)
+    assert VECTOR != FORM and FORM != DualForm.basis(gf5, 2, 4, (1, 2))
+    assert MatrixGF.identity(GF3, 2) != MatrixGF(GF3, 1, 4, (1, 0, 0, 1))
+    assert MatrixGF.identity(GF3, 2) != MatrixGF.identity(gf5, 2)
+    assert GF3 != make_field(3, 2) and GF3 != 3
+    assert repr(VECTOR) == "MultiVector[k=2,n=4](1*(1, 2))"
+    assert repr(DualForm.zero(GF3, 2, 4)) == "DualForm[k=2,n=4](0)"
+    assert repr(MatrixGF.identity(GF3, 2)) == "MatrixGF(GF(3), [1 0; 0 1])"
+    assert repr(make_field(3, 2)) == "GF(9)"
 
 
 
