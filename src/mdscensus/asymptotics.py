@@ -5,7 +5,7 @@ The census count of [n,k] MDS codes expands as
     q^delta + (1 - N) q^(delta-1) + a2 q^(delta-2) + (lower order),
 
 with delta = k(n-k) and N = C(n,k).  This module evaluates a2 (and the
-arc-count analogues b1, b2) by exact rational arithmetic, produces the
+arc-count analogues b1, b2) by exact integer arithmetic, produces the
 truncated prediction, and compares it against exact counts over a sweep of
 field sizes.  No floating point is used anywhere; normalized residuals are
 kept as Fractions.
@@ -39,18 +39,13 @@ def params(k, n):
         raise OutOfRange(f"need 1 <= k <= n-1, got k={k}, n={n}")
     delta = k * (n - k)
     big_n = _binom(n, k)
-    a2 = (
-        Fraction(big_n * k * (n - k) * (k * k - n * k + n + 3),
-                 2 * (k + 1) * (n - k + 1))
-        + Fraction(big_n * big_n, 2)
-        - Fraction(5 * big_n, 2)
-        + 2
-    )
-    if a2.denominator != 1:
-        raise ExactnessViolation(f"a2({k},{n}) = {a2} is not an integer")
-    a2 = int(a2)
+    # N k(n-k)(k^2 - nk + n + 3) / (2(k+1)(n-k+1)) + (N^2 - 5N + 4) / 2
+    a2 = exact_quotient(
+        big_n * k * (n - k) * (k * k - n * k + n + 3)
+        + (k + 1) * (n - k + 1) * (big_n * big_n - 5 * big_n + 4),
+        2 * (k + 1) * (n - k + 1), f"a2({k},{n})")
     b1 = big_n - n
-    b2 = a2 - (n - 1) * (big_n - n) - (n * n - 3 * n + 2) // 2
+    b2 = a2 - (n - 1) * b1 - _binom(n - 1, 2)
     return AsymptoticParams(k=k, n=n, delta=delta, big_n=big_n, a2=a2, b1=b1, b2=b2)
 
 
@@ -182,6 +177,5 @@ def convergence(k, n, q_list, threads=1, budget=None):
         bounded = max_upper == 0
     else:
         bounded = max_upper <= 2 * max_lower
-    max_all = max(abs(r.normalized) for r in rows)
     return ConvergenceReport(k=k, n=n, rows=tuple(rows), bounded=bounded,
-                             max_normalized=max_all)
+                             max_normalized=max(max_lower, max_upper))

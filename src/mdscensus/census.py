@@ -279,16 +279,10 @@ def gamma_closed_form(k, n, q):
     three-term expansion, and both are revalidated against the matrix scan
     before any convergence run relies on them.
     """
-    if k == 1:
-        return (q - 1) ** (n - 1)
-    if k == 2:
-        if n == 2:
-            return 1
-        out = (q - 1) ** (n - 1)
-        for j in range(2, n - 1):
-            out *= q - j
-        return out
-    return None
+    if k not in (1, 2):
+        return None
+    gamma_tilde = math.prod(q - j for j in range(2, n - 1)) if k == 2 else 1
+    return _column_scalings(k, n, q) * gamma_tilde
 
 
 def count_mds(k, n, gf, method="scan", threads=1, budget=None):

@@ -107,9 +107,6 @@ def _cmd_count(args):
     res = census.count_mds(args.k, args.n, gf, method=args.method,
                     threads=args.threads, budget=args.budget)
     return {
-        "k": res.k,
-        "n": res.n,
-        "q": res.q,
         "gamma": str(res.gamma),
         "gamma_tilde": str(res.gamma_tilde),
         "method": res.method,
@@ -121,12 +118,7 @@ def _cmd_grassmann_count(args):
     factor_prime_power(args.q)
     if args.k < 0 or args.n < 0:
         raise OutOfRange(f"need 0 <= k and 0 <= n, got k={args.k}, n={args.n}")
-    return {
-        "k": args.k,
-        "n": args.n,
-        "q": args.q,
-        "count": str(gaussian_binomial(args.k, args.n, args.q)),
-    }
+    return {"count": str(gaussian_binomial(args.k, args.n, args.q))}
 
 
 def _cmd_sections(args):
@@ -142,16 +134,13 @@ def _cmd_sections(args):
             {"r": r, "subset_id": mask, "indices": names,
              "norm": str(norm), "ann_in_grassmannian": int(in_g)}
         )
-    return {"k": args.k, "n": args.n, "q": args.q, "rows": rows}
+    return {"rows": rows}
 
 
 def _cmd_incl_excl(args):
     gf = field_of_order(args.q)
     rep = sections.inclusion_exclusion(args.k, args.n, gf, budget=args.budget)
     payload = {
-        "k": rep.k,
-        "n": rep.n,
-        "q": rep.q,
         "gamma_reconstructed": str(rep.gamma_reconstructed),
         "e_terms": [str(e) for e in rep.e_terms],
         "c1_by_r": {str(r): v for r, v in rep.c1_by_r.items()},
@@ -169,8 +158,6 @@ def _cmd_incl_excl(args):
 def _cmd_asympt(args):
     p = asymptotics.params(args.k, args.n)
     payload = {
-        "k": p.k,
-        "n": p.n,
         "delta": p.delta,
         "num_coordinates": p.big_n,
         "a2": str(p.a2),
@@ -199,9 +186,6 @@ def _cmd_code(args):
     gf = field_of_order(args.q)
     code = grassmann_code.build_code(args.k, args.n, gf, budget=args.budget)
     payload = {
-        "k": args.k,
-        "n": args.n,
-        "q": args.q,
         "length": str(code.length),
         "dimension": code.dimension,
     }
@@ -250,7 +234,7 @@ def _cmd_weight(args):
                            f"{json.dumps(coeff)} is not an integer")
     omega = exterior.DualForm.from_terms(gf, args.k, args.n, parsed)
     method = args.method
-    payload = {"k": args.k, "n": args.n, "q": args.q}
+    payload = {}
     if method in ("direct", "both"):
         payload["weight_direct"] = str(
             exterior.form_weight(omega, "direct", budget=args.budget))
@@ -388,7 +372,9 @@ def main(argv=None):
         _check_args(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        _emit(_HANDLERS[args.command](args), args)
+        # payload-wide fields have this one writer: the command's shape leads
+        shape = {key: getattr(args, key) for key in ("k", "n", "q") if key in vars(args)}
+        _emit({**shape, **_HANDLERS[args.command](args)}, args)
         return EXIT_OK
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -59,6 +59,41 @@ def test_k1_truncation_matches_binomial_coefficients():
         assert p.a2 == _binom(n - 1, 2)
 
 
+def _rational_params(k, n):
+    """a2 as a sum of Fractions and b2's half as (n^2 - 3n + 2) // 2: the
+    reference params() must match with its one exact integer quotient."""
+    big_n = _binom(n, k)
+    a2 = (
+        Fraction(big_n * k * (n - k) * (k * k - n * k + n + 3),
+                 2 * (k + 1) * (n - k + 1))
+        + Fraction(big_n * big_n, 2)
+        - Fraction(5 * big_n, 2)
+        + 2
+    )
+    return a2, a2 - (n - 1) * (big_n - n) - (n * n - 3 * n + 2) // 2
+
+
+def test_params_match_the_rational_reference():
+    for n in range(2, 41):
+        for k in range(1, n):
+            a2, b2 = _rational_params(k, n)
+            p = params(k, n)
+            assert a2.denominator == 1 and (p.a2, p.b2) == (a2, b2), (k, n)
+
+
+@pytest.mark.parametrize("k, n, q_list", [
+    (3, 6, (2, 3, 4, 5, 7)),
+    # one field: its row is the lower window, and the upper one is empty
+    (3, 6, (5,)),
+    # every prime power up to 64
+    (2, 5, (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+            37, 41, 43, 47, 49, 53, 59, 61, 64)),
+], ids=["3-6-to-7", "3-6-at-5", "2-5-to-64"])
+def test_max_normalized_is_the_largest_row(k, n, q_list):
+    rep = convergence(k, n, q_list)
+    assert rep.max_normalized == max(abs(r.normalized) for r in rep.rows)
+
+
 def test_params_out_of_range():
     with pytest.raises(OutOfRange):
         params(0, 4)

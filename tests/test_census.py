@@ -128,6 +128,21 @@ def test_closed_forms_match_scan():
     assert gamma_closed_form(3, 6, 5) is None
 
 
+def test_no_mds_code_past_the_bush_bound():
+    # for 2 <= k <= n - 2 an [n, k] MDS code over GF(q) has n <= q + k - 1
+    # (Bush 1952); q = 2 is left out, the scan's window 2..q-1 is empty there
+    for q in (3, 4, 5, 7):
+        gf = field_of_order(q)
+        shapes = [(k, n) for n in range(4, 10) for k in range(2, n - 1)
+                  if n > q + k - 1]
+        for k, n in shapes:
+            if (q - 2) ** ((k - 1) * (n - k - 1)) <= 2 * 10**5:
+                res = count_mds_matrix_scan(k, n, gf)
+                assert (res.gamma, res.gamma_tilde) == (0, 0), (k, n, q)
+            if (q - 1) ** (k * (n - k) - 1) <= 2**18:
+                assert count_mds_grassmannian_filter(k, n, gf).gamma == 0, (k, n, q)
+
+
 def test_duality():
     cases = [(k, n, q) for q in (2, 3, 4) for k, n in ((1, 3), (2, 4), (2, 5))]
     cases += [(3, 7, q) for q in (7, 8, 9)]

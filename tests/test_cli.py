@@ -383,6 +383,37 @@ def test_table_format_with_rows(capsys):
     ]
 
 
+FORM = '[{"index":[1,2,3],"coeff":1},{"index":[4,5,6],"coeff":1}]'
+
+
+@pytest.mark.parametrize("argv, head", [
+    (("count", "--k", "2", "--n", "4", "--q", "5"), ("k", "n", "q")),
+    (("grassmann-count", "--k", "2", "--n", "4", "--q", "3"), ("k", "n", "q")),
+    (("sections", "--k", "2", "--n", "4", "--q", "2"), ("k", "n", "q")),
+    (("incl-excl", "--k", "2", "--n", "4", "--q", "3",
+      "--verify-against-census"), ("k", "n", "q")),
+    (("asympt", "--k", "2", "--n", "4"), ("k", "n", "delta")),
+    (("code", "--k", "2", "--n", "4", "--q", "2", "--dr", "2"), ("k", "n", "q")),
+    (("weight", "--k", "3", "--n", "6", "--q", "3", "--form", FORM),
+     ("k", "n", "q")),
+], ids=["count", "grassmann-count", "sections", "incl-excl", "asympt", "code",
+        "weight"])
+def test_payloads_open_with_the_command_shape(capsys, argv, head):
+    # every payload starts with the command's shape, in json, csv and table
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert tuple(payload)[:3] == head
+    values = tuple(str(payload[key]) for key in head)
+    _, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert out.splitlines()[:3] == [f"{key}: {v}" for key, v in zip(head, values)]
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    if "rows" not in payload:
+        # a payload with rows prints only its rows in csv
+        header, row = out.splitlines()
+        assert tuple(header.split(","))[:3] == head
+        assert tuple(row.split(","))[:3] == values
+
+
 def test_verify_quick_fields(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "fields", "--scale", "quick")
     assert code == 0

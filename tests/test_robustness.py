@@ -212,14 +212,24 @@ def test_cached_vecops_arrays_are_read_only(q, kept):
 
 
 def test_tracer_finds_every_name_it_wraps():
-    # perfbench/tracer.py wraps package functions by name (support_mask_counts,
-    # inclusion_exclusion, section_norm, form_values, ...): a rename must
-    # fail here, not only in the traced benchmark
+    # perfbench/tracer.py wraps about 25 package names (support_mask_counts,
+    # census.ProcessPoolExecutor, asymptotics._validated_oracle_gamma,
+    # _vecgf.count_all_nonzero, ...): a rename must fail here, not only in
+    # the traced benchmark, and a traced job must still run and be counted
     perfbench = PACKAGE_DIR.parent.parent / "perfbench"
-    proc = _run_python("-c", "import tracer; tracer.install(tracer.Tracer()); "
-                       "print('installed')", paths=(str(perfbench),))
+    script = "\n".join([
+        "import contextlib, io, tracer",
+        "import mdscensus.cli as cli",
+        "spans = tracer.Tracer()",
+        "tracer.install(spans)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    status = cli.main(['count', '--k', '3', '--n', '6', '--q', '5',",
+        "                       '--method', 'both'])",
+        "print(status, spans.metrics()['cli.jobs'])",
+    ])
+    proc = _run_python("-c", script, paths=(str(perfbench),))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "installed"
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_cli_imports_the_registry_lazily():
