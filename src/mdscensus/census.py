@@ -24,16 +24,18 @@ grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
                   the columns of I past k, planned from the multi-index I;
                   one of order 0 is the constant 1 and one of order 1 a lone
                   entry, so the entries run over 1..q-1 and only the minors
-                  of order >= 2 are evaluated.  One coordinate scaling is
-                  divided out: scaling coordinate k+1 by lambda != 0
-                  multiplies column 0 of A, and every p_I through it, by
-                  lambda and leaves the other p_I alone, so it maps counted
-                  points to counted points.  Every counted point has
-                  A[0][0] != 0, so its q-1 scalings are distinct and exactly
-                  one has A[0][0] = 1.  The walk fixes A[0][0] = 1, runs the
-                  other k(n-k) - 1 entries over 1..q-1, (q-1)^(k(n-k)-1)
-                  points, and gamma is q-1 times its count (1 at k = n,
-                  where nothing is walked).
+                  of order >= 2 are evaluated.  The n-k coordinate
+                  scalings are divided out: scaling coordinate k+1+c by
+                  lambda != 0 multiplies column c of A, and every p_I
+                  through it, by lambda and leaves the other p_I alone, so
+                  it maps counted points to counted points.  Every counted
+                  point has A[0][c] != 0 (a lone entry is a Plucker
+                  coordinate), so the orbit of (F_q^*)^(n-k) through it
+                  holds exactly one point whose row 0 is all ones.  The walk
+                  fixes row 0 at ones, runs the other (k-1)(n-k) entries over
+                  1..q-1, (q-1)^((k-1)(n-k)) points, and gamma is
+                  (q-1)^(n-k) times its count (1 at k = n, where nothing is
+                  walked).
 
 Each route states only its walk, a minor plan with the sizes and offsets
 of its free entries, and how many subspaces one counted point stands for.
@@ -206,14 +208,14 @@ def _filter_minor_plan(k, n):
 
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     """gamma by the independent Grassmannian filter on the big cell
-    [I_k | A]: A[0][0] is fixed at 1, the other k(n-k) - 1 entries run over
-    1..q-1, and one counted point stands for q-1 subspaces (1 at k = n,
-    where nothing is walked)."""
+    [I_k | A]: row 0 of A is fixed at 1, the other (k-1)(n-k) entries run
+    over 1..q-1, and one counted point stands for the (q-1)^(n-k) column
+    scalings of it (1 at k = n, where nothing is walked)."""
     check_shape(k, n)
     q = gf.q
-    sizes = [1] + [q - 1] * (k * (n - k) - 1) if k < n else []
+    sizes = [1] * (n - k) + [q - 1] * ((k - 1) * (n - k))
     return _census("Grassmannian filter", k, n, gf, _filter_minor_plan, sizes, 1,
-                   q - 1 if sizes else 1, threads, budget)
+                   (q - 1) ** (n - k), threads, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,12 @@ def _add_common(sub, *, needs_q=True):
 
 
 @functools.cache
-def build_parser():
-    """The mds parser, built once per process: main parses every call with
-    it, and argparse keeps no state between parse_args calls."""
+def build_parser(command=None):
+    """The mds parser, built once per process and command: main parses
+    every call with it, and argparse keeps no state between parse_args
+    calls.  Every command gets its subparser and help line, so usage and
+    "invalid choice" errors do not depend on command; only the command
+    named, or every command when command is None, gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="mds",
         description="Exact censuses of MDS codes and Grassmannian sections "
@@ -301,49 +304,55 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("count", help="census of [n,k] MDS codes over GF(q)")
-    _add_common(p)
-    p.add_argument("--method", choices=("scan", "filter", "both"), default="scan")
+    def subparser(name, help):
+        """The subparser of one command when its arguments are wanted,
+        else None."""
+        p = subs.add_parser(name, help=help)
+        return p if command in (None, name) else None
 
-    p = subs.add_parser("grassmann-count", help="number of k-subspaces of GF(q)^n")
-    _add_common(p)
+    if p := subparser("count", "census of [n,k] MDS codes over GF(q)"):
+        _add_common(p)
+        p.add_argument("--method", choices=("scan", "filter", "both"), default="scan")
 
-    p = subs.add_parser("sections", help="norms of coordinate sections")
-    _add_common(p)
-    p.add_argument("--max-r", type=int, default=2,
-                   help="largest subset size; C(n, k) or more takes them all")
+    if p := subparser("grassmann-count", "number of k-subspaces of GF(q)^n"):
+        _add_common(p)
 
-    p = subs.add_parser("incl-excl", help="inclusion-exclusion reconstruction")
-    _add_common(p)
-    p.add_argument("--verify-against-census", action="store_true")
+    if p := subparser("sections", "norms of coordinate sections"):
+        _add_common(p)
+        p.add_argument("--max-r", type=int, default=2,
+                       help="largest subset size; C(n, k) or more takes them all")
 
-    p = subs.add_parser("asympt", help="expansion coefficients and residual sweeps")
-    _add_common(p, needs_q=False)
-    p.add_argument("--q-list", default=None,
-                   help="comma-separated prime powers for the residual sweep")
+    if p := subparser("incl-excl", "inclusion-exclusion reconstruction"):
+        _add_common(p)
+        p.add_argument("--verify-against-census", action="store_true")
 
-    p = subs.add_parser("code", help="the Plucker evaluation code")
-    _add_common(p)
-    p.add_argument("--spectrum", default=None,
-                   help="'exhaustive' or 'sample:COUNT:SEED'")
-    p.add_argument("--dr", type=int, default=None,
-                   help="report the r-th generalized weight")
-    p.add_argument("--dr-mode", choices=("exhaustive", "structured"),
-                   default="structured")
+    if p := subparser("asympt", "expansion coefficients and residual sweeps"):
+        _add_common(p, needs_q=False)
+        p.add_argument("--q-list", default=None,
+                       help="comma-separated prime powers for the residual sweep")
 
-    p = subs.add_parser("weight", help="weight of one k-form")
-    _add_common(p)
-    p.add_argument("--form", required=True,
-                   help='JSON list like [{"index":[1,2],"coeff":1}]')
-    p.add_argument("--method", choices=("direct", "recursive", "both"),
-                   default="both")
+    if p := subparser("code", "the Plucker evaluation code"):
+        _add_common(p)
+        p.add_argument("--spectrum", default=None,
+                       help="'exhaustive' or 'sample:COUNT:SEED'")
+        p.add_argument("--dr", type=int, default=None,
+                       help="report the r-th generalized weight")
+        p.add_argument("--dr-mode", choices=("exhaustive", "structured"),
+                       default="structured")
 
-    p = subs.add_parser("verify", help="run the check registry")
-    p.add_argument("--suite",
-                   choices=("fields", "plucker", "weights", "sections",
-                            "asymptotics", "census", "all"),
-                   default="all")
-    p.add_argument("--scale", choices=("quick", "full"), default="quick")
+    if p := subparser("weight", "weight of one k-form"):
+        _add_common(p)
+        p.add_argument("--form", required=True,
+                       help='JSON list like [{"index":[1,2],"coeff":1}]')
+        p.add_argument("--method", choices=("direct", "recursive", "both"),
+                       default="both")
+
+    if p := subparser("verify", "run the check registry"):
+        p.add_argument("--suite",
+                       choices=("fields", "plucker", "weights", "sections",
+                                "asymptotics", "census", "all"),
+                       default="all")
+        p.add_argument("--scale", choices=("quick", "full"), default="quick")
 
     return parser
 
@@ -367,7 +376,10 @@ def _check_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a parse builds the arguments of the command it runs, or all of them
+    named = argv[0] if argv and (argv[0] in _HANDLERS or argv[0] == "verify") else None
+    args = build_parser(named).parse_args(argv)
     try:
         _check_args(args)
         if args.command == "verify":

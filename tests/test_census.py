@@ -64,19 +64,30 @@ def test_scan_matches_naive_reference():
             assert count_mds_matrix_scan(k, n, gf).gamma == naive_gamma(k, n, gf), (k, n, q)
 
 
-# every (k,n) with n <= 7 over the small fields whose un-reduced filter
-# walk (q-1)^(k(n-k)) stays within 3*10^6 points, (2,3) past the table
-# range at q = 529, and the shapes the reduced walk (q-1)^(k(n-k)-1)
-# brings within 3*10^6: 204 shapes in all
-CROSS_GRID = ([(k, n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11)
-               for n in range(1, 8) for k in range(1, n + 1)
-               if (q - 1) ** (k * (n - k)) <= 3 * 10**6]
-              + [(2, 3, 529), (2, 6, 8), (2, 6, 9), (3, 6, 7), (4, 6, 8),
-                 (4, 6, 9), (1, 8, 11), (7, 8, 11)])
+def filter_walk(k, n, q):
+    """Points the filter walks: row 0 of A is all ones, the other
+    (k-1)(n-k) entries run over 1..q-1."""
+    return (q - 1) ** ((k - 1) * (n - k))
+
+
+def scan_walk(k, n, q):
+    """Candidates the scan walks: the (k-1)(n-k-1) free entries of the
+    normalized A run over 2..q-1, none at k = n."""
+    return (q - 2) ** ((k - 1) * (n - k - 1)) if k < n else 1
+
+
+# every (k,n) with n <= 8 over the fields to q = 16 where both walks stay
+# within 3*10^6, and eight named shapes that stay pinned if those bounds
+# move, (2,3) past the table range at q = 529 among them: 315 shapes
+CROSS_GRID = sorted({(k, n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+                     for n in range(1, 9) for k in range(1, n + 1)
+                     if max(filter_walk(k, n, q), scan_walk(k, n, q)) <= 3 * 10**6}
+                    | {(2, 3, 529), (2, 6, 8), (2, 6, 9), (3, 6, 7), (4, 6, 8),
+                       (4, 6, 9), (1, 8, 11), (7, 8, 11)})
 
 
 def test_cross_oracle_small():
-    assert len(CROSS_GRID) == 204
+    assert len(CROSS_GRID) == 315
     for k, n, q in CROSS_GRID:
         gf = field_of_order(q)
         a = count_mds_matrix_scan(k, n, gf).gamma
@@ -84,20 +95,22 @@ def test_cross_oracle_small():
         assert a == b, (k, n, q)
 
 
-def test_filter_divides_out_one_scaling():
-    # scaling coordinate k+1 by lambda != 0 scales column 0 of A and keeps
-    # each p_I zero or nonzero, so the walk with A[0][0] over all of F_q^*
-    # counts q-1 times the walk with A[0][0] = 1, the one the filter takes
+def test_filter_divides_out_the_column_scalings():
+    # scaling coordinate k+1+c by lambda != 0 scales column c of A and keeps
+    # each p_I zero or nonzero, so the walk with row 0 over all of F_q^*
+    # counts (q-1)^(n-k) times the walk with row 0 all ones, the one the
+    # filter takes
     for q in (2, 3, 4, 5):
         gf = field_of_order(q)
         for n in range(2, 7):
             for k in range(1, n):
-                plan, entries = census._filter_minor_plan(k, n), k * (n - k)
+                plan, nk = census._filter_minor_plan(k, n), n - k
+                entries = k * nk
                 full, _ = census._count_walk(
                     gf, (plan, [q - 1] * entries, [1] * entries), 1)
                 reduced, _ = census._count_walk(
-                    gf, (plan, [1] + [q - 1] * (entries - 1), [1] * entries), 1)
-                assert full == (q - 1) * reduced, (k, n, q)
+                    gf, (plan, [1] * nk + [q - 1] * (entries - nk), [1] * entries), 1)
+                assert full == (q - 1) ** nk * reduced, (k, n, q)
                 gamma = count_mds_grassmannian_filter(k, n, gf).gamma
                 assert gamma == full, (k, n, q)
 
@@ -136,11 +149,22 @@ def test_no_mds_code_past_the_bush_bound():
         shapes = [(k, n) for n in range(4, 10) for k in range(2, n - 1)
                   if n > q + k - 1]
         for k, n in shapes:
-            if (q - 2) ** ((k - 1) * (n - k - 1)) <= 2 * 10**5:
+            if scan_walk(k, n, q) <= 2 * 10**5:
                 res = count_mds_matrix_scan(k, n, gf)
                 assert (res.gamma, res.gamma_tilde) == (0, 0), (k, n, q)
-            if (q - 1) ** (k * (n - k) - 1) <= 2**18:
+            if filter_walk(k, n, q) <= 2**18:
                 assert count_mds_grassmannian_filter(k, n, gf).gamma == 0, (k, n, q)
+
+
+def test_theory_anchors_on_both_routes():
+    # at odd q a (q+1)-arc of PG(2, q) is a conic (Segre 1955), so
+    # gamma-tilde(3, q+1, q) = (q-2)!, and PG(2, q) has no (q+2)-arc (Bose
+    # 1947); the Bush bound n <= q + k - 1 leaves both shapes open
+    anchors = {(3, 6, 5): 6, (3, 8, 7): 120, (3, 7, 5): 0, (3, 9, 7): 0}
+    for (k, n, q), want in anchors.items():
+        gf = field_of_order(q)
+        for route in (count_mds_matrix_scan, count_mds_grassmannian_filter):
+            assert route(k, n, gf).gamma_tilde == want, (route, k, n, q)
 
 
 def test_duality():
@@ -302,31 +326,32 @@ def test_small_filter_starts_no_pool(monkeypatch):
     res = count_mds_grassmannian_filter(2, 5, make_field(3, 1), threads=4)
     assert res.gamma == gamma_closed_form(2, 5, 3)
     assert res.worker_count == 1
-    # 4^9 points, but no minor reads an entry: nothing is walked, no pool
+    # row 0 is all of A: one point, no minor and no pool
     res = count_mds_grassmannian_filter(1, 11, make_field(5, 1), threads=2)
     assert (res.gamma, res.worker_count) == (4**10, 1)
 
 
 def test_pool_never_exceeds_cpu_count(monkeypatch):
-    # the (3,7,11) scan walks 9^5 candidates and the (2,6,7) filter 6^6
-    # (A[0][0] = 1, the last entry counted), both past this POOL_MIN_WORK
+    # the (3,7,11) scan walks 9^5 candidates and the (3,6,11) filter 10^5
+    # (row 0 all ones, the last entry counted), both past this POOL_MIN_WORK
     monkeypatch.setattr(census, "POOL_MIN_WORK", 2**15)
-    scan_gf, filter_gf = make_field(11, 1), make_field(7, 1)
-    serial_scan = count_mds_matrix_scan(3, 7, scan_gf)
-    serial_filter = count_mds_grassmannian_filter(2, 6, filter_gf)
+    gf = make_field(11, 1)
+    serial_scan = count_mds_matrix_scan(3, 7, gf)
+    serial_filter = count_mds_grassmannian_filter(3, 6, gf)
+    reference = count_mds_matrix_scan(3, 6, gf).gamma
     monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     InlinePool.started = []
-    scan = count_mds_matrix_scan(3, 7, scan_gf, threads=64)
-    filt = count_mds_grassmannian_filter(2, 6, filter_gf, threads=64)
+    scan = count_mds_matrix_scan(3, 7, gf, threads=64)
+    filt = count_mds_grassmannian_filter(3, 6, gf, threads=64)
     assert InlinePool.started == [3, 3]
     assert (scan.worker_count, filt.worker_count) == (3, 3)
     assert scan.gamma == serial_scan.gamma
-    assert filt.gamma == serial_filter.gamma == gamma_closed_form(2, 6, 7)
+    assert filt.gamma == serial_filter.gamma == reference
     InlinePool.started = []
-    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2).worker_count == 2
+    assert count_mds_matrix_scan(3, 7, gf, threads=2).worker_count == 2
     monkeypatch.setattr(census.os, "cpu_count", lambda: None)
-    assert count_mds_matrix_scan(3, 7, scan_gf, threads=2).worker_count == 1
+    assert count_mds_matrix_scan(3, 7, gf, threads=2).worker_count == 1
     assert InlinePool.started == [2]
 
 
@@ -398,21 +423,21 @@ def test_filter_plans_no_minor_below_order_two():
 
 
 def test_walks_honour_budget():
-    # the filter walks (q-1)^(k(n-k)-1) points, A[0][0] fixed to 1, the scan
-    # (q-2)^((k-1)(n-k-1)) normalized candidates; a budget one below the
-    # walk is refused
+    # the filter walks (q-1)^((k-1)(n-k)) points, row 0 fixed to ones, the
+    # scan (q-2)^((k-1)(n-k-1)) normalized candidates; a budget one below
+    # the walk is refused
     for k, n, q in ((2, 4, 3), (3, 6, 5), (2, 5, 4)):
         gf = field_of_order(q)
         expected = count_mds_matrix_scan(k, n, gf).gamma
-        for count, walk in ((count_mds_grassmannian_filter, (q - 1) ** (k * (n - k) - 1)),
-                            (count_mds_matrix_scan, (q - 2) ** ((k - 1) * (n - k - 1)))):
+        for count, walk in ((count_mds_grassmannian_filter, filter_walk(k, n, q)),
+                            (count_mds_matrix_scan, scan_walk(k, n, q))):
             with pytest.raises(BudgetExceeded):
                 count(k, n, gf, budget=walk - 1)
             assert count(k, n, gf, budget=walk).gamma == expected, (count, k, n, q)
 
 
 # (3,7,11) and (3,8,11) scans walk 9^6 and 9^8 int16 candidates, the filter
-# 4^8 int16 points at (3,6,5) and 7^7 at (2,6,8), all through the q x q
+# 4^6 int16 points at (3,6,5) and 7^4 at (2,6,8), all through the q x q
 # tables; the (2,5,191) and (2,5,243) scans walk 189^2 and 241^2 candidates
 # past the table range, int64 mod 191 and int16 log/exp with base-3 digits.
 # Each counts its last free entry.  At (3,8,11) sizing the chunk prefix on
@@ -564,12 +589,13 @@ def _scan_dropping(monkeypatch, shape, i):
 
 def test_every_dropped_scan_minor_is_seen(monkeypatch):
     # each minor of the scan's plan, dropped in turn, fails a shipped check:
-    # the filter where it runs, the orbit divisibility n! | gamma-tilde *
+    # the filter where it runs, (3,8,9) included, where every drop still
+    # passes the orbit divisibility; the orbit divisibility n! | gamma-tilde *
     # |PGL(k, q)| at (3,7) for q = 7, 8, and duality, gamma(4,7) = gamma(3,7)
     def plan_size(k, n):
         return len(census._scan_minor_plan(k, n))
 
-    for k, n, q in ((3, 6, 5), (4, 6, 5)):
+    for k, n, q in ((3, 6, 5), (4, 6, 5), (3, 8, 9)):
         gf = field_of_order(q)
         expected = count_mds_grassmannian_filter(k, n, gf).gamma
         for i in range(plan_size(k, n)):

@@ -536,6 +536,35 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_parser_adds_the_arguments_of_the_named_command_only(monkeypatch, capsys):
+    # every command keeps its subparser and help line, so usage, mds --help
+    # and "invalid choice" errors read as from the full parser; only the
+    # named command gets its arguments, and main names the command it runs
+    full = cli.build_parser()
+    for name, full_sub in _subparsers(full).items():
+        parser = cli.build_parser(name)
+        assert parser is cli.build_parser(name)
+        assert parser.format_help() == full.format_help()
+        for other, sub in _subparsers(parser).items():
+            if other == name:
+                assert sub.format_help() == full_sub.format_help(), name
+            else:
+                assert [a.dest for a in sub._actions] == ["help"], (name, other)
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or real(command))
+    assert run_cli(capsys, "count", "--k", "2", "--n", "4", "--q", "3")[0] == 0
+    for argv in (["verify", "--suite", "bogus"], ["bogus"], ["--help"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["count", "verify", None, None, None]
+
+
 def test_repeated_main_calls_share_no_state(capsys):
     # one parser serves every call: a value given once must not become the
     # next call's default, and an argparse exit must not poison it

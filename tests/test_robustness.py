@@ -157,10 +157,10 @@ from mdscensus.fields import field_of_order
 real = census._count_walk
 gf = field_of_order(4)
 # gamma-tilde(2,5,4) = 2 and |PGL(2,4)| = 60, so 5! divides 2 * 60, not 3 * 60;
-# the filter's gamma-tilde is 3 times its walk's count over 3^4, so a walk
-# 3^3 off moves it by one
+# the filter's gamma-tilde is 3^3 times its walk's count over 3^4, so a walk
+# 3 off moves it by one
 for route, step in ((census.count_mds_matrix_scan, 1),
-                    (census.count_mds_grassmannian_filter, 3**3)):
+                    (census.count_mds_grassmannian_filter, 3)):
     def one_off(gf, walk, threads, step=step):
         count, workers = real(gf, walk, threads)
         return count + step, workers
