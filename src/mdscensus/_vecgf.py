@@ -200,21 +200,19 @@ def det_any(ops, m):
     return total
 
 
-def position_arrays(sizes, offsets, dtype):
+def position_arrays(sizes, offset, dtype):
     """Mixed-radix odometer grids in C order, the rows of np.indices: one
     array per position, first position slowest; position i runs over
-    offsets[i], ..., offsets[i] + sizes[i] - 1.  A size of 0 gives empty
-    grids."""
+    offset, ..., offset + sizes[i] - 1.  A size of 0 gives empty grids."""
     grid = np.indices(sizes, dtype).reshape(len(sizes), math.prod(sizes))
-    grid += np.array(offsets, dtype=dtype)[:, None]
+    grid += offset
     return list(grid)
 
 
-def prefix_values(sizes, offsets, lo=0, hi=None):
-    """Odometer readings lo..hi-1 (default: all) over `sizes` in the same C
-    order, position i running from offsets[i], as tuples of Python ints."""
-    ranges = [range(o, o + s) for s, o in zip(sizes, offsets)]
-    return itertools.islice(itertools.product(*ranges), lo, hi)
+def prefix_values(sizes, offset):
+    """Every odometer reading over `sizes` in the same C order, position i
+    running from offset, as tuples of Python ints."""
+    return itertools.product(*(range(offset, offset + s) for s in sizes))
 
 
 def block_len(dtype):
@@ -284,9 +282,10 @@ def walked_len(minors):
     return max(last, default=-1) + 1 if counted is None else counted
 
 
-def walk_levels(minors, sizes, offsets, dtype, t):
+def walk_levels(minors, t, sizes, offset, dtype):
     """The levels of a walk cut after its first t free entries, for
-    count_all_nonzero: (prefix minors, segments, last level, tail).
+    count_all_nonzero: (prefix minors, segments, last level, tail).  `sizes`
+    are the sizes of free entries t and later, each running from offset.
 
     Each minor is checked where its last free entry is reached.  The minors
     whose last entry lies in the prefix (or which read none) are checked on
@@ -306,19 +305,18 @@ def walk_levels(minors, sizes, offsets, dtype, t):
         counted = None
     prefix = [m for m, e in zip(minors, last) if e < t]
     segments = []
-    start = t
-    for end in sorted({e for e in last if e >= t and e != counted}):
-        grids = position_arrays(sizes[start:end + 1], offsets[start:end + 1], dtype)
-        segments.append((grids, [m for m, e in zip(minors, last) if e == end]))
+    start = 0  # suffix positions, entry t + i at position i
+    for end in sorted({e - t for e in last if e >= t and e != counted}):
+        grids = position_arrays(sizes[start:end + 1], offset, dtype)
+        segments.append((grids, [m for m, e in zip(minors, last) if e == t + end]))
         start = end + 1
     if counted is None:
         return prefix, segments, None, math.prod(sizes[start:])
+    counted -= t
     if start < counted:
         # entries the last minors read that no earlier minor ends on
-        segments.append((position_arrays(sizes[start:counted], offsets[start:counted],
-                                         dtype), []))
-    final = (sizes[counted], offsets[counted], parts,
-             max(1, block_len(dtype) // len(parts)))
+        segments.append((position_arrays(sizes[start:counted], offset, dtype), []))
+    final = (sizes[counted], offset, parts, max(1, block_len(dtype) // len(parts)))
     return prefix, segments, final, math.prod(sizes[counted + 1:])
 
 
@@ -428,8 +426,8 @@ def _cell_blocks(gf, k, n, width):
                  for idx in indices]
         sizes = [gf.q] * template.count(None)
         t = choose_prefix_len(sizes, width)
-        suffix = position_arrays(sizes[t:], [0] * (len(sizes) - t), ops.dtype)
-        for prefix in prefix_values(sizes[:t], [0] * t):
+        suffix = position_arrays(sizes[t:], 0, ops.dtype)
+        for prefix in prefix_values(sizes[:t], 0):
             values = list(prefix) + suffix
             block = np.empty((len(indices), math.prod(sizes[t:])), dtype=ops.dtype)
             for row_pos, plan in enumerate(plans):

@@ -31,31 +31,37 @@ grassmannian-filter  walks the big cell [I_k | A] of G(k, n), with no torus
                   it maps counted points to counted points.  Every counted
                   point has A[0][c] != 0 (a lone entry is a Plucker
                   coordinate), so the orbit of (F_q^*)^(n-k) through it
-                  holds exactly one point whose row 0 is all ones.  The walk
-                  fixes row 0 at ones, runs the other (k-1)(n-k) entries over
-                  1..q-1, (q-1)^((k-1)(n-k)) points, and gamma is
-                  (q-1)^(n-k) times its count (1 at k = n, where nothing is
-                  walked).
+                  holds exactly one point whose row 0 is all ones.  The
+                  walk's one seed fixes row 0 at ones with weight
+                  (q-1)^(n-k) (1 at k = n, where nothing is walked), and the
+                  other (k-1)(n-k) entries run over 1..q-1,
+                  (q-1)^((k-1)(n-k)) points.
 
-Each route states only its walk, a minor plan with the sizes and offsets
-of its free entries, and how many subspaces one counted point stands for.
-One driver, _census, does the rest for both: it budgets the walk's
-candidates, hands the walk to the scheduler, multiplies the count into
-gamma, divides gamma by (q-1)^(n-1) into gamma-tilde, and checks a count
-that theory fixes: for 2 <= k < n, gamma-tilde * |PGL(k, q)| counts
-ordered n-arcs, so n! divides it, and a count that breaks this raises
+Each route states only its walk (plan, seeds, sizes, offset): a minor
+plan, a list of seeds, each (weight, values) fixing the first s free
+entries, s the same for every seed, and the sizes of the free entries
+after them, all running from one offset.  gamma is the sum over the seeds
+of weight times the count of all-nonzero candidates the seed starts: the
+scan's one seed fixes nothing and weighs (q-1)^(n-1), the filter's fixes
+row 0.  One driver, _census, does the rest for both: it budgets the walk's
+len(seeds) * prod(sizes) candidates, hands the walk to the scheduler,
+divides gamma by (q-1)^(n-1) into gamma-tilde, and checks a count that
+theory fixes: for 2 <= k < n, gamma-tilde * |PGL(k, q)| counts ordered
+n-arcs, so n! divides it, and a count that breaks this raises
 DivisibilityViolation.
 
 Every chunk of a walk yields an exact integer and the total is an
 order-independent sum, so results are bit-identical for any
-worker count.  Work is chunked by fixing the first t free entries of the
-walk: chunk i is the i-th reading of those entries in C order, the order
-of itertools.product and np.indices (last entry fastest), so chunks
-[lo, hi) are one slice of _vecgf.prefix_values.  The chunk's prefix
-values are Python ints, and _vecgf.count_all_nonzero walks the rest
-level by level on _vecgf.position_arrays grids: each minor is
-checked as soon as the last free entry it reads is walked, on the survivors
-so far against the next segment of free entries.  The last free entry x of
+worker count.  Work is chunked by a seed and the first t free entries
+after it: with r readings of those entries, chunk i is the (i // r)-th
+seed with the (i % r)-th reading in C order, the order of
+itertools.product and np.indices (last entry fastest), so chunks
+[lo, hi) are one slice of the product of the seeds and
+_vecgf.prefix_values.  The chunk's seed and prefix values are Python
+ints, and _vecgf.count_all_nonzero walks the rest level by level on
+_vecgf.position_arrays grids: each minor is checked as soon as the last
+free entry it reads is walked, on the survivors so far against the next
+segment of free entries.  The last free entry x of
 either plan is counted, not walked: no minor reads an entry twice, so each
 minor through x is affine in it, det = +-x C + D with C the cofactor of x
 and D the minor at x = 0.  For each survivor a minor with C != 0 forbids
@@ -66,14 +72,15 @@ subtraction, and the forbidden values of a chunk come from one quotient
 that reads -1, a value outside every window, where C = 0.  On fields up
 to q = 181 each of these field operations is one gather from a q x q
 int16 table; larger fields compute mod p, or by log/exp and base-p
-digits.  The chunk prefix is sized on the walked entries alone, so no
-value array passes _vecgf.BLOCK_BYTES.
-The scheduler measures a walk by its walked candidates alone, the product
-of the sizes of the free entries the kernel materializes.  A pool starts
-only when that passes POOL_MIN_WORK, more than one worker is asked for and
-the walk is cut into more than one chunk; it never has more workers than
-os.cpu_count(), and the walk is then cut into at least 8 chunks per worker
-where its walked entries allow, which go out in at most 8 tasks per worker.
+digits.  The chunk prefix is sized on the walked entries past the seed
+alone, so no value array passes _vecgf.BLOCK_BYTES.
+The scheduler measures a walk by its walked candidates alone, the seeds
+times the product of the sizes of the free entries the kernel
+materializes.  A pool starts only when that passes POOL_MIN_WORK, more
+than one worker is asked for and the walk is cut into more than one
+chunk; it never has more workers than os.cpu_count(), and the walk is then
+cut into at least 8 chunks per worker where its walked entries allow,
+which go out in at most 8 tasks per worker.
 """
 
 import itertools
@@ -125,20 +132,22 @@ def _column_scalings(k, n, q):
     return 1 if k == n else (q - 1) ** (n - 1)
 
 
-def _census(label, k, n, gf, plan, sizes, offset, per_point, threads, budget):
-    """The census result of one route: its walk has minor plan plan(k, n)
-    and free entries of these sizes, each running from offset, and one
-    counted point stands for per_point subspaces.  The walk's candidates
-    are budgeted before its plan is built; gamma is the count times
-    per_point, gamma-tilde is gamma over (q-1)^(n-1), and the orbit
-    divisibility is checked.  The method is the label, lower case and
-    hyphenated; worker_count reports the workers used (see _worker_count)."""
+def _census(label, k, n, gf, plan, seeds, sizes, offset, threads, budget):
+    """The census result of one route, whose walk is (plan(k, n), seeds,
+    sizes, offset): each seed (weight, values) fixes the first free entries
+    of every candidate at values, the same number of them for every seed,
+    and the free entries after them have these sizes, all running from
+    offset.  gamma is the sum over the seeds of weight times the count of
+    the candidates the seed starts.  The walk's len(seeds) * prod(sizes)
+    candidates are budgeted before its plan is built; gamma-tilde is gamma
+    over (q-1)^(n-1), and the orbit divisibility is checked.  The method is
+    the label, lower case and hyphenated; worker_count reports the workers
+    used (see _worker_count)."""
     q = gf.q
-    check_budget(math.prod(sizes), budget, f"{label} at (k={k}, n={n}, q={q})")
+    check_budget(len(seeds) * math.prod(sizes), budget,
+                 f"{label} at (k={k}, n={n}, q={q})")
     start = time.perf_counter()
-    walk = (plan(k, n), sizes, [offset] * len(sizes))
-    count, workers = _count_walk(gf, walk, threads)
-    gamma = count * per_point
+    gamma, workers = _count_walk(gf, (plan(k, n), seeds, sizes, offset), threads)
     gamma_tilde = exact_quotient(gamma, _column_scalings(k, n, q),
                                  f"gamma over (q-1)^(n-1) at (k={k}, n={n}, q={q})")
     _check_orbit_divisibility(k, n, q, gamma_tilde)
@@ -175,14 +184,14 @@ def _scan_minor_plan(k, n):
 
 
 def count_mds_matrix_scan(k, n, gf, threads=1, budget=None):
-    """gamma by the torus-normalized scan of [I_k | A]: the (k-1)(n-k-1)
-    free entries of A run over 2..q-1, and one counted A stands for
-    (q-1)^(n-1) subspaces (1 at k = n)."""
+    """gamma by the torus-normalized scan of [I_k | A]: one seed fixes no
+    entry, and its weight is the (q-1)^(n-1) subspaces one counted A stands
+    for (1 at k = n); the (k-1)(n-k-1) free entries of A run over 2..q-1."""
     check_shape(k, n)
     q = gf.q
     sizes = [q - 2] * ((k - 1) * (n - k - 1) if k < n else 0)
-    return _census("matrix scan", k, n, gf, _scan_minor_plan, sizes, 2,
-                   _column_scalings(k, n, q), threads, budget)
+    return _census("matrix scan", k, n, gf, _scan_minor_plan,
+                   [(_column_scalings(k, n, q), ())], sizes, 2, threads, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +217,15 @@ def _filter_minor_plan(k, n):
 
 def count_mds_grassmannian_filter(k, n, gf, threads=1, budget=None):
     """gamma by the independent Grassmannian filter on the big cell
-    [I_k | A]: row 0 of A is fixed at 1, the other (k-1)(n-k) entries run
-    over 1..q-1, and one counted point stands for the (q-1)^(n-k) column
-    scalings of it (1 at k = n, where nothing is walked)."""
+    [I_k | A]: one seed fixes row 0 of A at ones, and its weight is the
+    (q-1)^(n-k) column scalings one counted point stands for (1 at k = n,
+    where nothing is walked); the other (k-1)(n-k) entries run over
+    1..q-1."""
     check_shape(k, n)
     q = gf.q
-    sizes = [1] * (n - k) + [q - 1] * ((k - 1) * (n - k))
-    return _census("Grassmannian filter", k, n, gf, _filter_minor_plan, sizes, 1,
-                   (q - 1) ** (n - k), threads, budget)
+    return _census("Grassmannian filter", k, n, gf, _filter_minor_plan,
+                   [((q - 1) ** (n - k), (1,) * (n - k))],
+                   [q - 1] * ((k - 1) * (n - k)), 1, threads, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +241,39 @@ def _worker_count(threads, work):
 
 
 def _count_chunks(gf, walk, t, lo, hi):
-    """All-nonzero candidates among chunks [lo, hi) of one walk (plan,
-    sizes, offsets) cut after its first t free entries; the walk's levels
-    and their segment grids are built once for all of them.  A pooled call
-    gets gf through its pickle, make_field(p, m) in the worker."""
-    plan, sizes, offsets = walk
+    """gamma over chunks [lo, hi) of one walk (plan, seeds, sizes, offset)
+    cut after its seeds and the first t of its sizes: chunk i is the
+    (i // readings)-th seed with the (i % readings)-th reading of those t
+    entries, and counts weight times its all-nonzero candidates.  The
+    walk's levels and their segment grids are built once for all of them.
+    A pooled call gets gf through its pickle, make_field(p, m) in the
+    worker."""
+    plan, seeds, sizes, offset = walk
     ops = _vecgf.vector_ops(gf)
-    levels = _vecgf.walk_levels(plan, sizes, offsets, ops.dtype, t)
-    return sum(_vecgf.count_all_nonzero(ops, prefix, levels)
-               for prefix in _vecgf.prefix_values(sizes[:t], offsets[:t], lo, hi))
+    levels = _vecgf.walk_levels(plan, len(seeds[0][1]) + t, sizes[t:], offset,
+                                ops.dtype)
+    chunks = itertools.product(seeds, _vecgf.prefix_values(sizes[:t], offset))
+    return sum(weight * _vecgf.count_all_nonzero(ops, values + prefix, levels)
+               for (weight, values), prefix in itertools.islice(chunks, lo, hi))
 
 
 def _count_walk(gf, walk, threads):
-    """The all-nonzero candidates of one walk (plan, sizes, offsets) and the
-    workers used, one when the walk is one chunk.  Every decision reads the
-    free entries the kernel walks, _vecgf.walked_len of them: the counted
-    last entry and the tail after it are never materialized.  Their
-    product decides the workers; the chunk prefix is cut from them, so each
-    chunk's walked suffix, and with it every value array, fits
-    _vecgf.BLOCK_BYTES, and a pooled walk has at least one chunk for each
-    of its 8 tasks per worker where the walked entries allow."""
-    plan, sizes, _ = walk
-    walked = sizes[:_vecgf.walked_len(plan)]
-    workers = _worker_count(threads, math.prod(walked))
+    """gamma of one walk (plan, seeds, sizes, offset) and the workers used,
+    one when the walk is one chunk.  Every decision reads the free entries
+    the kernel walks past the seed, _vecgf.walked_len of them less the
+    seed's: the counted last entry and the tail after it are never
+    materialized.  The seeds times their product decide the workers; the
+    chunk prefix is cut from them, so each chunk's walked suffix, and with
+    it every value array, fits _vecgf.BLOCK_BYTES.  The walk has len(seeds)
+    times the prefix's readings chunks, and a pooled walk at least one for
+    each of its 8 tasks per worker where the walked entries allow."""
+    plan, seeds, sizes, _ = walk
+    walked = sizes[:max(0, _vecgf.walked_len(plan) - len(seeds[0][1]))]
+    workers = _worker_count(threads, len(seeds) * math.prod(walked))
     tasks = 8 * workers if workers > 1 else 1
     cap = _vecgf.block_len(_vecgf.vector_ops(gf).dtype)
-    t = _vecgf.choose_prefix_len(walked, cap, tasks)
-    n_chunks = math.prod(sizes[:t])
+    t = _vecgf.choose_prefix_len(walked, cap, -(-tasks // len(seeds)))
+    n_chunks = len(seeds) * math.prod(sizes[:t])
     if workers == 1 or n_chunks == 1:
         return _count_chunks(gf, walk, t, 0, n_chunks), 1
     step = -(-n_chunks // tasks)

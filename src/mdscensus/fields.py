@@ -4,8 +4,9 @@ Elements are ints in [0, q): the canonical encoding of the polynomial
 representation a_0 + a_1*x + ... + a_{m-1}*x^{m-1} as sum(a_i * p**i).  A
 GF object carries the arithmetic context.  Every field up to ORDER_CAP has
 O(q) discrete-log and exponent tables of its smallest generator, built once
-from the polynomial arithmetic (_mul_raw, _add_raw, kept as the reference),
-and every scalar operation takes one path: integers mod p on prime fields;
+from the polynomial product _mul_raw; the digit-wise sum _add_raw builds
+nothing and is kept as the reference the tests compare against.  Every
+scalar operation takes one path: integers mod p on prime fields;
 on extension fields multiplication, inversion and powers through the
 log/exp tables, addition by XOR when p = 2 and by Zech logarithms when p is
 odd.  Array arithmetic lives in _vecgf.

@@ -97,22 +97,36 @@ def test_cross_oracle_small():
 
 def test_filter_divides_out_the_column_scalings():
     # scaling coordinate k+1+c by lambda != 0 scales column c of A and keeps
-    # each p_I zero or nonzero, so the walk with row 0 over all of F_q^*
-    # counts (q-1)^(n-k) times the walk with row 0 all ones, the one the
-    # filter takes
+    # each p_I zero or nonzero, so the walk with row 0 over all of F_q^*, one
+    # weight-1 seed per row 0, counts (q-1)^(n-k) times the walk from the
+    # one seed with row 0 all ones, the one the filter takes
     for q in (2, 3, 4, 5):
         gf = field_of_order(q)
         for n in range(2, 7):
             for k in range(1, n):
                 plan, nk = census._filter_minor_plan(k, n), n - k
-                entries = k * nk
-                full, _ = census._count_walk(
-                    gf, (plan, [q - 1] * entries, [1] * entries), 1)
-                reduced, _ = census._count_walk(
-                    gf, (plan, [1] * nk + [q - 1] * (entries - nk), [1] * entries), 1)
+                sizes = [q - 1] * ((k - 1) * nk)
+                rows = itertools.product(range(1, q), repeat=nk)
+                seeds = [(1, row) for row in rows]
+                full, _ = census._count_walk(gf, (plan, seeds, sizes, 1), 1)
+                reduced, _ = census._count_walk(gf, (plan, [(1, (1,) * nk)], sizes, 1), 1)
                 assert full == (q - 1) ** nk * reduced, (k, n, q)
                 gamma = count_mds_grassmannian_filter(k, n, gf).gamma
                 assert gamma == full, (k, n, q)
+
+
+def test_seeds_are_weighted():
+    # the (3,6,5) filter walk from row 0 = (1,1,1) counts 96 and from
+    # (0,1,1) counts 384 (the plan has no minor of order 1 to refuse a
+    # zero); two seeds of weights 2 and 5 count 2 * 96 + 5 * 384
+    gf = field_of_order(5)
+    plan, sizes = census._filter_minor_plan(3, 6), [4] * 6
+    c1, _ = census._count_walk(gf, (plan, [(1, (1, 1, 1))], sizes, 1), 1)
+    c2, _ = census._count_walk(gf, (plan, [(1, (0, 1, 1))], sizes, 1), 1)
+    assert (c1, c2) == (96, 384)
+    seeds = [(2, (1, 1, 1)), (5, (0, 1, 1))]
+    both, _ = census._count_walk(gf, (plan, seeds, sizes, 1), 1)
+    assert both == 2 * c1 + 5 * c2
 
 
 def test_gamma_tilde_examples():
@@ -355,6 +369,33 @@ def test_pool_never_exceeds_cpu_count(monkeypatch):
     assert InlinePool.started == [2]
 
 
+def test_pooled_chunks_cross_seed_boundaries(monkeypatch):
+    # ten (3,6,11) filter seeds, row 0 = (1, 1, b) of weight b: each walks
+    # 10^5 candidates, cut after one entry to fit block_len, so the walk is
+    # 100 chunks, and 2 workers take them 7 at a time, across seed
+    # boundaries; every seed counts gamma / 10^3 (the column scalings)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    cuts = []
+    real = census._count_chunks
+
+    def recording(gf, walk, t, lo, hi):
+        cuts.append((t, lo, hi))
+        return real(gf, walk, t, lo, hi)
+
+    monkeypatch.setattr(census, "_count_chunks", recording)
+    gf = make_field(11, 1)
+    seeds = [(b, (1, 1, b)) for b in range(1, 11)]
+    walk = (census._filter_minor_plan(3, 6), seeds, [10] * 6, 1)
+    InlinePool.started = []
+    pooled, workers = census._count_walk(gf, walk, 2)
+    assert (InlinePool.started, workers) == ([2], 2)
+    assert cuts == [(1, lo, min(lo + 7, 100)) for lo in range(0, 100, 7)]
+    serial, _ = census._count_walk(gf, walk, 1)
+    gamma = count_mds_grassmannian_filter(3, 6, gf).gamma
+    assert pooled == serial == sum(range(1, 11)) * gamma // 10**3
+
+
 class CountingPool(ProcessPoolExecutor):
     """A real process pool that counts its starts."""
 
@@ -507,32 +548,33 @@ def test_chunk_prefix_is_sized_on_walked_entries(monkeypatch):
     # the counted last entry and the tail after it are never materialized:
     # (3,8,11) walks entries 0..6 and counts entry 7, so 9^4 <= block_len
     # walked entries fit after a prefix of 3, 729 chunks where sizing on all
-    # 8 entries would cut 6561
+    # 8 entries would cut 6561.  The (3,6,16) filter walks entries 0..7, its
+    # seed fixes 0..2, so 15^3 walked entries fit after a prefix of 2 past
+    # the seed, 225 chunks where sizing without the seed would cut 3375
     cuts = []
     monkeypatch.setattr(census, "_count_chunks",
                         lambda gf, walk, t, lo, hi: cuts.append((t, lo, hi)) or 0)
     plan = census._scan_minor_plan(3, 8)
     assert _vecgf.walked_len(plan) == 7
-    census._count_walk(field_of_order(11), (plan, [9] * 8, [2] * 8), 1)
-    assert cuts == [(3, 0, 729)]
+    census._count_walk(field_of_order(11), (plan, [(1, ())], [9] * 8, 2), 1)
+    assert _vecgf.walked_len(census._filter_minor_plan(3, 6)) == 8
+    count_mds_grassmannian_filter(3, 6, field_of_order(16))
+    assert cuts == [(3, 0, 729), (2, 0, 225)]
 
 
 def test_position_arrays_match_product():
-    sizes, offsets = [3, 1, 4, 2], [1, 0, 2, 5]
-    grids = _vecgf.position_arrays(sizes, offsets, np.int16)
-    expected = list(itertools.product(*(range(o, o + s)
-                                        for s, o in zip(sizes, offsets))))
+    sizes, offset = [3, 1, 4, 2], 2
+    grids = _vecgf.position_arrays(sizes, offset, np.int16)
+    expected = list(itertools.product(*(range(offset, offset + s) for s in sizes)))
     assert list(zip(*(g.tolist() for g in grids))) == expected
     assert all(g.dtype == np.int16 for g in grids)
-    for lo in range(len(expected) + 1):
-        for hi in (lo, lo + 1, len(expected)):
-            assert list(_vecgf.prefix_values(sizes, offsets, lo, hi)) == expected[lo:hi]
+    assert list(_vecgf.prefix_values(sizes, offset)) == expected
     # no positions: one empty prefix; a position with no values in the
     # middle leaves nothing to walk
-    assert list(_vecgf.prefix_values([], [])) == [()]
-    assert list(_vecgf.prefix_values([2, 0, 3], [1, 1, 1])) == []
-    assert [g.size for g in _vecgf.position_arrays([3, 0, 2], [2, 2, 2], np.int64)] == [0, 0, 0]
-    assert _vecgf.position_arrays([], [], np.int64) == []
+    assert list(_vecgf.prefix_values([], 1)) == [()]
+    assert list(_vecgf.prefix_values([2, 0, 3], 1)) == []
+    assert [g.size for g in _vecgf.position_arrays([3, 0, 2], 2, np.int64)] == [0, 0, 0]
+    assert _vecgf.position_arrays([], 0, np.int64) == []
 
 
 @pytest.mark.parametrize("q", (7, 8, 9, 191, 243, 256))

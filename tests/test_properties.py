@@ -116,13 +116,14 @@ def test_vecops_match_scalar_ops(q, data):
 
 @st.composite
 def kernel_walks(draw):
-    """A field, a walk (sizes, offsets) of at most 5 free entries and up to
-    4 minors of order 1-3 over its free entries and constants.  GF(7),
-    GF(8) and GF(9) compute through the q x q tables, GF(191) and GF(243)
-    past them, mod p and by log/exp with base-3 digits."""
+    """A field, a walk (sizes, offset) of at most 5 free entries, all
+    running from one offset, and up to 4 minors of order 1-3 over its free
+    entries and constants.  GF(7), GF(8) and GF(9) compute through the
+    q x q tables, GF(191) and GF(243) past them, mod p and by log/exp with
+    base-3 digits."""
     q = draw(st.sampled_from((7, 8, 9, 191, 243)))
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
-    offsets = [draw(st.integers(0, q - size)) for size in sizes]
+    offset = draw(st.integers(0, q - max(sizes)))
     entries = st.one_of(
         st.tuples(st.just("v"), st.integers(0, len(sizes) - 1)),
         st.tuples(st.just("c"), st.integers(0, q - 1)))
@@ -131,15 +132,14 @@ def kernel_walks(draw):
         order = draw(st.integers(1, 3))
         minors.append(tuple(tuple(draw(entries) for _ in range(order))
                             for _ in range(order)))
-    return q, sizes, offsets, minors
+    return q, sizes, offset, minors
 
 
-def _brute_force_count(gf, sizes, offsets, minors):
+def _brute_force_count(gf, sizes, offset, minors):
     """Assignments of the walk whose minors all have full rank, one at a
     time through the generic matrix code."""
     count = 0
-    ranges = [range(o, o + s) for s, o in zip(sizes, offsets)]
-    for values in itertools.product(*ranges):
+    for values in itertools.product(*(range(offset, offset + s) for s in sizes)):
         mats = [[[values[i] if kind == "v" else i for kind, i in row] for row in minor]
                 for minor in minors]
         count += all(rank(MatrixGF.from_rows(gf, m)) == len(m) for m in mats)
@@ -148,41 +148,44 @@ def _brute_force_count(gf, sizes, offsets, minors):
 
 @PROPERTY
 @given(kernel_walks())
-# a size-0 position inside the walk; free entries 2..3 after the last minor;
-# constant-only minors, one of them singular
-@example((7, [2, 0, 3], [1, 4, 0],
+# a size-0 position inside the walk
+@example((7, [2, 0, 3], 1,
           [((("v", 0),),), ((("v", 2), ("c", 1)), (("c", 3), ("v", 0)))]))
-@example((8, [3, 2, 3, 2], [5, 0, 1, 6],
-          [((("v", 0), ("v", 1)), (("c", 1), ("v", 1)))]))
-@example((9, [3, 3], [0, 6],
+# free entries 2..3 after the last minor, which is v1 (v0 - 1), zero at
+# v1 = 0 and at v0 = 1
+@example((8, [3, 2, 3, 2], 0, [((("v", 0), ("v", 1)), (("c", 1), ("v", 1)))]))
+# constant-only minors, [[2, 5], [4, 1]] and the singular [[2, 4], [2, 4]]
+@example((9, [3, 3], 6,
           [((("c", 2), ("c", 5)), (("c", 4), ("c", 1))), ((("v", 1),),)]))
-@example((9, [3, 3], [0, 6], [((("c", 2), ("c", 4)), (("c", 2), ("c", 4)))]))
+@example((9, [3, 3], 6, [((("c", 2), ("c", 4)), (("c", 2), ("c", 4)))]))
 # the counted last entry x = v1 at (1, 1) with cofactor v0: at v0 = 0 the
 # minor is 0 whatever x is (D = 0), then never (D = -2); at v0 = 1 the
-# sign of D decides whether x = 2 or x = 5 is forbidden
-@example((7, [3, 3], [0, 2], [((("v", 0), ("c", 1)), (("c", 0), ("v", 1)))]))
-@example((7, [2, 3], [0, 1], [((("v", 0), ("c", 1)), (("c", 2), ("v", 1)))]))
+# sign of D decides whether x = 2 or x = 5 is forbidden, and the window
+# 0..2 holds 2 alone
+@example((7, [3, 3], 0, [((("v", 0), ("c", 1)), (("c", 0), ("v", 1)))]))
+@example((7, [2, 3], 0, [((("v", 0), ("c", 1)), (("c", 2), ("v", 1)))]))
 # a minor reading its last entry twice, x^2 - 1: that entry stays walked
-@example((7, [3, 3], [1, 1], [((("v", 1), ("c", 1)), (("c", 1), ("v", 1))),
-                              ((("v", 0), ("v", 1)), (("c", 1), ("c", 3)))]))
-# x = v1 at (0, 1) forbids v0^-1 in {1, 2}, outside the window 5..6
-@example((9, [2, 2], [1, 5], [((("c", 1), ("v", 1)), (("v", 0), ("c", 1)))]))
+@example((7, [3, 3], 1, [((("v", 1), ("c", 1)), (("c", 1), ("v", 1))),
+                         ((("v", 0), ("v", 1)), (("c", 1), ("c", 3)))]))
+# x = v1 at (0, 1) forbids v0^-1 in {3, 4} (v0 in {5, 6}), outside the
+# window 5..6
+@example((9, [2, 2], 5, [((("c", 1), ("v", 1)), (("v", 0), ("c", 1)))]))
 # a counted last entry with no values
-@example((7, [3, 0], [1, 3], [((("v", 0), ("v", 1)), (("c", 1), ("c", 2)))]))
+@example((7, [3, 0], 1, [((("v", 0), ("v", 1)), (("c", 1), ("c", 2)))]))
 # free entries 2..3 after the counted entry; at v0 = 1 two minors forbid
-# the same value, and [[v1]] forbids 0, outside the window
-@example((8, [3, 3, 3, 2], [1, 1, 0, 6],
+# the same value, and [[v1]] forbids 0, outside the window 1..3
+@example((8, [3, 3, 3, 2], 1,
           [((("v", 0), ("c", 1)), (("c", 1), ("v", 1))),
            ((("v", 1), ("v", 0)), (("c", 1), ("c", 1))), ((("v", 1),),)]))
 def test_kernel_matches_brute_force_at_every_prefix(walk):
-    q, sizes, offsets, minors = walk
+    q, sizes, offset, minors = walk
     gf = field_of_order(q)
     ops = _vecgf.vector_ops(gf)
-    expected = _brute_force_count(gf, sizes, offsets, minors)
+    expected = _brute_force_count(gf, sizes, offset, minors)
     for t in range(len(sizes) + 1):
-        levels = _vecgf.walk_levels(minors, sizes, offsets, ops.dtype, t)
+        levels = _vecgf.walk_levels(minors, t, sizes[t:], offset, ops.dtype)
         got = sum(_vecgf.count_all_nonzero(ops, prefix, levels)
-                  for prefix in _vecgf.prefix_values(sizes[:t], offsets[:t]))
+                  for prefix in _vecgf.prefix_values(sizes[:t], offset))
         # a Python int, so that sums over chunks never wrap
         assert got == expected and type(got) is int, t
 

@@ -157,13 +157,12 @@ from mdscensus.fields import field_of_order
 real = census._count_walk
 gf = field_of_order(4)
 # gamma-tilde(2,5,4) = 2 and |PGL(2,4)| = 60, so 5! divides 2 * 60, not 3 * 60;
-# the filter's gamma-tilde is 3^3 times its walk's count over 3^4, so a walk
-# 3 off moves it by one
-for route, step in ((census.count_mds_matrix_scan, 1),
-                    (census.count_mds_grassmannian_filter, 3)):
-    def one_off(gf, walk, threads, step=step):
-        count, workers = real(gf, walk, threads)
-        return count + step, workers
+# both walks count gamma, gamma-tilde times 3^4, so a walk 3^4 off moves
+# gamma-tilde by one
+for route in (census.count_mds_matrix_scan, census.count_mds_grassmannian_filter):
+    def one_off(gf, walk, threads):
+        gamma, workers = real(gf, walk, threads)
+        return gamma + 3**4, workers
     census._count_walk = one_off
     try:
         route(2, 5, gf)
@@ -176,12 +175,13 @@ for route, step in ((census.count_mds_matrix_scan, 1),
 
 def test_orbit_divisibility_raises_under_optimize_flag():
     # a gamma-tilde off by one breaks n! | gamma-tilde |PGL(k,q)| on either
-    # route, refused with or without -O
+    # route, refused by the orbit check with or without -O
     for flags in ((), ("-O",)):
         proc = _run_python(*flags, "-c", ORBIT_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert [line.split(":")[0] for line in lines] == ["refused", "counted"] * 2, lines
+        assert all("|PGL(2,4)|" in line for line in lines[::2]), lines
         assert lines[1] == lines[3] == "counted: 2"
 
 
