@@ -8,8 +8,8 @@ are int16 and each array operation is one gather T[x * q + y] from a flat
 q x q table (addition stays XOR when p = 2).  The tables are built once per
 field by running the wide operations on the q x q grid; on larger fields
 those wide operations are the arithmetic.  Addition and subtraction are
-one signed digit sum: XOR of the encodings when p = 2, else base-p digit
-by digit mod p, a prime field being the one-digit case.
+XOR of the encodings when p = 2, else the field's signed base-p digit sum
+GF._digit_sum, a prime field being the one-digit case.
 Multiplication is mod p on the int64 arrays of a prime field, and on an
 extension field a gather from the field's log/exp tables (log 0 is a
 sentinel whose sums all land in a zero tail of the exp array).
@@ -20,7 +20,6 @@ Everything here is exact integer arithmetic; numpy is only a carrier.
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class VecOps:
         self.gf = gf
         self.q = q = gf.q
         self._add = self._sub = self._mul = self._div = None
-        self.place_values = [gf.p**i for i in range(1, gf.m)]  # digits past 0
         if gf.m == 1:
             self.dtype = np.int64
         else:
@@ -85,18 +83,11 @@ class VecOps:
         return self.exp[self._log_of(x) + self._log_of(y)]
 
     def _wide_add(self, x, y, sign=1):
-        """x + sign * y: XOR of the encodings when p = 2, else base-p digit
-        by digit.  Digit i of an encoding e is (e // p^i) mod p and the
-        digits add mod p, so digit 0 of the sum is (x + sign * y) mod p; a
-        prime field has that digit alone."""
-        p = self.gf.p
-        if p == 2:
+        """x + sign * y: XOR of the encodings when p = 2, else the field's
+        base-p digit sum."""
+        if self.gf.p == 2:
             return x ^ y
-        combine = operator.add if sign > 0 else operator.sub
-        out = combine(x, y) % p
-        for pw in self.place_values:
-            out = out + combine(x // pw, y // pw) % p * pw
-        return out
+        return self.gf._digit_sum(x, y, sign)
 
     @functools.cached_property
     def _inverses(self):
@@ -162,7 +153,8 @@ class VecOps:
 
 
 def _frozen(a):
-    """a, made read-only: VecOps arrays are shared through vector_ops."""
+    """a, made read-only and returned: the one freeze of the arrays a cache
+    or vector_ops shares with every caller."""
     a.flags.writeable = False
     return a
 
@@ -442,9 +434,7 @@ def plucker_matrix(gf, k, n):
     point of G(k, n), rows in lexicographic multi-index order, for shapes
     within PLUCKER_CACHE_CAP entries, built one block per cell.  The cached
     array is read-only."""
-    out = np.concatenate(list(_cell_blocks(gf, k, n, math.inf)), axis=1)
-    out.flags.writeable = False  # shared by every caller through the cache
-    return out
+    return _frozen(np.concatenate(list(_cell_blocks(gf, k, n, math.inf)), axis=1))
 
 
 def plucker_blocks(gf, k, n, budget=None):

@@ -348,11 +348,10 @@ def build_parser(command=None):
                        default="both")
 
     if p := subparser("verify", "run the check registry"):
-        p.add_argument("--suite",
-                       choices=("fields", "plucker", "weights", "sections",
-                                "asymptotics", "census", "all"),
-                       default="all")
-        p.add_argument("--scale", choices=("quick", "full"), default="quick")
+        from .verify import SCALES, SUITES
+
+        p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+        p.add_argument("--scale", choices=SCALES, default="quick")
 
     return parser
 

@@ -4,8 +4,9 @@ Elements are ints in [0, q): the canonical encoding of the polynomial
 representation a_0 + a_1*x + ... + a_{m-1}*x^{m-1} as sum(a_i * p**i).  A
 GF object carries the arithmetic context.  Every field up to ORDER_CAP has
 O(q) discrete-log and exponent tables of its smallest generator, built once
-from the polynomial product _mul_raw; the digit-wise sum _add_raw builds
-nothing and is kept as the reference the tests compare against.  Every
+from the polynomial product _mul_raw.  The digit-wise sum _digit_sum, exact
+on ints and on numpy arrays, is the addition of _vecgf past XOR and the
+reference the tests compare the scalar additions against.  Every
 scalar operation takes one path: integers mod p on prime fields;
 on extension fields multiplication, inversion and powers through the
 log/exp tables, addition by XOR when p = 2 and by Zech logarithms when p is
@@ -201,14 +202,18 @@ class GF:
         prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
         return self.encode(_poly_divmod(prod, self.modulus, self.p)[1])
 
-    def _add_raw(self, a, b):
+    def _digit_sum(self, x, y, sign=1):
+        """x + sign * y base-p digit by digit, on ints and numpy integer
+        arrays alike.  Digit i of an encoding e is (e // p^i) mod p and the
+        digits add mod p, so digit 0 of the sum is (x + sign * y) mod p; a
+        prime field has that digit alone.  The loop runs at p = 2 too, so
+        it is a route to the sum apart from XOR, mod p and the Zech logs."""
         p = self.p
-        out, shift = 0, 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
+        combine = operator.add if sign > 0 else operator.sub
+        out = combine(x, y) % p
+        for i in range(1, self.m):
+            pw = p**i
+            out = out + combine(x // pw, y // pw) % p * pw
         return out
 
     def _pow_raw(self, a, e):

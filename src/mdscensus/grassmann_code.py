@@ -50,8 +50,8 @@ def build_code(k, n, gf, budget=None):
     length = gaussian_binomial(k, n, gf.q)
     dimension = _binom(n, k)
     blocks = list(_vecgf.plucker_blocks(gf, k, n, budget))
-    generator = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    generator.flags.writeable = False
+    generator = _vecgf._frozen(blocks[0] if len(blocks) == 1
+                               else np.concatenate(blocks, axis=1))
     nonzero = generator != 0
     lone = nonzero[:, np.count_nonzero(nonzero, axis=0) == 1]
     if not lone.any(axis=1).all():

@@ -148,12 +148,18 @@ def _reduce_rows(gf, rows, pivots, inverses):
                                          for a, b in zip(rows[i][c:], rr[c:])]
 
 
+def _rref_rows(gf, rows, ncols):
+    """The row lists in reduced row echelon form, reduced in place, and
+    their pivot columns, 0-based: _echelon_rows, then _reduce_rows."""
+    pivots, _, inverses = _echelon_rows(gf, rows, ncols)
+    _reduce_rows(gf, rows, pivots, inverses)
+    return rows, pivots
+
+
 def rref(matrix):
     """Unique reduced row echelon form and rank; row space and shape
     preserved."""
-    rows = matrix.row_list()
-    pivots, _, inverses = _echelon_rows(matrix.gf, rows, matrix.cols)
-    _reduce_rows(matrix.gf, rows, pivots, inverses)
+    rows, pivots = _rref_rows(matrix.gf, matrix.row_list(), matrix.cols)
     return (MatrixGF(matrix.gf, matrix.rows, matrix.cols,
                      itertools.chain.from_iterable(rows)), len(pivots))
 
@@ -167,19 +173,13 @@ def kernel_basis(matrix):
     """Rows spanning {x : matrix @ x = 0}, echelonized (deterministic); the
     result has matrix.cols columns, rows or none."""
     gf = matrix.gf
-    neg = gf._uneg
-    rows = matrix.row_list()
-    pivots, _, inverses = _echelon_rows(gf, rows, matrix.cols)
-    _reduce_rows(gf, rows, pivots, inverses)
-    pivot_set = set(pivots)
+    rows, pivots = _rref_rows(gf, matrix.row_list(), matrix.cols)
     basis = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(matrix.cols)).difference(pivots)):
         vec = [0] * matrix.cols
         vec[free] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = neg(rows[r][free])
+            vec[pc] = gf._uneg(rows[r][free])
         basis.append(vec)
     return MatrixGF(gf, len(basis), matrix.cols, itertools.chain.from_iterable(basis))
 
@@ -272,13 +272,12 @@ def point_from_rows(gf, rows):
 def point_from_matrix(m):
     """Canonical GrassmannPoint spanned by the rows of m, in m.cols
     dimensions even when m has no rows."""
-    red, rk = rref(m)
-    if rk != m.rows:
+    rows, pivots = _rref_rows(m.gf, m.row_list(), m.cols)
+    if len(pivots) != m.rows:
         raise ShapeMismatch("rows are linearly dependent")
-    pivots = tuple(
-        next(j for j in range(red.cols) if red.entry(i, j)) + 1 for i in range(rk)
-    )
-    return GrassmannPoint(red, pivots)
+    return GrassmannPoint(MatrixGF(m.gf, m.rows, m.cols,
+                                   itertools.chain.from_iterable(rows)),
+                          tuple(c + 1 for c in pivots))
 
 
 def cell_free_positions(pivots, k, n):

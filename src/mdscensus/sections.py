@@ -168,9 +168,8 @@ def _nonzero_combinations(gf, r, keys):
 def annihilator_table(gf, r):
     """_nonzero_combinations on all q^r value tuples, indexed by key: built
     once per field and codimension.  The cached array is read-only."""
-    table = _nonzero_combinations(gf, r, np.arange(gf.q**r, dtype=np.intp))
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
+    keys = np.arange(gf.q**r, dtype=np.intp)
+    return _vecgf._frozen(_nonzero_combinations(gf, r, keys))
 
 
 def section_cardinality(gf, k, n, spanning, budget=None):

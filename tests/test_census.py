@@ -43,20 +43,6 @@ def naive_gamma(k, n, gf):
     return count
 
 
-def test_scan_examples():
-    assert count_mds_matrix_scan(2, 3, make_field(2, 1)).gamma == 1
-    res = count_mds_matrix_scan(2, 4, make_field(3, 1))
-    assert res.gamma == 8
-    assert res.gamma_tilde == 1
-    assert count_mds_matrix_scan(3, 6, make_field(2, 1)).gamma == 0
-
-
-def test_filter_examples():
-    assert count_mds_grassmannian_filter(2, 4, make_field(3, 1)).gamma == 8
-    assert count_mds_grassmannian_filter(1, 3, make_field(3, 1)).gamma == 4
-    assert count_mds_grassmannian_filter(2, 4, make_field(2, 1)).gamma == 0
-
-
 def test_scan_matches_naive_reference():
     for q in (2, 3, 4):
         gf = field_of_order(q)
@@ -74,25 +60,6 @@ def scan_walk(k, n, q):
     """Candidates the scan walks: the (k-1)(n-k-1) free entries of the
     normalized A run over 2..q-1, none at k = n."""
     return (q - 2) ** ((k - 1) * (n - k - 1)) if k < n else 1
-
-
-# every (k,n) with n <= 8 over the fields to q = 16 where both walks stay
-# within 3*10^6, and eight named shapes that stay pinned if those bounds
-# move, (2,3) past the table range at q = 529 among them: 315 shapes
-CROSS_GRID = sorted({(k, n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-                     for n in range(1, 9) for k in range(1, n + 1)
-                     if max(filter_walk(k, n, q), scan_walk(k, n, q)) <= 3 * 10**6}
-                    | {(2, 3, 529), (2, 6, 8), (2, 6, 9), (3, 6, 7), (4, 6, 8),
-                       (4, 6, 9), (1, 8, 11), (7, 8, 11)})
-
-
-def test_cross_oracle_small():
-    assert len(CROSS_GRID) == 315
-    for k, n, q in CROSS_GRID:
-        gf = field_of_order(q)
-        a = count_mds_matrix_scan(k, n, gf).gamma
-        b = count_mds_grassmannian_filter(k, n, gf).gamma
-        assert a == b, (k, n, q)
 
 
 def test_filter_divides_out_the_column_scalings():
@@ -129,32 +96,6 @@ def test_seeds_are_weighted():
     assert both == 2 * c1 + 5 * c2
 
 
-def test_gamma_tilde_examples():
-    assert count_mds_matrix_scan(2, 4, make_field(3, 1)).gamma_tilde == 1
-    # gamma(2,5;4) = 162 = 2 (q-1)^4: exactly two normalized 5-point frames
-    # on the projective line over GF(4)
-    assert count_mds_matrix_scan(2, 5, make_field(2, 2)).gamma_tilde == 2
-    for q in (2, 3, 4, 5):
-        gf = field_of_order(q)
-        for n in (2, 3, 4):
-            assert count_mds_matrix_scan(1, n, gf).gamma_tilde == 1
-    # gamma-tilde(3,8,q) at q = 9 and 11, where the scan and an independent
-    # column-sorted scan agreed
-    assert count_mds_matrix_scan(3, 8, field_of_order(9)).gamma_tilde == 7560
-    assert count_mds_matrix_scan(3, 8, field_of_order(11)).gamma_tilde == 389592
-
-
-def test_closed_forms_match_scan():
-    for q in (2, 3, 4, 5, 7):
-        gf = field_of_order(q)
-        for n in range(1, 6):
-            assert count_mds_matrix_scan(1, n, gf).gamma == gamma_closed_form(1, n, q)
-        for n in range(2, 6):
-            assert count_mds_matrix_scan(2, n, gf).gamma == gamma_closed_form(2, n, q)
-    # no closed form is known past k = 2
-    assert gamma_closed_form(3, 6, 5) is None
-
-
 def test_no_mds_code_past_the_bush_bound():
     # for 2 <= k <= n - 2 an [n, k] MDS code over GF(q) has n <= q + k - 1
     # (Bush 1952); q = 2 is left out, the scan's window 2..q-1 is empty there
@@ -168,17 +109,6 @@ def test_no_mds_code_past_the_bush_bound():
                 assert (res.gamma, res.gamma_tilde) == (0, 0), (k, n, q)
             if filter_walk(k, n, q) <= 2**18:
                 assert count_mds_grassmannian_filter(k, n, gf).gamma == 0, (k, n, q)
-
-
-def test_theory_anchors_on_both_routes():
-    # at odd q a (q+1)-arc of PG(2, q) is a conic (Segre 1955), so
-    # gamma-tilde(3, q+1, q) = (q-2)!, and PG(2, q) has no (q+2)-arc (Bose
-    # 1947); the Bush bound n <= q + k - 1 leaves both shapes open
-    anchors = {(3, 6, 5): 6, (3, 8, 7): 120, (3, 7, 5): 0, (3, 9, 7): 0}
-    for (k, n, q), want in anchors.items():
-        gf = field_of_order(q)
-        for route in (count_mds_matrix_scan, count_mds_grassmannian_filter):
-            assert route(k, n, gf).gamma_tilde == want, (route, k, n, q)
 
 
 def test_duality():
@@ -432,6 +362,44 @@ def test_worker_count_criterion_starts_a_pool(monkeypatch):
         assert CountingPool.started > sum(filter_pools)
     else:
         assert CountingPool.started == 0
+
+
+def _ledger_row(k, n, q):
+    return next(row for row in verify.CENSUS_LEDGER if row[:3] == (k, n, q))
+
+
+def _run_ledger():
+    [entry] = [c for c in verify.REGISTRY if c.name == "census-ledger"]
+    return verify.run_check(entry)
+
+
+def test_ledger_fails_a_row_one_unit_off(monkeypatch):
+    # the entry is re-run on two cheap rows of the ledger, one of them off by
+    # one, and fails naming that row and the first route it runs
+    k, n, q, want, routes = _ledger_row(3, 6, 5)
+    monkeypatch.setattr(verify, "CENSUS_LEDGER",
+                        (_ledger_row(3, 6, 2), (k, n, q, want + 1, routes)))
+    result = _run_ledger()
+    assert not result.passed
+    assert "row (3, 6, 5) on the scan" in result.detail, result.line()
+    assert "(3, 6, 2)" not in result.detail
+
+
+def test_ledger_runs_only_the_routes_a_row_lists(monkeypatch):
+    called = []
+    real_filter = census.count_mds_grassmannian_filter
+
+    def recording_filter(k, n, gf, **kwargs):
+        called.append((k, n, gf.q))
+        return real_filter(k, n, gf, **kwargs)
+
+    monkeypatch.setattr(census, "count_mds_grassmannian_filter", recording_filter)
+    k, n, q, want, _ = _ledger_row(3, 6, 5)
+    monkeypatch.setattr(verify, "CENSUS_LEDGER",
+                        ((k, n, q, want, ("scan",)), _ledger_row(3, 6, 2)))
+    result = _run_ledger()
+    assert result.passed, result.line()
+    assert called == [(3, 6, 2)]
 
 
 def test_all_nonzero_points_lie_in_the_big_cell():

@@ -239,7 +239,7 @@ def test_ops_match_poly_reference_on_all_pairs(q):
     """The log/exp (and Zech) scalar ops equal the polynomial reference on
     every pair, and the VecOps array ops equal the scalar ops on every pair."""
     gf = field_of_order(q)
-    add = [[gf._add_raw(a, b) for b in range(q)] for a in range(q)]
+    add = [[gf._digit_sum(a, b) for b in range(q)] for a in range(q)]
     mul = [[gf._mul_raw(a, b) for b in range(q)] for a in range(q)]
     neg = [row.index(0) for row in add]
     assert [gf.neg(a) for a in range(q)] == neg
@@ -253,6 +253,9 @@ def test_ops_match_poly_reference_on_all_pairs(q):
     assert ops.add(x, y).reshape(q, q).tolist() == add
     assert ops.mul(x, y).reshape(q, q).tolist() == mul
     assert ops.sub(x, y).reshape(q, q).tolist() == [
+        [row[neg[b]] for b in range(q)] for row in add]
+    # the digit sum is exact on arrays too, subtraction included
+    assert gf._digit_sum(x, y, -1).reshape(q, q).tolist() == [
         [row[neg[b]] for b in range(q)] for row in add]
 
 
