@@ -2,8 +2,9 @@
 
 Every command prints structured output (json, csv, or an aligned table) with
 big integers rendered as decimal strings, and maps failures to exit codes:
-0 success, 1 invalid input or failed verification, 2 budget refusal, 3 a
-worker process died, 130 interrupted.
+0 success, 1 invalid input or failed verification, 2 budget refusal or a
+usage error (argparse exits 2 on a bad argument), 3 a worker process died,
+130 interrupted.
 """
 
 import argparse

@@ -357,9 +357,9 @@ def form_weight(omega, method="direct", budget=None):
     """
     if not isinstance(omega, DualForm):
         raise ShapeMismatch("form_weight takes a DualForm")
+    check_shape(omega.k, omega.n)
     if omega.is_zero():
         raise ZeroInput("weight of the zero form")
-    check_shape(omega.k, omega.n)
     if method == "direct":
         return _weight_direct(omega, budget)
     if method == "recursive":

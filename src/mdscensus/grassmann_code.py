@@ -20,7 +20,7 @@ from . import _vecgf
 from .budget import check_budget
 from .errors import OutOfRange, RankDeficient, ShapeMismatch
 from .exterior import DualForm
-from .linalg import _binom, enumerate_grassmannian, gaussian_binomial
+from .linalg import enumerate_grassmannian, gaussian_binomial
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,17 @@ class GrassmannCode:
     gf: object
     k: int
     n: int
-    length: int     # number of Grassmann points
-    dimension: int  # number of Plucker coordinates
     generator: np.ndarray  # dimension x length, read-only
+
+    @property
+    def length(self):
+        """Number of Grassmann points, the generator's columns."""
+        return self.generator.shape[1]
+
+    @property
+    def dimension(self):
+        """Number of Plucker coordinates, the generator's rows."""
+        return self.generator.shape[0]
 
 
 # max entries (q > 2) or 64-bit words (q = 2) of the combined block of
@@ -47,8 +55,6 @@ def build_code(k, n, gf, budget=None):
     unit Plucker vector at I, so every row must own a column that is
     nonzero in that row alone.  A generator that passes has the identity
     among its columns up to scaling; a rank-deficient one never passes."""
-    length = gaussian_binomial(k, n, gf.q)
-    dimension = _binom(n, k)
     blocks = list(_vecgf.plucker_blocks(gf, k, n, budget))
     generator = _vecgf._frozen(blocks[0] if len(blocks) == 1
                                else np.concatenate(blocks, axis=1))
@@ -56,8 +62,7 @@ def build_code(k, n, gf, budget=None):
     lone = nonzero[:, np.count_nonzero(nonzero, axis=0) == 1]
     if not lone.any(axis=1).all():
         raise RankDeficient("the Plucker embedding generator lost row rank")
-    return GrassmannCode(gf=gf, k=k, n=n, length=length, dimension=dimension,
-                         generator=generator)
+    return GrassmannCode(gf=gf, k=k, n=n, generator=generator)
 
 
 def _histogram(rows, multiples, add, weights, length):

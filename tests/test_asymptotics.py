@@ -7,7 +7,6 @@ from mdscensus import asymptotics
 from mdscensus.asymptotics import (
     _prediction,
     a2_closed_form,
-    arc_series_top3,
     convergence,
     params,
     predicted_gamma,
@@ -23,12 +22,6 @@ def test_a2_closed_form_examples():
     assert a2_closed_form(1, 2) == 0
     with pytest.raises(OutOfRange):
         a2_closed_form(3, 6)
-
-
-def test_arc_series_reproduces_b_coefficients():
-    for k, n in ((3, 10), (4, 8), (2, 5), (3, 6)):
-        p = params(k, n)
-        assert arc_series_top3(k, n) == (1, -p.b1, p.b2)
 
 
 def test_predicted_gamma_small_cases():

@@ -21,7 +21,6 @@ from mdscensus.linalg import enumerate_grassmannian, gaussian_binomial
 from mdscensus.grassmann_code import (
     build_code,
     higher_weight_search,
-    higher_weight_value,
     subcode_weight,
     weight_spectrum,
 )
@@ -243,14 +242,6 @@ def test_subcode_weight_shape_mismatch():
         subcode_weight(code, [(1, 0, 0, 0, 0, 0)])
 
 
-def test_spectrum_2_5_2():
-    gf = make_field(2, 1)
-    code = build_code(2, 5, gf)
-    spec = weight_spectrum(code)
-    assert set(spec) == {64, 80}
-    assert sum(spec.values()) == 2**10 - 1
-
-
 def test_spectrum_support_prediction_k2():
     # supports must be exactly {q^d + q^(d-2) + ... + q^(d-2r+2)}
     for q, n in ((2, 4), (3, 4), (2, 5)):
@@ -414,24 +405,6 @@ def test_higher_weight_exhaustive_budget():
     with pytest.raises(BudgetExceeded):
         higher_weight_search(code, 2, "exhaustive", budget=work - 1)
     assert higher_weight_search(code, 2, "exhaustive", budget=work) == 24
-
-
-def test_higher_weight_exhaustive_d2():
-    gf = make_field(2, 1)
-    code = build_code(2, 4, gf)
-    assert higher_weight_search(code, 2, mode="exhaustive") == 24
-    assert higher_weight_value(2, 4, 2, 2) == 24
-
-
-def test_higher_weight_structured_certificates():
-    gf = make_field(2, 1)
-    code = build_code(2, 4, gf)
-    for r in (1, 2, 3):
-        assert higher_weight_search(code, r, mode="structured") == higher_weight_value(
-            2, 4, 2, r
-        )
-    with pytest.raises(OutOfRange):
-        higher_weight_search(code, 4, mode="structured")
 
 
 def test_higher_weight_r1_matches_minimum_distance():

@@ -355,6 +355,9 @@ REFUSALS = {
         lambda: weight_spectrum(_code(), mode="walk"), OutOfRange),
     "search-unknown-mode": (
         lambda: higher_weight_search(_code(), 1, mode="walk"), OutOfRange),
+    # structured certificates stop at r = n - k + 1 = 3
+    "structured-search-past-n-k-plus-1": (
+        lambda: higher_weight_search(_code(), 4, mode="structured"), OutOfRange),
     "count-unknown-method": (lambda: count_mds(2, 4, GF3, method="walk"), OutOfRange),
     "weight-unknown-method": (lambda: form_weight(FORM, "walk"), OutOfRange),
     "norm-unknown-method": (

@@ -70,10 +70,11 @@ def test_norm_indecomposable_pencil():
 
 
 def test_norm_methods_agree_all_coordinate_sections():
-    # every codim over GF(2) at (2,4) and (2,5); codim <= 3 of G(2,5) for
-    # q = 3, 4, 5; codim <= 2 of G(3,6) over GF(2)
-    for q, k, n, max_r in ((2, 2, 4, 6), (2, 2, 5, 10), (3, 2, 5, 3), (4, 2, 5, 3),
-                           (5, 2, 5, 3), (2, 3, 6, 2)):
+    # every codim over GF(2) at (2,5); codim <= 3 of G(2,5) for q = 3, 4,
+    # 5; codim <= 2 of G(3,6) over GF(2).  Every codim at (2,4,2) is the
+    # registry entry sections/norm-methods
+    for q, k, n, max_r in ((2, 2, 5, 10), (3, 2, 5, 3), (4, 2, 5, 3), (5, 2, 5, 3),
+                           (2, 3, 6, 2)):
         gf = field_of_order(q)
         coords = multi_indices(k, n)
         for r in range(1, max_r + 1):
@@ -372,7 +373,6 @@ def test_inclusion_exclusion_gf2():
     assert rep.e_terms[0] == 96  # N q^delta = 6 * 16
     assert rep.e_terms[1] == 366  # 12 * 24 + 3 * 26
     assert rep.gamma_reconstructed == 0
-    assert rep.gamma_reconstructed == count_mds_matrix_scan(2, 4, gf).gamma
 
 
 def test_inclusion_exclusion_gf3():
@@ -426,14 +426,6 @@ def test_first_term_counts_cells():
         for i in range(big_n):
             norm = total - sum(c for m, c in masks.items() if m & (1 << i) == 0)
             assert norm == q ** (k * (n - k))
-
-
-def test_structured_counts_values():
-    c1, c2 = structured_counts(2, 5)
-    assert c1[3] == 20  # C(5,1) C(4,3)
-    assert c2[3] == 10  # C(5,3) C(3,3)
-    c1, _ = structured_counts(2, 4)
-    assert c1[2] == 12  # N delta / 2 at (2,4)
 
 
 def test_pair_classification_matches_count():
@@ -503,22 +495,6 @@ def _projective_forms(section):
             acc = [gf.add(a, gf.mul(c, b)) for a, b in zip(acc, omega.coeffs)]
         forms.append(DualForm(gf, k, n, acc))
     return forms
-
-
-def test_codim_two_and_three_residuals_small():
-    # coordinate sections with indecomposable annihilators stay within
-    # 4 q^(delta-3) of the predicted three-term expansions
-    for q in (2, 3, 4):
-        gf = field_of_order(q)
-        delta = 4
-        coords = multi_indices(2, 4)
-        for r, extra in ((2, 1), (3, 2)):
-            predicted = q**delta + q ** (delta - 1) + extra * q ** (delta - 2)
-            for subset in itertools.combinations(coords, r):
-                if coordinate_ann_in_grassmannian(subset):
-                    continue
-                norm = section_norm(coordinate_section(gf, 2, 4, subset))
-                assert abs(norm - predicted) <= 4 * q ** (delta - 3), (q, r, subset)
 
 
 def test_codim1_increment_bound():
